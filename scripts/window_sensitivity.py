@@ -13,32 +13,28 @@ from pathlib import Path
 
 from cascademine.cascades import build_cascades
 from cascademine.ingest import ingest_dataset, load_ingest
-from cascademine.social import build_graph
 from cascademine.synth import SynthConfig, generate_synthetic
 from cascademine.util import nearest_rank
 
 WINDOWS = [None, 365, 90, 30, 7, 1]
 
 
-def load_world(cache_dir: str | None):
+def load_result(cache_dir: str | None):
     if cache_dir:
-        result = load_ingest(Path(cache_dir) / "ingest.pkl")
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="window_sweep_"))
-        synth = generate_synthetic(SynthConfig(
-            n_users=400, n_businesses=300, n_events=6000,
-            friend_prob=0.015, influence_prob=0.1, n_cities=1, seed=7), tmp)
-        result = ingest_dataset(synth.paths)
-    graph = build_graph(result.users.values(), n_nodes=len(result.user_ids))
-    return result, graph
+        return load_ingest(Path(cache_dir) / "ingest.pkl")
+    tmp = Path(tempfile.mkdtemp(prefix="window_sweep_"))
+    synth = generate_synthetic(SynthConfig(
+        n_users=400, n_businesses=300, n_events=6000,
+        friend_prob=0.015, influence_prob=0.1, n_cities=1, seed=7), tmp)
+    return ingest_dataset(synth.paths)
 
 
 def main() -> int:
     cache_dir = sys.argv[1] if len(sys.argv) > 1 else None
-    result, graph = load_world(cache_dir)
+    result = load_result(cache_dir)
     print(f"{'window':>8} {'cascades':>9} {'edges':>8} {'p50':>5} {'p90':>5} {'max':>5}")
     for window in WINDOWS:
-        by_city = build_cascades(result.events_by_city, graph, window)
+        by_city = build_cascades(result.events_by_city, result.graph, window)
         cascades = [c for cs in by_city.values() for c in cs]
         sizes = sorted(c.size for c in cascades)
         n_edges = sum(len(c.edges) for c in cascades)

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from cascademine.ingest import Event, EventKind, KIND_FROM_NAME, KIND_NAMES
 from cascademine.social import SocialGraph
 from cascademine.util import nearest_rank
@@ -109,15 +111,11 @@ def _business_cascades(city: str, business_id: int, events: Sequence[Event],
     # Edges into each user from friends who acted earlier or on the same day.
     # Same-day pairs yield both directions, once from each endpoint's turn.
     edges: list[tuple[int, int]] = []
-    participants = list(first)
+    participants = np.fromiter(first, dtype=np.int64, count=len(first))
     for v, ev in first.items():
         dv = ev.date
-        nbrs = graph.neighbors(v)
-        if len(nbrs) > len(first):
-            candidates = (u for u in participants if u != v and graph.are_friends(u, v))
-        else:
-            candidates = (int(u) for u in nbrs if int(u) in first)
-        for u in candidates:
+        friends = np.intersect1d(graph.neighbors(v), participants, assume_unique=True)
+        for u in friends.tolist():
             du = first[u].date
             if du > dv:
                 continue

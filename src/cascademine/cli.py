@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import multiprocessing
 import pickle
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from cascademine.config import RunConfig, build_config
 from cascademine.errors import ConfigError, DataError, MissingStageError
 from cascademine.ingest import (DatasetPaths, ingest_dataset, load_ingest, save_ingest,
                                 yearly_activity_counts)
-from cascademine.social import build_graph
+from cascademine.social import build_graph  # noqa: F401; pipebench/tracing.py patches it here
 from cascademine.synth import SynthConfig, generate_synthetic
 from cascademine.util import substream_seed
 
@@ -53,10 +52,6 @@ def _dataset_paths(cfg: RunConfig) -> DatasetPaths:
                         review=Path(cfg.review_path), tip=Path(cfg.tip_path))
 
 
-def _load_graph(result):
-    return build_graph(result.users.values(), n_nodes=len(result.user_ids))
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -79,8 +74,7 @@ def stage_ingest(cfg: RunConfig) -> None:
 
 def stage_build_cascades(cfg: RunConfig) -> None:
     result = load_ingest(_require(cfg, INGEST_CACHE, "ingest"))
-    graph = _load_graph(result)
-    by_city = casc.build_cascades(result.events_by_city, graph, cfg.window_days)
+    by_city = casc.build_cascades(result.events_by_city, result.graph, cfg.window_days)
     casc.write_cascades(by_city, cfg.cache_path(CASCADES_CACHE))
     total = sum(len(v) for v in by_city.values())
     print(f"[build-cascades] {total} cascades in {len(by_city)} cities "
@@ -181,44 +175,16 @@ def stage_export_dot(cfg: RunConfig, census_reps: bool = False) -> None:
     print(f"[export-dot] wrote {n} DOT files to {out_dir}")
 
 
-_WORKER_EXTRACTOR = None
-
-
-def _worker_init(extractor):
-    global _WORKER_EXTRACTOR
-    _WORKER_EXTRACTOR = extractor
-
-
-def _worker_extract(cascade):
-    before = _WORKER_EXTRACTOR.imputed.copy()
-    vec = _WORKER_EXTRACTOR.extract(cascade)
-    return vec, dict(_WORKER_EXTRACTOR.imputed - before)
-
-
 def stage_features(cfg: RunConfig) -> None:
     result = load_ingest(_require(cfg, INGEST_CACHE, "ingest"))
     by_city = casc.read_cascades(_require(cfg, CASCADES_CACHE, "build-cascades"))
-    graph = _load_graph(result)
     fc = feat.FeatureConfig(k=cfg.k, percentile=cfg.percentile,
                             min_big_cascades=cfg.min_big_cascades,
                             balance_seed=cfg.seed)
     labeling = feat.label_cascades(by_city, fc)
     balanced = feat.balance(labeling.labeled, fc)
-    extractor = feat.FeatureExtractor(result.users, result.businesses, graph, cfg.k)
-
-    if cfg.workers > 1:
-        rows = [(city, r) for city in sorted(balanced)
-                for r in sorted(balanced[city], key=lambda r: r.cascade.cascade_id)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(cfg.workers, initializer=_worker_init, initargs=(extractor,)) as pool:
-            outputs = pool.map(_worker_extract, [r.cascade for _, r in rows], chunksize=64)
-        examples = []
-        for (city, row), (vec, imputed) in zip(rows, outputs):
-            examples.append(feat.LabeledExample(row.cascade.cascade_id, city, vec, row.label))
-            extractor.imputed.update(imputed)
-    else:
-        examples = feat.build_examples(balanced, extractor)
-
+    extractor = feat.FeatureExtractor(result.users, result.businesses, result.graph, cfg.k)
+    examples = feat.build_examples(balanced, extractor)
     feat.write_features_csv(examples, cfg.cache_path("features.csv"))
     feat.save_examples(examples, cfg.cache_path("features.pkl"))
     labeling_doc = {
@@ -393,7 +359,6 @@ _CONFIG_FLAGS = [
     ("--logreg-epochs", "logreg_epochs", int, "proximal gradient iterations"),
     ("--folds", "folds", int, "cross-validation folds"),
     ("--seed", "seed", int, "global seed, substreamed per stage"),
-    ("--workers", "workers", int, "worker pool size for parallel stages"),
 ]
 
 _DEFAULTS = RunConfig()

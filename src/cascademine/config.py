@@ -46,13 +46,12 @@ class RunConfig:
     folds: int = 5
     # global
     seed: int = 0
-    workers: int = 1
 
     def validate(self) -> None:
         if self.window_days is not None and self.window_days <= 0:
             raise ConfigError("window_days must be positive when set")
         for name in ("census_max_rank", "node_cap", "purity_samples", "top_k_longest",
-                     "max_depth", "min_leaf", "logreg_epochs", "workers"):
+                     "max_depth", "min_leaf", "logreg_epochs"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.k < 2:
@@ -79,6 +78,8 @@ def _parse_value(key: str, raw: str):
     ftype = _FIELD_TYPES[key]
     raw = raw.strip()
     if raw.lower() in ("none", ""):
+        if not ftype.endswith("| None"):
+            raise ConfigError(f"{key}: a value is required, got {raw!r}")
         return None
     if ftype in ("int", "int | None"):
         try:

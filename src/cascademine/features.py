@@ -24,7 +24,7 @@ import numpy as np
 from cascademine.cascades import Cascade, CascadeId
 from cascademine.ingest import BusinessRecord, EventKind, UserRecord
 from cascademine.social import SocialGraph
-from cascademine.util import nearest_rank, substream_seed
+from cascademine.util import load_cache, nearest_rank, substream_seed
 
 LABEL_SHORT = 0
 LABEL_LONG = 1
@@ -354,12 +354,7 @@ def save_examples(examples: Sequence[LabeledExample], path) -> None:
 
 
 def load_examples(path) -> list[LabeledExample]:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if not isinstance(payload, dict) or payload.get("format") != FEATURES_CACHE_FORMAT:
-        raise ValueError(f"not a features cache: {path}")
-    if payload.get("version") != FEATURES_CACHE_VERSION:
-        raise ValueError(f"unsupported features cache version in {path}")
+    payload = load_cache(path, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION, "features")
     return [
         LabeledExample(tuple(cid), city, np.asarray(vec, dtype=np.float64), label)
         for cid, city, vec, label in payload["examples"]

@@ -15,9 +15,12 @@ file, never fatal. String ids are interned to dense integers in sorted order
 of the raw id strings, so re-ingesting the same files reproduces the exact
 same assignment.
 
+The friendship graph is built once here, as CSR (:mod:`cascademine.social`),
+and stored in the result; later stages read it from the cache.
+
 The binary cache written by :func:`save_ingest` is a pickle of
-``{"format": "cascademine.ingest", "version": 1, "result": IngestResult}``;
-:func:`load_ingest` refuses anything else.
+``{"format": "cascademine.ingest", "version": 2, "result": IngestResult}``;
+:func:`load_ingest` refuses anything else with a DataError.
 """
 
 from __future__ import annotations
@@ -25,16 +28,19 @@ from __future__ import annotations
 import datetime as dt
 import json
 import pickle
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable
 
+import cascademine.social as social
 from cascademine.errors import DataError
+from cascademine.util import load_cache
 
 CACHE_FORMAT = "cascademine.ingest"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class EventKind(IntEnum):
@@ -69,7 +75,6 @@ class Event:
 @dataclass(frozen=True, slots=True)
 class UserRecord:
     user_id: int
-    friends: tuple[int, ...]  # sorted, deduplicated, never contains user_id
     review_count: int
     average_stars: float | None
     yelping_since: dt.date | None
@@ -110,7 +115,8 @@ class IngestResult:
     ``events_by_city`` maps normalized city name to events sorted by
     (business_id, date, user_id, kind); cities are disjoint and exhaustive
     over retained events. ``user_ids`` / ``business_ids`` map interned id
-    back to the raw string id.
+    back to the raw string id. ``graph`` is the friendship graph over every
+    interned user id.
     """
 
     events_by_city: dict[str, list[Event]]
@@ -118,6 +124,7 @@ class IngestResult:
     businesses: dict[int, BusinessRecord]
     user_ids: list[str]
     business_ids: list[str]
+    graph: social.SocialGraph
     drop_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -302,12 +309,19 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     business_ids = sorted(raw_businesses)
     business_index = {raw: i for i, raw in enumerate(business_ids)}
 
+    # Popping each raw user, and deleting the listings once the graph is built,
+    # frees that memory before the events are built: it lowers ingest's peak RSS.
     users: dict[int, UserRecord] = {}
+    src, dst = array("i"), array("i")  # friend listings: src lists dst
     for raw in sorted(raw_users):
-        friends, review_count, avg, since, fans, elite_years = raw_users[raw]
+        friends, review_count, avg, since, fans, elite_years = raw_users.pop(raw)
         uid = user_index[raw]
-        friend_ids = sorted({user_index[f] for f in friends} - {uid})
-        users[uid] = UserRecord(uid, tuple(friend_ids), review_count, avg, since, fans, elite_years)
+        for f in friends:
+            src.append(uid)
+            dst.append(user_index[f])
+        users[uid] = UserRecord(uid, review_count, avg, since, fans, elite_years)
+    graph = social.build_graph(src, dst, n_nodes=len(user_ids))
+    del src, dst
 
     businesses: dict[int, BusinessRecord] = {}
     for raw in business_ids:
@@ -332,6 +346,7 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
         businesses=businesses,
         user_ids=user_ids,
         business_ids=business_ids,
+        graph=graph,
         drop_counts={name: dict(c) for name, c in counts.items()},
     )
 
@@ -356,10 +371,4 @@ def save_ingest(result: IngestResult, path) -> None:
 
 
 def load_ingest(path) -> IngestResult:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-        raise DataError(f"not an ingest cache: {path}")
-    if payload.get("version") != CACHE_VERSION:
-        raise DataError(f"unsupported ingest cache version in {path}")
-    return payload["result"]
+    return load_cache(path, CACHE_FORMAT, CACHE_VERSION, "ingest")["result"]

@@ -1,106 +1,83 @@
 """Undirected friendship graph over dense integer user ids.
 
-Adjacency is stored as one sorted numpy array per node, which keeps
-membership tests at O(log degree) and makes neighbor scans cache-friendly
-during cascade construction. The graph is immutable once built and safe to
-share read-only across workers.
+Adjacency is stored in compressed sparse row form: the neighbours of user
+``u`` are ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, so a
+neighbour list is one slice and membership is a binary search. The graph is
+immutable once built and is stored once, in the ingest cache.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from cascademine.ingest import UserRecord
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 class SocialGraph:
-    __slots__ = ("_adj", "_n_edges")
+    __slots__ = ("indptr", "indices")
 
-    def __init__(self, adjacency: list[np.ndarray], n_edges: int):
-        self._adj = adjacency
-        self._n_edges = n_edges
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.indptr = indptr
+        self.indices = indices
 
     @property
     def n_nodes(self) -> int:
-        return len(self._adj)
+        return len(self.indptr) - 1
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        return len(self.indices) // 2
 
     def degree(self, u: int) -> int:
-        if 0 <= u < len(self._adj):
-            return len(self._adj[u])
+        if 0 <= u < len(self.indptr) - 1:
+            return int(self.indptr[u + 1] - self.indptr[u])
         return 0
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self._adj], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def neighbors(self, u: int) -> np.ndarray:
-        if 0 <= u < len(self._adj):
-            return self._adj[u]
-        return _EMPTY
+        if 0 <= u < len(self.indptr) - 1:
+            return self.indices[self.indptr[u]:self.indptr[u + 1]]
+        return self.indices[:0]
 
     def are_friends(self, u: int, v: int) -> bool:
         """True iff the undirected edge (u, v) exists. Unknown ids are never friends."""
-        if u == v or not (0 <= u < len(self._adj)) or not (0 <= v < len(self._adj)):
+        if u == v or not (0 <= v < len(self.indptr) - 1):
             return False
-        arr = self._adj[u]
-        i = int(np.searchsorted(arr, v))
-        return i < len(arr) and arr[i] == v
+        nbrs = self.neighbors(u)
+        i = int(np.searchsorted(nbrs, v))
+        return i < len(nbrs) and nbrs[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All undirected edges as (u, v) with u < v, ascending."""
-        for u, arr in enumerate(self._adj):
-            for v in arr:
-                if v > u:
-                    yield u, int(v)
-
-    def write_edge_list(self, path) -> None:
-        """Debug export: one 'u v' line per undirected edge, interned ids."""
-        with open(path, "w", encoding="ascii") as fh:
-            for u, v in self.edges():
-                fh.write(f"{u} {v}\n")
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+        upper = self.indices > rows
+        yield from zip(rows[upper].tolist(), self.indices[upper].tolist())
 
 
-def build_graph(users: Iterable[UserRecord], n_nodes: int | None = None) -> SocialGraph:
-    """Build the friendship graph with symmetric closure.
+def build_graph(src, dst, n_nodes: int) -> SocialGraph:
+    """Build the friendship graph from friend listings (``src[i]`` lists ``dst[i]``).
 
-    A one-sided listing (u names v, v does not name u) still yields the edge;
-    self-loops and duplicate listings are dropped. Friend ids beyond the known
-    user table become plain graph nodes like any other.
+    The closure is symmetric: a one-sided listing still yields the edge.
+    Self-loops and duplicate listings are dropped. Every id in ``[0, n_nodes)``
+    is a node, listed or not; an id outside that range raises ValueError.
     """
-    users = list(users)
-    max_id = -1
-    for rec in users:
-        if rec.user_id > max_id:
-            max_id = rec.user_id
-        for f in rec.friends:
-            if f > max_id:
-                max_id = f
-    if n_nodes is None:
-        n_nodes = max_id + 1
-    elif max_id >= n_nodes:
-        raise ValueError(f"user id {max_id} out of range for n_nodes={n_nodes}")
-
-    neighbor_lists: list[list[int]] = [[] for _ in range(n_nodes)]
-    for rec in users:
-        u = rec.user_id
-        for v in rec.friends:
-            if v == u:
-                continue
-            neighbor_lists[u].append(v)
-            neighbor_lists[v].append(u)
-
-    adjacency: list[np.ndarray] = []
-    n_edges = 0
-    for lst in neighbor_lists:
-        arr = np.unique(np.asarray(lst, dtype=np.int64)) if lst else _EMPTY
-        adjacency.append(arr)
-        n_edges += len(arr)
-    assert n_edges % 2 == 0
-    return SocialGraph(adjacency, n_edges // 2)
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    lo = min(src.min(initial=0), dst.min(initial=0))
+    hi = max(src.max(initial=-1), dst.max(initial=-1))
+    if lo < 0 or hi >= n_nodes:
+        raise ValueError(f"user id {lo if lo < 0 else hi} out of range for n_nodes={n_nodes}")
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    # One row * n_nodes + col key per direction; sorted keys list each row's
+    # neighbours in ascending order, and equal keys are duplicate listings.
+    n = len(src)
+    keys = np.empty(2 * n, dtype=np.int64)
+    for half, row, col in ((keys[:n], src, dst), (keys[n:], dst, src)):
+        np.multiply(row, n_nodes, out=half)
+        half += col
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+    indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
+    return SocialGraph(indptr.astype(np.int32), (keys % n_nodes).astype(np.int32))

@@ -1,10 +1,14 @@
-"""Small shared helpers: rank statistics and deterministic seed derivation."""
+"""Small shared helpers: rank statistics, deterministic seed derivation and
+versioned cache loading."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import pickle
 from typing import Sequence
+
+from cascademine.errors import DataError
 
 
 def nearest_rank(sorted_values: Sequence, percentile: float):
@@ -30,3 +34,29 @@ def substream_seed(global_seed: int, *names: str) -> int:
         h.update(b"\x00")
         h.update(str(name).encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "big")
+
+
+# pickle.load on damaged or foreign bytes: its documented errors, plus TypeError
+# and ValueError from malformed opcode arguments.
+_UNPICKLING_ERRORS = (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
+                      IndexError, TypeError, ValueError)
+
+
+def load_cache(path, fmt: str, version: int, stage: str) -> dict:
+    """Unpickle a ``{"format": fmt, "version": version, ...}`` stage cache.
+
+    A damaged file, another format or another version raises DataError
+    naming ``stage`` as the one to rerun.
+    """
+    rerun = f"rerun '{stage}'"
+    with open(path, "rb") as fh:
+        try:
+            payload = pickle.load(fh)
+        except _UNPICKLING_ERRORS as exc:
+            raise DataError(f"unreadable {stage} cache {path} ({exc!r}); {rerun}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise DataError(f"not a {stage} cache: {path}; {rerun}")
+    if payload.get("version") != version:
+        raise DataError(f"unsupported {stage} cache version {payload.get('version')!r} "
+                        f"in {path}; {rerun}")
+    return payload

@@ -12,7 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 from cascademine.cascades import Cascade, CascadeNode
-from cascademine.ingest import Event, EventKind, UserRecord
+from cascademine.ingest import Event, EventKind
 from cascademine.social import SocialGraph, build_graph
 
 BASE_DAY = dt.date(2012, 1, 1)
@@ -33,12 +33,8 @@ def mk_event(user: int, business: int, offset: int, kind: EventKind = EventKind.
 
 def graph_from_edges(edges, n_nodes: int) -> SocialGraph:
     """Build a SocialGraph from undirected (u, v) pairs via one-sided listings."""
-    by_user: dict[int, list[int]] = {}
-    for u, v in edges:
-        by_user.setdefault(u, []).append(v)
-    users = [UserRecord(u, tuple(sorted(set(vs) - {u})), 0, None, None, 0, 0)
-             for u, vs in sorted(by_user.items())]
-    return build_graph(users, n_nodes=n_nodes)
+    edges = list(edges)
+    return build_graph([u for u, _ in edges], [v for _, v in edges], n_nodes=n_nodes)
 
 
 def mk_cascade(node_specs, edges, city: str = "testville", business: int = 0,

@@ -25,7 +25,6 @@ from cascademine.learner import (auc_trapezoid, cross_validate, feature_importan
                                  log_loss, logistic_smooth_grad,
                                  logistic_smooth_objective, roc_curve, train_gbdt,
                                  train_logreg)
-from cascademine.social import build_graph
 from cascademine.stats import fit_power_law
 from cascademine.util import nearest_rank
 from conftest import mk_cascade, random_events, random_graph
@@ -378,8 +377,7 @@ def test_criterion_10_optional_full_dataset():
         pytest.skip(f"dataset files not found under {root}")
 
     result = ingest_dataset(paths)
-    graph = build_graph(result.users.values(), n_nodes=len(result.user_ids))
-    by_city = build_cascades(result.events_by_city, graph)
+    by_city = build_cascades(result.events_by_city, result.graph)
     # analysis population: cities with enough cascades to rank topologies
     big = {city: cs for city, cs in by_city.items() if len(cs) >= 100}
     table = census(big, max_rank=1)

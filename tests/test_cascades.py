@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -120,6 +121,45 @@ class TestBuildCascades:
                     first_date, friend_pairs, window)
                 assert got_edges.get(business, set()) == want_edges, (seed, business)
                 assert got_components.get(business, set()) == want_comps, (seed, business)
+
+    @pytest.mark.parametrize("window", [None, 7])
+    def test_hub_users_match_oracles(self, window):
+        # Hubs befriend about 60 % of all users, so their degree is far above
+        # the participant count of any business and every neighbour scan of a
+        # hub is mostly non-participants.
+        n_users, hubs = 300, range(5)
+        for seed in range(8):
+            local = np.random.default_rng(seed)
+            edges = [(h, v) for h in hubs for v in range(n_users)
+                     if v != h and local.random() < 0.6]
+            edges += [(u, v) for u in range(len(hubs), n_users)
+                      for v in range(u + 1, n_users) if local.random() < 0.02]
+            graph = graph_from_edges(edges, n_users)
+            friend_pairs = {frozenset(e) for e in graph.edges()}
+            events = []
+            for business in range(6):
+                others = local.choice(np.arange(len(hubs), n_users), size=12, replace=False)
+                for user in [*hubs, *others.tolist()]:
+                    for _ in range(int(local.integers(1, 3))):
+                        events.append(mk_event(user, business, int(local.integers(0, 30))))
+            cascades = build_one_city(events, graph, window)
+
+            first_dates = {}
+            for e in events:
+                d = first_dates.setdefault(e.business_id, {})
+                d[e.user_id] = min(e.date, d.get(e.user_id, e.date))
+            for business, first_date in first_dates.items():
+                assert max(graph.degree(u) for u in first_date) > 5 * len(first_date)
+                got = [c for c in cascades if c.business_id == business]
+                got_edges = {e for c in got for e in c.edges}
+                got_comps = {frozenset(n.user for n in c.nodes) for c in got}
+                want_edges, want_comps = brute_force_business(first_date, friend_pairs,
+                                                              window)
+                assert got_edges == want_edges, (seed, business)
+                assert got_comps == want_comps, (seed, business)
+                digraph = nx.DiGraph(list(got_edges))
+                assert got_comps == {frozenset(c) for c in
+                                     nx.weakly_connected_components(digraph)}
 
     def test_components_partition_linked_users(self, rng):
         graph = random_graph(rng, 30, 0.2)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,25 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config_file(cfg_file)
 
+    def test_none_only_for_optional_fields(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("window_days = none\nuser_path = none\n")
+        assert load_config_file(cfg_file) == {"window_days": None, "user_path": None}
+        for line in ("k = none", "percentile =", "cache_dir = None"):
+            cfg_file.write_text(line + "\n")
+            with pytest.raises(ConfigError, match="value is required"):
+                load_config_file(cfg_file)
+        cfg_file.write_text("k = none\n")
+        assert main(["census", "--config", str(cfg_file)]) == 1
+        assert "value is required" in capsys.readouterr().err
+
+    def test_example_config_is_valid(self):
+        example = Path(__file__).parents[1] / "scripts" / "yelp.cfg.example"
+        values = load_config_file(example)
+        assert values["window_days"] is None
+        cfg = build_config(example)
+        assert (cfg.k, cfg.min_big_cascades, cfg.cache_dir) == (5, 50, "yelp_cache")
+
     def test_validation_bounds(self):
         with pytest.raises(ConfigError):
             build_config(None, {"percentile": 40.0})
@@ -103,6 +123,17 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_config_error(self):
         assert main(["frobnicate"]) == 1
+
+    def test_damaged_ingest_cache_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "ingest.pkl").write_bytes(pickle.dumps({"format": "x"})[:-3])
+        assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 3
+        assert "rerun 'ingest'" in capsys.readouterr().err
+
+    def test_foreign_features_cache_is_data_error(self, tmp_path, capsys):
+        for payload in (b"garbage", pickle.dumps({"format": "something-else"})):
+            (tmp_path / "features.pkl").write_bytes(payload)
+            assert main(["train", "--cache-dir", str(tmp_path)]) == 3
+            assert "rerun 'features'" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -160,16 +191,6 @@ class TestPipeline:
         names = sorted(p.name for p in (cache / "dot").iterdir())
         assert names == ["city00_rank1.dot", "city00_rank2.dot"]
         assert (cache / "dot" / "city00_rank1.dot").read_text().startswith("digraph")
-
-    def test_workers_do_not_change_features(self, fixture_dataset, tmp_path):
-        c1, c2 = tmp_path / "c1", tmp_path / "c2"
-        for cache, workers in ((c1, "1"), (c2, "2")):
-            args = pipeline_args(fixture_dataset, cache) + ["--workers", workers]
-            assert main(["ingest", *args]) == 0
-            assert main(["build-cascades", *args]) == 0
-            assert main(["features", *args]) == 0
-        assert (c1 / "features.csv").read_bytes() == (c2 / "features.csv").read_bytes()
-        assert (c1 / "labeling.json").read_bytes() == (c2 / "labeling.json").read_bytes()
 
     def test_full_determinism_two_runs(self, fixture_dataset, tmp_path):
         hashes = []

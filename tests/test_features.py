@@ -14,9 +14,9 @@ from conftest import day, graph_from_edges, mk_cascade, random_graph
 from oracles import reference_features
 
 
-def user(uid, friends=(), review_count=5, avg=3.8, since=-400, fans=2, elite=1):
+def user(uid, review_count=5, avg=3.8, since=-400, fans=2, elite=1):
     since_date = None if since is None else day(since)
-    return UserRecord(uid, tuple(friends), review_count, avg, since_date, fans, elite)
+    return UserRecord(uid, review_count, avg, since_date, fans, elite)
 
 
 def business(bid, city="testville", stars=4.0, review_count=50, categories=3,
@@ -126,8 +126,7 @@ class TestBalance:
 
 
 def small_world():
-    users = {0: user(0, friends=(1, 2)), 1: user(1, friends=(0,)),
-             2: user(2, friends=(0,)), 3: user(3, avg=None, since=None)}
+    users = {0: user(0), 1: user(1), 2: user(2), 3: user(3, avg=None, since=None)}
     businesses = {0: business(0), 1: business(1, stars=2.0)}
     graph = graph_from_edges([(0, 1), (0, 2)], 5)
     return users, businesses, graph

@@ -1,11 +1,13 @@
 import datetime as dt
 import json
+import pickle
 
 import pytest
 
 from cascademine.errors import DataError
-from cascademine.ingest import (DatasetPaths, EventKind, ingest_dataset, load_ingest,
-                                normalize_city, save_ingest, yearly_activity_counts)
+from cascademine.ingest import (CACHE_FORMAT, DatasetPaths, EventKind, ingest_dataset,
+                                load_ingest, normalize_city, save_ingest,
+                                yearly_activity_counts)
 from conftest import mk_event
 
 
@@ -123,8 +125,11 @@ class TestIngest:
     def test_friends_both_encodings_and_elite(self, tmp_path):
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, [], []))
         by_raw = {result.user_ids[u.user_id]: u for u in result.users.values()}
-        assert len(by_raw["a"].friends) == 1  # 'b'
-        assert len(by_raw["b"].friends) == 2  # 'a' and 'c'
+        index = {raw: i for i, raw in enumerate(result.user_ids)}
+        # 'b' lists 'a' and 'c'; 'a' lists 'b' too, so 'a' has one friend
+        assert result.graph.degree(index["a"]) == 1
+        assert result.graph.degree(index["b"]) == 2
+        assert result.graph.are_friends(index["b"], index["c"])
         assert by_raw["a"].elite_years == 2
         assert by_raw["b"].elite_years == 0
         assert by_raw["a"].yelping_since == dt.date(2010, 6, 1)
@@ -135,7 +140,8 @@ class TestIngest:
                   "yelping_since": "2010-01-01", "fans": 0, "elite": []}]
         result = ingest_dataset(make_dataset(tmp_path, BIZ, users, [], []))
         rec = next(iter(result.users.values()))
-        assert rec.user_id not in rec.friends
+        assert rec.user_id not in result.graph.neighbors(rec.user_id).tolist()
+        assert result.graph.degree(rec.user_id) == 1  # 'b' only
 
     def test_missing_file_fatal(self, tmp_path):
         paths = make_dataset(tmp_path, BIZ, USERS, [], [])
@@ -182,6 +188,21 @@ class TestIngest:
         assert loaded.users == result.users
         assert loaded.businesses == result.businesses
         assert loaded.drop_counts == result.drop_counts
+        assert loaded.graph.indptr.tolist() == result.graph.indptr.tolist()
+        assert loaded.graph.indices.tolist() == result.graph.indices.tolist()
+
+    def test_unreadable_or_old_cache_is_data_error(self, tmp_path):
+        result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, [], []))
+        cache = tmp_path / "ingest.pkl"
+        save_ingest(result, cache)
+        cache.write_bytes(cache.read_bytes()[:-20])  # truncated write
+        with pytest.raises(DataError, match="unreadable.*rerun 'ingest'"):
+            load_ingest(cache)
+        # version 1 kept friend lists on the user records, with no graph
+        with open(cache, "wb") as fh:
+            pickle.dump({"format": CACHE_FORMAT, "version": 1, "result": None}, fh)
+        with pytest.raises(DataError, match="version 1 .*rerun 'ingest'"):
+            load_ingest(cache)
 
 
 class TestNormalizeCity:

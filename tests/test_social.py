@@ -3,54 +3,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascademine.ingest import UserRecord
 from cascademine.social import build_graph
 from conftest import graph_from_edges, random_graph
 
 
-def record(user_id, friends):
-    return UserRecord(user_id, tuple(friends), 0, None, None, 0, 0)
+def from_listings(listings, n_nodes):
+    """Graph from (user, [listed friends]) pairs, as a user file lists them."""
+    src = [u for u, friends in listings for _ in friends]
+    dst = [v for _, friends in listings for v in friends]
+    return build_graph(src, dst, n_nodes=n_nodes)
 
 
 class TestBuildGraph:
     def test_symmetric_closure_one_sided(self):
-        graph = build_graph([record(0, [1]), record(1, [])], n_nodes=2)
+        graph = from_listings([(0, [1]), (1, [])], n_nodes=2)
         assert graph.are_friends(0, 1)
         assert graph.are_friends(1, 0)
         assert graph.n_edges == 1
 
     def test_self_loop_dropped(self):
-        graph = build_graph([record(0, [0])], n_nodes=1)
+        graph = from_listings([(0, [0])], n_nodes=1)
         assert not graph.are_friends(0, 0)
         assert graph.n_edges == 0
 
     def test_unknown_friend_id_becomes_node(self):
-        # friend 5 has no UserRecord but the edge and its degree still count
-        graph = build_graph([record(0, [5])])
+        # friend 5 lists nobody but the edge and its degree still count;
+        # ids 1-4 appear in no listing and are isolated nodes
+        graph = from_listings([(0, [5])], n_nodes=6)
         assert graph.n_nodes == 6
         assert graph.are_friends(0, 5)
         assert graph.degree(5) == 1
+        assert [graph.degree(u) for u in range(1, 5)] == [0, 0, 0, 0]
 
     def test_duplicate_listings_single_edge(self):
-        graph = build_graph([record(0, [1, 1]), record(1, [0])], n_nodes=2)
+        graph = from_listings([(0, [1, 1]), (1, [0])], n_nodes=2)
         assert graph.n_edges == 1
         assert graph.degree(0) == 1
 
     def test_id_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            build_graph([record(0, [7])], n_nodes=3)
+            from_listings([(0, [7])], n_nodes=3)
+        with pytest.raises(ValueError):
+            from_listings([(-1, [0])], n_nodes=3)
 
     def test_handshake_on_random_graph(self, rng):
-        records = []
+        listings = []
         for u in range(100):
             friends = [v for v in range(100) if v != u and rng.random() < 0.05]
-            records.append(record(u, friends))
-        graph = build_graph(records, n_nodes=100)
+            listings.append((u, friends))
+        graph = from_listings(listings, n_nodes=100)
         # independent edge count: normalize + dedupe the raw listings
         edges = set()
-        for rec in records:
-            for v in rec.friends:
-                edges.add((min(rec.user_id, v), max(rec.user_id, v)))
+        for u, friends in listings:
+            for v in friends:
+                edges.add((min(u, v), max(u, v)))
         assert graph.n_edges == len(edges)
         assert int(graph.degrees().sum()) == 2 * len(edges)
 
@@ -82,8 +88,7 @@ class TestAreFriends:
 @given(st.lists(st.tuples(st.integers(0, 19), st.lists(st.integers(0, 19), max_size=6)),
                 max_size=20))
 def test_symmetry_and_handshake_property(listings):
-    records = [record(u, friends) for u, friends in listings]
-    graph = build_graph(records, n_nodes=20)
+    graph = from_listings(listings, n_nodes=20)
     assert int(graph.degrees().sum()) == 2 * graph.n_edges
     for u in range(20):
         for v in graph.neighbors(u):
@@ -91,12 +96,9 @@ def test_symmetry_and_handshake_property(listings):
             assert int(v) != u
 
 
-def test_edge_list_export(tmp_path, rng):
+def test_edges_each_undirected_edge_once_ascending(rng):
     graph = random_graph(rng, 30, 0.15)
-    out = tmp_path / "edges.txt"
-    graph.write_edge_list(out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == graph.n_edges
-    parsed = [tuple(map(int, line.split())) for line in lines]
-    assert all(u < v for u, v in parsed)
-    assert all(graph.are_friends(u, v) for u, v in parsed)
+    edges = list(graph.edges())
+    assert len(edges) == graph.n_edges
+    assert edges == sorted(edges)
+    assert all(u < v and graph.are_friends(u, v) for u, v in edges)

@@ -3,7 +3,6 @@ import json
 from cascademine.cascades import build_cascades
 from cascademine.census import census
 from cascademine.ingest import ingest_dataset
-from cascademine.social import build_graph
 from cascademine.synth import SynthConfig, generate_synthetic
 
 
@@ -69,8 +68,7 @@ def test_chain_topology_high_influence_gives_paths(tmp_path):
             src = int(obj["src"][1:])
             dst = int(obj["dst"][1:])
             assert abs(src - dst) == 1
-    graph = build_graph(ingested.users.values(), n_nodes=len(ingested.user_ids))
-    by_city = build_cascades(ingested.events_by_city, graph)
+    by_city = build_cascades(ingested.events_by_city, ingested.graph)
     table = census(by_city, max_rank=1)
     (rows,) = table.values()
     top = rows[0].signature
