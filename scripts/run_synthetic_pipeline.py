@@ -6,6 +6,7 @@ cache/) and prints the classifier summary at the end. Handy as a smoke test
 and as a template for running against real data.
 """
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -35,12 +36,15 @@ def run() -> int:
         return code
 
     report = json.loads((cache / "eval.json").read_text())
+    top: dict[str, list[str]] = {}
+    with open(cache / "importance.csv", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):  # rows are in rank order per city
+            top.setdefault(row["city"], []).append(row["feature"])
     print("\n=== classifier summary ===")
     for city, r in sorted(report["cities"].items()):
         print(f"{city}: n={r['n_examples']} gbdt acc={r['gbdt']['mean_accuracy']:.3f} "
               f"auc={r['gbdt']['auc']:.3f} | logreg acc={r['logreg']['mean_accuracy']:.3f}")
-        top = [name for name, _ in r["gbdt"]["importance"][:5]]
-        print(f"  top features: {', '.join(top)}")
+        print(f"  top features: {', '.join(top[city][:5])}")
     return 0
 
 

@@ -198,8 +198,10 @@ def stage_features(cfg: RunConfig) -> None:
         json.dump(labeling_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for city, n_long in labeling.excluded:
-        print(f"[features] excluded {city}: only {n_long} long cascades "
-              f"(floor {cfg.min_big_cascades})")
+        reason = (f"only {n_long} long cascades (floor {cfg.min_big_cascades})"
+                  if n_long < cfg.min_big_cascades
+                  else f"no short cascades with at least k={cfg.k} nodes")
+        print(f"[features] excluded {city}: {reason}")
     print(f"[features] {len(examples)} balanced examples from "
           f"{len(labeling.labeled)} cities")
 
@@ -253,7 +255,7 @@ def stage_train(cfg: RunConfig) -> None:
 
 def stage_evaluate(cfg: RunConfig) -> None:
     by_city = _examples_by_city(cfg)
-    report = {"schema_version": SCHEMA_VERSION, "cities": {}}
+    report = {"schema_version": SCHEMA_VERSION, "cities": {}, "skipped": []}
     acc_rows = []
     roc_rows = []
     for city, examples in by_city.items():
@@ -261,21 +263,20 @@ def stage_evaluate(cfg: RunConfig) -> None:
         try:
             gbdt_rep = learn.cross_validate(
                 X, y, _gbdt_fit(cfg), folds=cfg.folds,
-                seed=substream_seed(cfg.seed, "cv", "gbdt", city),
-                feature_names=feat.FEATURE_NAMES)
+                seed=substream_seed(cfg.seed, "cv", "gbdt", city))
             logreg_rep = learn.cross_validate(
                 X, y, _logreg_fit(cfg), folds=cfg.folds,
                 seed=substream_seed(cfg.seed, "cv", "logreg", city))
-        except ValueError as exc:
-            raise DataError(f"{city}: {exc}") from exc
+        except ValueError as exc:  # too few examples of a class for the folds
+            print(f"[evaluate] skipped {city}: {exc} ({len(examples)} examples)")
+            report["skipped"].append([city, str(exc)])
+            continue
         report["cities"][city] = {
             "n_examples": len(examples),
             "gbdt": {
                 "fold_accuracies": gbdt_rep.fold_accuracies,
                 "mean_accuracy": gbdt_rep.mean_accuracy,
                 "auc": gbdt_rep.auc,
-                "importance": gbdt_rep.importance,
-                "importance_gain": gbdt_rep.importance_gain,
             },
             "logreg": {
                 "fold_accuracies": logreg_rep.fold_accuracies,

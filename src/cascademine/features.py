@@ -77,7 +77,7 @@ class FeatureConfig:
     k: int = 5  # prefix size in nodes
     percentile: float = 90.0  # long/short threshold percentile
     min_big_cascades: int = 50  # city eligibility floor on Long count
-    balance_seed: int = 0  # substream seed for short-cascade downsampling
+    balance_seed: int = 0  # substream seed for majority-class downsampling
 
     def __post_init__(self):
         if self.k < 2:
@@ -112,7 +112,8 @@ class LabelingResult:
 def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
                    config: FeatureConfig) -> LabelingResult:
     """Label eligible cascades (size >= k) per city; drop cities whose Long
-    count falls below the floor, reporting them instead."""
+    count falls below the floor, or that have no Short cascade to balance
+    against, reporting them with their Long count instead."""
     labeled: dict[str, list[LabeledCascade]] = {}
     thresholds: dict[str, int] = {}
     excluded: list[tuple[str, int]] = []
@@ -130,7 +131,7 @@ def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
             if c.size >= config.k
         ]
         n_long = sum(1 for r in rows if r.label == LABEL_LONG)
-        if n_long < config.min_big_cascades:
+        if n_long < config.min_big_cascades or n_long == len(rows):
             excluded.append((city, n_long))
         else:
             labeled[city] = rows
@@ -139,8 +140,9 @@ def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
 
 def balance(labeled_by_city: Mapping[str, Sequence[LabeledCascade]],
             config: FeatureConfig) -> dict[str, list[LabeledCascade]]:
-    """Downsample Short cascades uniformly without replacement to match the
-    Long count per city. Deterministic given balance_seed."""
+    """Downsample the majority class uniformly without replacement to the
+    minority count per city; the minority class is kept whole. Deterministic
+    given balance_seed."""
     out: dict[str, list[LabeledCascade]] = {}
     for city in sorted(labeled_by_city):
         rows = sorted(labeled_by_city[city], key=lambda r: r.cascade.cascade_id)
@@ -149,10 +151,18 @@ def balance(labeled_by_city: Mapping[str, Sequence[LabeledCascade]],
         n = min(len(longs), len(shorts))
         rng = np.random.default_rng(substream_seed(config.balance_seed, "balance", city))
         if len(shorts) > n:
-            picked_idx = np.sort(rng.choice(len(shorts), size=n, replace=False))
-            shorts = [shorts[i] for i in picked_idx]
-        out[city] = longs[:n] + shorts
+            shorts = _uniform_subset(shorts, n, rng)
+        elif len(longs) > n:
+            longs = _uniform_subset(longs, n, rng)
+        out[city] = longs + shorts
     return out
+
+
+def _uniform_subset(rows: list[LabeledCascade], n: int,
+                    rng: np.random.Generator) -> list[LabeledCascade]:
+    """n rows drawn uniformly without replacement, in their original order."""
+    picked_idx = np.sort(rng.choice(len(rows), size=n, replace=False))
+    return [rows[i] for i in picked_idx]
 
 
 class FeatureExtractor:

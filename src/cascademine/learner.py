@@ -10,10 +10,12 @@ Two learners, both written against plain numpy arrays:
   leaf values with a Newton step sum(r) / sum(p * (1 - p)).
 
 Evaluation is stratified k-fold cross-validation with the ROC pooled over
-out-of-fold scores and AUC by the trapezoid rule. Feature importance follows
-the depth of the decision nodes that use a feature: each split contributes
-2**(-depth), so a root split counts 1, its children 1/2, and so on; split
-gain totals are kept alongside as a secondary ranking.
+out-of-fold scores and AUC by the trapezoid rule; it fits one model per fold
+and nothing else. Feature importance is read from a model fitted on all rows
+(the `train` stage's) and follows the depth of the decision nodes that use a
+feature: each split contributes 2**(-depth), so a root split counts 1, its
+children 1/2, and so on; split gain totals are kept alongside as a secondary
+ranking.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 MAX_LEAF_VALUE = 10.0  # Newton leaf updates are clipped to keep stages stable
+LOGREG_TOL = 1e-10  # proximal gradient stops once the objective moves less than this
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -93,12 +96,11 @@ def _soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
 
 
 def train_logreg(X: np.ndarray, y: np.ndarray, l1: float = 0.0, l2: float = 0.0,
-                 epochs: int = 500, step: float | None = None,
-                 tol: float = 1e-10) -> LogRegModel:
+                 epochs: int = 500) -> LogRegModel:
     """Proximal gradient descent on standardized features.
 
-    The default step is 1/L with L the Lipschitz constant of the smooth
-    gradient bounded by lambda_max([Xs 1]^T [Xs 1]) / (4n) + l2.
+    The step is 1/L with L the Lipschitz constant of the smooth gradient
+    bounded by lambda_max([Xs 1]^T [Xs 1]) / (4n) + l2.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -112,10 +114,9 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l1: float = 0.0, l2: float = 0.0,
     Xs = (X - mean) / std
     n, d = Xs.shape
 
-    if step is None:
-        aug = np.hstack([Xs, np.ones((n, 1))])
-        lam_max = float(np.linalg.eigvalsh(aug.T @ aug).max())
-        step = 1.0 / (lam_max / (4.0 * n) + l2 + 1e-12)
+    aug = np.hstack([Xs, np.ones((n, 1))])
+    lam_max = float(np.linalg.eigvalsh(aug.T @ aug).max())
+    step = 1.0 / (lam_max / (4.0 * n) + l2 + 1e-12)
 
     w = np.zeros(d)
     b = 0.0
@@ -126,7 +127,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l1: float = 0.0, l2: float = 0.0,
         w = _soft_threshold(w - step * grad_w, step * l1)
         b -= step * grad_b
         obj = elastic_net_objective(w, b, Xs, y, l1, l2)
-        if abs(prev - obj) < tol:
+        if abs(prev - obj) < LOGREG_TOL:
             break
         prev = obj
     return LogRegModel(w, b, l1, l2, mean, std, n_iter)
@@ -243,11 +244,10 @@ class GbdtModel:
     learning_rate: float
     base_score: float  # log-odds of the training base rate
 
-    def raw_scores(self, X: np.ndarray, n_trees: int | None = None) -> np.ndarray:
+    def raw_scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         raw = np.full(len(X), self.base_score)
-        trees = self.trees if n_trees is None else self.trees[:n_trees]
-        for tree in trees:
+        for tree in self.trees:
             raw += self.learning_rate * tree.predict(X)
         return raw
 
@@ -295,11 +295,11 @@ def feature_importance(model: GbdtModel, feature_names: Sequence[str] | None = N
     """Rank features by sum of 2**(-depth) over the decision nodes using them.
 
     Shallower use counts more; a feature split at the root of one tree scores
-    1.0 from that node. Ties break by feature index.
+    1.0 from that node. Ties break by feature index. Without ``feature_names``
+    the ``n_features`` features are named f0, f1, ...
     """
-    scores = _node_scores(model, lambda tree, node: 2.0 ** (-tree.depth[node]),
-                          feature_names, n_features)
-    return scores
+    return _node_scores(model, lambda tree, node: 2.0 ** (-tree.depth[node]),
+                        feature_names, n_features)
 
 
 def split_gain_importance(model: GbdtModel, feature_names: Sequence[str] | None = None,
@@ -312,11 +312,6 @@ def _node_scores(model: GbdtModel, node_score: Callable,
                  feature_names: Sequence[str] | None,
                  n_features: int | None) -> list[tuple[str, float]]:
     if feature_names is None:
-        if n_features is None:
-            n_features = 0
-            for tree in model.trees:
-                for f in tree.feature:
-                    n_features = max(n_features, f + 1)
         feature_names = [f"f{i}" for i in range(n_features)]
     totals = np.zeros(len(feature_names))
     for tree in model.trees:
@@ -383,21 +378,19 @@ class CrossValReport:
     mean_accuracy: float
     roc: list[tuple[float, float, float]]
     auc: float
-    importance: list[tuple[str, float]] | None = None
-    importance_gain: list[tuple[str, float]] | None = None
 
 
 FitFunction = Callable[[np.ndarray, np.ndarray], object]
 
 
 def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 5,
-                   seed: int = 0, feature_names: Sequence[str] | None = None
-                   ) -> CrossValReport:
+                   seed: int = 0) -> CrossValReport:
     """Stratified k-fold CV; the ROC pools out-of-fold scores from all folds.
 
-    ``fit`` trains a fresh model on the training folds only, so any inner
-    standardization never sees test rows. Importance comes from one final fit
-    on all rows when the model supports it.
+    ``fit`` is called exactly ``folds`` times, each on the training folds
+    only, so any inner standardization never sees test rows. No model is fit
+    on all rows here: the `train` stage's full-data fit is the one importance
+    comes from.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -417,15 +410,9 @@ def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 
         fold_acc.append(float(np.mean((proba >= 0.5).astype(np.int64) == y[test])))
 
     points = roc_curve(pooled_scores, y)
-    report = CrossValReport(
+    return CrossValReport(
         fold_accuracies=fold_acc,
         mean_accuracy=float(np.mean(fold_acc)),
         roc=points,
         auc=auc_trapezoid(points),
     )
-    full_model = fit(X, y)
-    if isinstance(full_model, GbdtModel):
-        n_feat = X.shape[1]
-        report.importance = feature_importance(full_model, feature_names, n_feat)
-        report.importance_gain = split_gain_importance(full_model, feature_names, n_feat)
-    return report

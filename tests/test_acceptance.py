@@ -318,9 +318,8 @@ def test_criterion_08_planted_signal_prediction():
     # Bayes error 10%: threshold midway between class means of feature 0
     sigma = 0.5 / 1.2816
     X[:, 0] = y + rng.normal(0, sigma, size=n)
-    report8 = cross_validate(X, y, lambda X, y: train_gbdt(X, y), folds=5, seed=0,
-                             feature_names=FEATURE_NAMES)
-    top_feature = report8.importance[0][0]
+    report8 = cross_validate(X, y, lambda X, y: train_gbdt(X, y), folds=5, seed=0)
+    top_feature = feature_importance(train_gbdt(X, y), FEATURE_NAMES)[0][0]
     ok = (report8.mean_accuracy >= 0.85 and report8.auc >= 0.90
           and top_feature == FEATURE_NAMES[0])
     report(8, "planted-signal CV: acc >= 0.85, AUC >= 0.90, planted feature first",
@@ -401,7 +400,7 @@ def test_criterion_10_optional_full_dataset():
     labeling = label_cascades(by_city, fc)
     from cascademine.features import balance, build_examples, examples_matrix
     balanced = balance(labeling.labeled, fc)
-    extractor = FeatureExtractor(result.users, result.businesses, graph, 5)
+    extractor = FeatureExtractor(result.users, result.businesses, result.graph, 5)
     clf_ok = True
     for city in sorted(balanced):
         X, ycls = examples_matrix(build_examples({city: balanced[city]}, extractor))

@@ -3,11 +3,13 @@ import json
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cascademine.cli import main
 from cascademine.config import RunConfig, build_config, load_config_file
 from cascademine.errors import ConfigError
+from cascademine.features import N_FEATURES, LabeledExample, save_examples
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +201,40 @@ class TestPipeline:
             assert main(["all", *pipeline_args(fixture_dataset, cache)]) == 0
             hashes.append(file_hashes(cache))
         assert hashes[0] == hashes[1]
+
+
+class TestSmallCities:
+    def test_city_without_shorts_excluded_with_reason(self, fixture_dataset, tmp_path,
+                                                      capsys):
+        # the fixture's p90 size is 16, so every cascade with k=17 nodes is long
+        args = pipeline_args(fixture_dataset, tmp_path / "cache", "--k", "17")
+        for stage in ("ingest", "build-cascades", "features"):
+            assert main([stage, *args]) == 0
+        labeling = json.loads((tmp_path / "cache" / "labeling.json").read_text())
+        assert labeling["included"] == []
+        [[city, n_long]] = labeling["excluded"]
+        assert city == "city00" and n_long >= 3
+        assert ("excluded city00: no short cascades with at least k=17 nodes"
+                in capsys.readouterr().out)
+
+    def test_evaluate_skips_city_with_too_few_examples(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        examples = []
+        for city, per_class in (("bigcity", 20), ("smallcity", 3)):
+            for i in range(2 * per_class):
+                label = i % 2
+                features = rng.normal(size=N_FEATURES) + label
+                examples.append(LabeledExample((city, 0, i), city, features, label))
+        save_examples(examples, tmp_path / "features.pkl")
+        args = ["--cache-dir", str(tmp_path), "--n-trees", "5", "--folds", "5"]
+        assert main(["train", *args]) == 0
+        assert main(["evaluate", *args]) == 0
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert sorted(report["cities"]) == ["bigcity"]
+        assert [city for city, _ in report["skipped"]] == ["smallcity"]
+        assert "at least 5" in report["skipped"][0][1]
+        assert "[evaluate] skipped smallcity" in capsys.readouterr().out
+        accuracy = (tmp_path / "accuracy.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[0] for line in accuracy} == {"bigcity"}
+        importance = (tmp_path / "importance.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[0] for line in importance} == {"bigcity", "smallcity"}

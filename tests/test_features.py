@@ -45,15 +45,15 @@ class TestConfig:
 
 class TestLabeling:
     def test_threshold_and_eligibility(self):
-        cascades = [cascade_of_size(2, i) for i in range(9)] + [cascade_of_size(20, 9)]
+        sizes = [2] * 5 + [3] * 3 + [5, 20]
+        cascades = [cascade_of_size(s, i) for i, s in enumerate(sizes)]
         cfg = FeatureConfig(k=5, min_big_cascades=1)
         res = label_cascades({"t": cascades}, cfg)
-        assert res.thresholds["t"] == 2  # nearest rank: ceil(0.9*10)=9th of sorted
+        assert res.thresholds["t"] == 5  # nearest rank: ceil(0.9*10)=9th of sorted
         rows = res.labeled["t"]
-        # only the size-20 cascade is >= k=5, and it is Long
-        assert len(rows) == 1
-        assert rows[0].label == LABEL_LONG
-        assert rows[0].cascade.size == 20
+        # only the size-5 and size-20 cascades are >= k=5; only 20 exceeds 5
+        assert [(r.cascade.size, r.label) for r in rows] == [(5, LABEL_SHORT),
+                                                             (20, LABEL_LONG)]
 
     def test_city_below_floor_excluded(self):
         # threshold = 25th of 27 sorted sizes = 2, so the two 9s are Long
@@ -63,6 +63,15 @@ class TestLabeling:
         res = label_cascades({"smalltown": cascades}, cfg)
         assert res.labeled == {}
         assert res.excluded == [("smalltown", 2)]
+
+    def test_city_without_shorts_excluded(self):
+        # threshold = 2, so every cascade with at least k=5 nodes is Long
+        cascades = [cascade_of_size(2, i) for i in range(30)] + [
+            cascade_of_size(6, 30 + i) for i in range(3)]
+        res = label_cascades({"t": cascades}, FeatureConfig(k=5, min_big_cascades=1))
+        assert res.thresholds["t"] == 2
+        assert res.labeled == {}
+        assert res.excluded == [("t", 3)]
 
     def test_planted_quantile_fraction(self, rng):
         sizes = rng.integers(2, 100, size=2000)
@@ -123,6 +132,20 @@ class TestBalance:
         expected = n_seeds * n_long / n_short  # 15
         assert abs(counts.mean() - expected) < 1e-9  # exactly n_long picks per seed
         assert counts.std() < 4 * np.sqrt(expected)  # loose uniformity bound
+
+    def test_long_majority_downsampled_uniformly(self):
+        n_long, n_short, n_seeds = 400, 30, 200
+        labeled = self.make_labeled(n_long, n_short)
+        counts = np.zeros(n_long)
+        for seed in range(n_seeds):
+            rows = balance(labeled, FeatureConfig(min_big_cascades=1, balance_seed=seed))["t"]
+            assert sum(1 for r in rows if r.label == LABEL_SHORT) == n_short
+            for row in rows:
+                if row.label == LABEL_LONG:
+                    counts[row.cascade.cascade_id[2]] += 1
+        expected = n_seeds * n_short / n_long  # 15
+        assert abs(counts.mean() - expected) < 1e-9  # exactly n_short picks per seed
+        assert counts.std() < 4 * np.sqrt(expected)  # not the lowest ids every time
 
 
 def small_world():

@@ -283,11 +283,15 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="at least 5"):
             cross_validate(X, y, lambda X, y: train_logreg(X, y), folds=5)
 
-    def test_importance_attached_for_gbdt(self, rng):
+    def test_fit_called_once_per_fold(self, rng):
         X = rng.normal(size=(80, 4))
         y = (X[:, 1] > 0).astype(np.int64)
-        report = cross_validate(X, y, lambda X, y: train_gbdt(X, y, n_trees=10),
-                                folds=4, seed=0, feature_names=["a", "b", "c", "d"])
-        assert report.importance is not None
-        assert report.importance[0][0] == "b"
-        assert report.importance_gain is not None
+        calls = []
+
+        def counting_fit(Xtr, ytr):
+            calls.append(len(ytr))
+            return train_gbdt(Xtr, ytr, n_trees=10)
+
+        cross_validate(X, y, counting_fit, folds=4, seed=0)
+        assert len(calls) == 4
+        assert all(n < len(y) for n in calls)  # no fit on all rows
