@@ -46,9 +46,6 @@ class CascadeNode:
     text_len: int
     votes: int
 
-    def sort_key(self):
-        return (self.date, self.user)
-
 
 @dataclass(frozen=True, slots=True)
 class Cascade:
@@ -191,13 +188,6 @@ def cascade_summary(cascades_by_city: Mapping[str, Sequence[Cascade]]) -> list[S
             nearest_rank(sizes, 50), nearest_rank(sizes, 90), sizes[-1],
         ))
     return rows
-
-
-def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("city,cascade_count,p50_size,p90_size,max_size\n")
-        for r in rows:
-            fh.write(f"{r.city},{r.cascade_count},{r.p50_size},{r.p90_size},{r.max_size}\n")
 
 
 def _cascade_to_json(cascade: Cascade) -> str:

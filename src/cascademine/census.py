@@ -210,28 +210,3 @@ def bucket_purity(cascades: Sequence[Cascade], node_cap: int = DEFAULT_NODE_CAP,
         hits = sum(1 for c in sample if is_isomorphic(rep, c, node_cap))
         rows.append(PurityRow(city, sigs[key], len(members), len(sample), hits / len(sample)))
     return rows
-
-
-def _seq_field(seq: tuple[int, ...]) -> str:
-    return " ".join(map(str, seq))
-
-
-def write_census_csv(census_by_city: Mapping[str, Sequence[CensusRow]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("city,rank,n,m,in_seq,out_seq,count,share\n")
-        for city in sorted(census_by_city):
-            for r in census_by_city[city]:
-                s = r.signature
-                fh.write(f"{r.city},{r.rank},{s.n},{s.m},{_seq_field(s.in_seq)},"
-                         f"{_seq_field(s.out_seq)},{r.count},{r.share!r}\n")
-
-
-def write_purity_csv(rows_by_city: Mapping[str, Sequence[PurityRow]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("city,n,m,in_seq,out_seq,bucket_size,checked,purity\n")
-        for city in sorted(rows_by_city):
-            for r in rows_by_city[city]:
-                s = r.signature
-                purity = "" if r.purity is None else repr(r.purity)
-                fh.write(f"{r.city},{s.n},{s.m},{_seq_field(s.in_seq)},"
-                         f"{_seq_field(s.out_seq)},{r.bucket_size},{r.checked},{purity}\n")

@@ -9,9 +9,7 @@ prerequisite stage, 3 data error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -26,7 +24,7 @@ from cascademine.ingest import (DatasetPaths, ingest_dataset, load_ingest, save_
                                 yearly_activity_counts)
 from cascademine.social import build_graph  # noqa: F401; pipebench/tracing.py patches it here
 from cascademine.synth import SynthConfig, generate_synthetic
-from cascademine.util import substream_seed
+from cascademine.util import save_cache, substream_seed, write_csv, write_json
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +50,15 @@ def _dataset_paths(cfg: RunConfig) -> DatasetPaths:
                         review=Path(cfg.review_path), tip=Path(cfg.tip_path))
 
 
+def _cascade_id_field(cascade_id) -> str:
+    return "{}:{}:{}".format(*cascade_id)
+
+
+def _signature_fields(s) -> tuple:
+    """n, m, in_seq, out_seq columns; degree sequences are space-separated."""
+    return s.n, s.m, " ".join(map(str, s.in_seq)), " ".join(map(str, s.out_seq))
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -61,10 +68,8 @@ def stage_ingest(cfg: RunConfig) -> None:
     result = ingest_dataset(paths)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
     save_ingest(result, cfg.cache_path(INGEST_CACHE))
-    with open(cfg.cache_path("yearly.csv"), "w", encoding="ascii", newline="") as fh:
-        fh.write("year,review_count,tip_count\n")
-        for year, reviews, tips in yearly_activity_counts(result.all_events()):
-            fh.write(f"{year},{reviews},{tips}\n")
+    write_csv(cfg.cache_path("yearly.csv"), ("year", "review_count", "tip_count"),
+              yearly_activity_counts(result.all_events()))
     for name, counts in sorted(result.drop_counts.items()):
         dropped = {k: v for k, v in counts.items() if k not in ("lines", "retained")}
         print(f"[ingest] {name}: {counts.get('retained', 0)}/{counts.get('lines', 0)} "
@@ -84,7 +89,9 @@ def stage_build_cascades(cfg: RunConfig) -> None:
 def stage_summary(cfg: RunConfig) -> None:
     by_city = casc.read_cascades(_require(cfg, CASCADES_CACHE, "build-cascades"))
     rows = casc.cascade_summary(by_city)
-    casc.write_summary_csv(rows, cfg.cache_path("summary.csv"))
+    write_csv(cfg.cache_path("summary.csv"),
+              ("city", "cascade_count", "p50_size", "p90_size", "max_size"),
+              [(r.city, r.cascade_count, r.p50_size, r.p90_size, r.max_size) for r in rows])
     for r in rows:
         print(f"[summary] {r.city}: n={r.cascade_count} p50={r.p50_size} "
               f"p90={r.p90_size} max={r.max_size}")
@@ -93,7 +100,10 @@ def stage_summary(cfg: RunConfig) -> None:
 def stage_census(cfg: RunConfig) -> None:
     by_city = casc.read_cascades(_require(cfg, CASCADES_CACHE, "build-cascades"))
     table = census_mod.census(by_city, cfg.census_max_rank)
-    census_mod.write_census_csv(table, cfg.cache_path("census.csv"))
+    write_csv(cfg.cache_path("census.csv"),
+              ("city", "rank", "n", "m", "in_seq", "out_seq", "count", "share"),
+              [(r.city, r.rank, *_signature_fields(r.signature), r.count, r.share)
+               for city in sorted(table) for r in table[city]])
     for city in sorted(table):
         if table[city]:
             top = table[city][0]
@@ -107,7 +117,10 @@ def stage_purity(cfg: RunConfig) -> None:
         city: census_mod.bucket_purity(by_city[city], cfg.node_cap, cfg.purity_samples)
         for city in sorted(by_city)
     }
-    census_mod.write_purity_csv(rows_by_city, cfg.cache_path("purity.csv"))
+    write_csv(cfg.cache_path("purity.csv"),
+              ("city", "n", "m", "in_seq", "out_seq", "bucket_size", "checked", "purity"),
+              [(r.city, *_signature_fields(r.signature), r.bucket_size, r.checked, r.purity)
+               for rows in rows_by_city.values() for r in rows])
     checked = sum(r.checked for rows in rows_by_city.values() for r in rows)
     impure = sum(1 for rows in rows_by_city.values() for r in rows
                  if r.purity is not None and r.purity < 1.0)
@@ -117,7 +130,8 @@ def stage_purity(cfg: RunConfig) -> None:
 def stage_fit(cfg: RunConfig) -> None:
     by_city = casc.read_cascades(_require(cfg, CASCADES_CACHE, "build-cascades"))
     dist = stats_mod.size_distribution(by_city)
-    stats_mod.write_distribution_csv(dist, cfg.cache_path("distribution.csv"))
+    write_csv(cfg.cache_path("distribution.csv"), ("city", "size", "count", "ccdf"),
+              [(city, *row) for city in sorted(dist) for row in dist[city]])
     fits = {}
     for city in sorted(by_city):
         sizes = [c.size for c in by_city[city]]
@@ -134,44 +148,33 @@ def stage_fit(cfg: RunConfig) -> None:
         slope_txt = "n/a" if slope is None else f"{slope:.3f}"
         print(f"[fit] {city}: slope={-f.alpha:.3f} (alpha={f.alpha:.3f}) xmin={f.xmin} "
               f"ks={f.ks_statistic:.4f} n_tail={f.n_tail} ccdf_ls_slope={slope_txt}")
-    stats_mod.write_fit_csv(fits, cfg.cache_path("fit.csv"))
+    write_csv(cfg.cache_path("fit.csv"), ("city", "alpha", "xmin", "ks", "n_tail"),
+              [(city, f.alpha, f.xmin, f.ks_statistic, f.n_tail) for city, f in fits.items()])
 
 
 def stage_longest(cfg: RunConfig) -> None:
     by_city = casc.read_cascades(_require(cfg, CASCADES_CACHE, "build-cascades"))
     top = stats_mod.longest_cascades(by_city, cfg.top_k_longest)
-    with open(cfg.cache_path("longest.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("city,rank,cascade_id,size\n")
-        for city in sorted(top):
-            for rank, cascade in enumerate(top[city], start=1):
-                cid = "{}:{}:{}".format(*cascade.cascade_id)
-                fh.write(f"{city},{rank},{cid},{cascade.size}\n")
+    write_csv(cfg.cache_path("longest.csv"), ("city", "rank", "cascade_id", "size"),
+              [(city, rank, _cascade_id_field(cascade.cascade_id), cascade.size)
+               for city in sorted(top) for rank, cascade in enumerate(top[city], start=1)])
     for city in sorted(top):
         if top[city]:
             print(f"[longest] {city}: max size {top[city][0].size}")
 
 
-def stage_export_dot(cfg: RunConfig, census_reps: bool = False) -> None:
+def stage_export_dot(cfg: RunConfig) -> None:
     by_city = casc.read_cascades(_require(cfg, CASCADES_CACHE, "build-cascades"))
     out_dir = cfg.cache_path("dot")
     out_dir.mkdir(parents=True, exist_ok=True)
     top = stats_mod.longest_cascades(by_city, cfg.top_k_longest)
     n = 0
     for city in sorted(top):
+        stem = re.sub(r"[^\w-]", "_", city)  # no separators: files stay inside dot/
         for rank, cascade in enumerate(top[city], start=1):
-            name = f"{city.replace(' ', '_')}_rank{rank}.dot"
-            (out_dir / name).write_text(stats_mod.export_dot(cascade), encoding="ascii")
+            (out_dir / f"{stem}_rank{rank}.dot").write_text(stats_mod.export_dot(cascade),
+                                                            encoding="ascii")
             n += 1
-    if census_reps:
-        table = census_mod.census(by_city, cfg.census_max_rank)
-        reps = {c.cascade_id: c for cs in by_city.values() for c in cs}
-        for city in sorted(table):
-            for row in table[city]:
-                cascade = reps[row.representative]
-                name = f"{city.replace(' ', '_')}_census{row.rank}.dot"
-                (out_dir / name).write_text(stats_mod.export_dot(cascade),
-                                            encoding="ascii")
-                n += 1
     print(f"[export-dot] wrote {n} DOT files to {out_dir}")
 
 
@@ -185,7 +188,10 @@ def stage_features(cfg: RunConfig) -> None:
     balanced = feat.balance(labeling.labeled, fc)
     extractor = feat.FeatureExtractor(result.users, result.businesses, result.graph, cfg.k)
     examples = feat.build_examples(balanced, extractor)
-    feat.write_features_csv(examples, cfg.cache_path("features.csv"))
+    write_csv(cfg.cache_path("features.csv"),
+              ("cascade_id", "city", "label", *feat.FEATURE_NAMES),
+              [(_cascade_id_field(e.cascade_id), e.city, feat.LABEL_NAMES[e.label],
+                *e.features.tolist()) for e in examples])
     feat.save_examples(examples, cfg.cache_path("features.pkl"))
     labeling_doc = {
         "schema_version": SCHEMA_VERSION,
@@ -194,9 +200,7 @@ def stage_features(cfg: RunConfig) -> None:
         "included": sorted(labeling.labeled),
         "imputed_values": {k: v for k, v in sorted(extractor.imputed.items())},
     }
-    with open(cfg.cache_path("labeling.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(labeling_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cfg.cache_path("labeling.json"), labeling_doc)
     for city, n_long in labeling.excluded:
         reason = (f"only {n_long} long cascades (floor {cfg.min_big_cascades})"
                   if n_long < cfg.min_big_cascades
@@ -242,14 +246,10 @@ def stage_train(cfg: RunConfig) -> None:
         gain = dict(learn.split_gain_importance(gbdt, feat.FEATURE_NAMES))
         for rank, (name, score) in enumerate(level, start=1):
             importance_rows.append((city, rank, name, score, gain[name]))
-    payload = {"format": MODELS_CACHE_FORMAT, "version": SCHEMA_VERSION, "models": models}
-    with open(cfg.cache_path("models.pkl"), "wb") as fh:
-        pickle.dump(payload, fh, protocol=4)
-    with open(cfg.cache_path("importance.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["city", "rank", "feature", "level_score", "gain_score"])
-        for city, rank, name, score, gain_score in importance_rows:
-            writer.writerow([city, rank, name, repr(score), repr(gain_score)])
+    save_cache(cfg.cache_path("models.pkl"), MODELS_CACHE_FORMAT, SCHEMA_VERSION,
+               models=models)
+    write_csv(cfg.cache_path("importance.csv"),
+              ("city", "rank", "feature", "level_score", "gain_score"), importance_rows)
     print(f"[train] fitted models for {len(models)} cities")
 
 
@@ -291,17 +291,9 @@ def stage_evaluate(cfg: RunConfig) -> None:
         print(f"[evaluate] {city}: gbdt acc={gbdt_rep.mean_accuracy:.3f} "
               f"auc={gbdt_rep.auc:.3f} | logreg acc={logreg_rep.mean_accuracy:.3f} "
               f"auc={logreg_rep.auc:.3f}")
-    with open(cfg.cache_path("eval.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(cfg.cache_path("accuracy.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("city,fold,accuracy\n")
-        for city, fold, acc in acc_rows:
-            fh.write(f"{city},{fold},{acc!r}\n")
-    with open(cfg.cache_path("roc.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("city,fpr,tpr,threshold\n")
-        for city, fpr, tpr, thr in roc_rows:
-            fh.write(f"{city},{fpr!r},{tpr!r},{thr!r}\n")
+    write_json(cfg.cache_path("eval.json"), report)
+    write_csv(cfg.cache_path("accuracy.csv"), ("city", "fold", "accuracy"), acc_rows)
+    write_csv(cfg.cache_path("roc.csv"), ("city", "fpr", "tpr", "threshold"), roc_rows)
 
 
 ALL_STAGES = [
@@ -379,9 +371,6 @@ def _build_parser() -> _Parser:
         for flag, dest, ftype, helptext in _CONFIG_FLAGS:
             p.add_argument(flag, dest=dest, type=ftype, default=None,
                            help=f"{helptext} (default: {getattr(_DEFAULTS, dest)})")
-        if name == "export-dot":
-            p.add_argument("--census-reps", action="store_true",
-                           help="also export census representative cascades")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset in Yelp format",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)

@@ -12,8 +12,6 @@ imputed value increments a per-feature counter.
 
 from __future__ import annotations
 
-import csv
-import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 from math import log1p
@@ -24,7 +22,7 @@ import numpy as np
 from cascademine.cascades import Cascade, CascadeId
 from cascademine.ingest import BusinessRecord, EventKind, UserRecord
 from cascademine.social import SocialGraph
-from cascademine.util import load_cache, nearest_rank, substream_seed
+from cascademine.util import load_cache, nearest_rank, save_cache, substream_seed
 
 LABEL_SHORT = 0
 LABEL_LONG = 1
@@ -336,31 +334,15 @@ def examples_matrix(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.
     return X, y
 
 
-def write_features_csv(examples: Sequence[LabeledExample], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cascade_id", "city", "label", *FEATURE_NAMES])
-        for e in examples:
-            cid = "{}:{}:{}".format(*e.cascade_id)
-            writer.writerow([cid, e.city, LABEL_NAMES[e.label],
-                             *[repr(float(x)) for x in e.features]])
-
-
 FEATURES_CACHE_FORMAT = "cascademine.features"
 FEATURES_CACHE_VERSION = 1
 
 
 def save_examples(examples: Sequence[LabeledExample], path) -> None:
-    payload = {
-        "format": FEATURES_CACHE_FORMAT,
-        "version": FEATURES_CACHE_VERSION,
-        "feature_names": list(FEATURE_NAMES),
-        "examples": [
-            (e.cascade_id, e.city, e.features.tolist(), e.label) for e in examples
-        ],
-    }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=4)
+    save_cache(path, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION,
+               feature_names=list(FEATURE_NAMES),
+               examples=[(e.cascade_id, e.city, e.features.tolist(), e.label)
+                         for e in examples])
 
 
 def load_examples(path) -> list[LabeledExample]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import pickle
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from typing import Iterable
 
 import cascademine.social as social
 from cascademine.errors import DataError
-from cascademine.util import load_cache
+from cascademine.util import load_cache, save_cache
 
 CACHE_FORMAT = "cascademine.ingest"
 CACHE_VERSION = 2
@@ -365,9 +364,7 @@ def yearly_activity_counts(events: Iterable[Event]) -> list[tuple[int, int, int]
 
 
 def save_ingest(result: IngestResult, path) -> None:
-    payload = {"format": CACHE_FORMAT, "version": CACHE_VERSION, "result": result}
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=4)
+    save_cache(path, CACHE_FORMAT, CACHE_VERSION, result=result)
 
 
 def load_ingest(path) -> IngestResult:

@@ -190,20 +190,3 @@ def export_dot(cascade: Cascade) -> str:
         lines.append(f"  n{u} -> n{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_distribution_csv(dist_by_city: Mapping[str, Sequence[tuple[int, int, float]]],
-                           path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("city,size,count,ccdf\n")
-        for city in sorted(dist_by_city):
-            for size, count, ccdf in dist_by_city[city]:
-                fh.write(f"{city},{size},{count},{ccdf!r}\n")
-
-
-def write_fit_csv(fits_by_city: Mapping[str, PowerLawFit], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("city,alpha,xmin,ks,n_tail\n")
-        for city in sorted(fits_by_city):
-            f = fits_by_city[city]
-            fh.write(f"{city},{f.alpha!r},{f.xmin},{f.ks_statistic!r},{f.n_tail}\n")

@@ -1,12 +1,21 @@
-"""Small shared helpers: rank statistics, deterministic seed derivation and
-versioned cache loading."""
+"""Small shared helpers: rank statistics, deterministic seed derivation, and
+the output formats every stage writes through.
+
+Every CSV export goes through :func:`write_csv` (UTF-8, standard minimal
+quoting, so a city named "Saint Louis, MO" or "Montréal" round-trips), every
+JSON report through :func:`write_json`, and every binary stage cache through
+:func:`save_cache`, which :func:`load_cache` reads back. Two formats of their
+own stay with their modules: the cascade JSONL store and DOT exports.
+"""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 import math
 import pickle
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from cascademine.errors import DataError
 
@@ -34,6 +43,27 @@ def substream_seed(global_seed: int, *names: str) -> int:
         h.update(b"\x00")
         h.update(str(name).encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "big")
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """UTF-8 CSV, minimal quoting, "\\n" line ends; ``None`` is an empty field."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_cache(path, fmt: str, version: int, **payload) -> None:
+    """Pickle ``payload`` in the ``{"format", "version"}`` envelope of :func:`load_cache`."""
+    with open(path, "wb") as fh:
+        pickle.dump({"format": fmt, "version": version, **payload}, fh, protocol=4)
 
 
 # pickle.load on damaged or foreign bytes: its documented errors, plus TypeError

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import pickle
@@ -9,7 +10,7 @@ import pytest
 from cascademine.cli import main
 from cascademine.config import RunConfig, build_config, load_config_file
 from cascademine.errors import ConfigError
-from cascademine.features import N_FEATURES, LabeledExample, save_examples
+from cascademine.features import FEATURE_NAMES, N_FEATURES, LabeledExample, save_examples
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +22,31 @@ def fixture_dataset(tmp_path_factory):
                  "--influence-prob", "0.12", "--cities", "1", "--seed", "7"])
     assert code == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def two_city_dataset(tmp_path_factory):
+    """A synthetic dataset with two cities, city00 and city01."""
+    root = tmp_path_factory.mktemp("two_cities")
+    code = main(["synth", "--out-dir", str(root), "--users", "250",
+                 "--businesses", "150", "--events", "3500", "--friend-prob", "0.02",
+                 "--influence-prob", "0.12", "--cities", "2", "--seed", "7"])
+    assert code == 0
+    return root
+
+
+def rename_cities(data: Path, out: Path, names: dict[str, str]) -> Path:
+    """Copy a synthetic dataset to ``out`` with its business cities renamed."""
+    out.mkdir()
+    for name in ("user.json", "review.json", "tip.json"):
+        (out / name).write_bytes((data / name).read_bytes())
+    with open(data / "business.json", encoding="utf-8") as src, \
+            open(out / "business.json", "w", encoding="utf-8") as dst:
+        for line in src:
+            record = json.loads(line)
+            record["city"] = names[record["city"]]
+            dst.write(json.dumps(record, ensure_ascii=False) + "\n")
+    return out
 
 
 def pipeline_args(data: Path, cache: Path, *extra: str) -> list[str]:
@@ -171,6 +197,7 @@ class TestPipeline:
             "accuracy.csv": "city,fold,accuracy",
             "roc.csv": "city,fpr,tpr,threshold",
             "importance.csv": "city,rank,feature,level_score,gain_score",
+            "features.csv": ",".join(["cascade_id", "city", "label", *FEATURE_NAMES]),
         }
         for name, header in expectations.items():
             first = (cache / name).read_text().splitlines()[0]
@@ -193,6 +220,38 @@ class TestPipeline:
         names = sorted(p.name for p in (cache / "dot").iterdir())
         assert names == ["city00_rank1.dot", "city00_rank2.dot"]
         assert (cache / "dot" / "city00_rank1.dot").read_text().startswith("digraph")
+
+    def test_dot_files_stay_inside_dot_dir(self, two_city_dataset, tmp_path):
+        data = rename_cities(two_city_dataset, tmp_path / "data",
+                             {"city00": "../up", "city01": "a/b"})
+        cache = tmp_path / "cache"
+        args = pipeline_args(data, cache)
+        for stage in ("ingest", "build-cascades", "export-dot"):
+            assert main([stage, *args, "--top-k", "1"]) == 0
+        dots = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.dot"))
+        assert [str(p) for p in dots] == ["cache/dot/___up_rank1.dot",
+                                          "cache/dot/a_b_rank1.dot"]
+
+    def test_real_world_city_names(self, two_city_dataset, tmp_path):
+        data = rename_cities(two_city_dataset, tmp_path / "data",
+                             {"city00": "Montréal", "city01": "Saint Louis, MO"})
+        cache = tmp_path / "cache"
+        args = pipeline_args(data, cache)
+        assert main(["all", *args]) == 0
+        assert main(["export-dot", *args]) == 0
+        cities = {"montréal", "saint louis, mo"}  # ingest case-folds city names
+        for path in sorted(cache.glob("*.csv")):
+            with open(path, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows, path.name
+            assert {len(row) for row in rows} == {len(header)}, path.name
+            if "city" in header:
+                column = header.index("city")
+                assert {row[column] for row in rows} == cities, path.name
+        labeling = json.loads((cache / "labeling.json").read_text(encoding="utf-8"))
+        assert set(labeling["included"]) | {c for c, _ in labeling["excluded"]} == cities
+        dots = {p.name.rsplit("_rank", 1)[0] for p in (cache / "dot").iterdir()}
+        assert dots == {"montréal", "saint_louis__mo"}
 
     def test_full_determinism_two_runs(self, fixture_dataset, tmp_path):
         hashes = []

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cascademine.cascades import Cascade, CascadeNode
-from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureConfig,
+from cascademine.features import (FEATURE_NAMES, FeatureConfig,
                                   FeatureExtractor, LABEL_LONG, LABEL_SHORT,
                                   LabeledCascade, balance, extract_features,
                                   label_cascades, load_examples, save_examples,
-                                  build_examples, write_features_csv)
+                                  build_examples)
 from cascademine.ingest import BusinessRecord, EventKind, UserRecord
 from conftest import day, graph_from_edges, mk_cascade, random_graph
 from oracles import reference_features
@@ -329,16 +329,3 @@ class TestIO:
             assert a.cascade_id == b.cascade_id
             assert a.label == b.label
             assert np.array_equal(a.features, b.features)
-
-    def test_csv_header_names_all_features(self, tmp_path, rng):
-        users, businesses, graph, cascades = random_world(rng, 5)
-        extractor = FeatureExtractor(users, businesses, graph, k=2)
-        examples = build_examples(
-            {"testville": [LabeledCascade(c, LABEL_SHORT) for c in cascades]},
-            extractor)
-        path = tmp_path / "features.csv"
-        write_features_csv(examples, path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[:3] == ["cascade_id", "city", "label"]
-        assert tuple(header[3:]) == FEATURE_NAMES
-        assert len(header) == 3 + N_FEATURES
