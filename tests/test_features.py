@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cascademine.cascades import Cascade, CascadeNode
-from cascademine.features import (FEATURE_NAMES, FeatureConfig,
+from cascademine.cli import main
+from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureConfig,
                                   FeatureExtractor, LABEL_LONG, LABEL_SHORT,
                                   LabeledCascade, balance, extract_features,
                                   label_cascades, load_examples, save_examples,
@@ -329,3 +330,21 @@ class TestIO:
             assert a.cascade_id == b.cascade_id
             assert a.label == b.label
             assert np.array_equal(a.features, b.features)
+
+    def test_csv_header_names_all_features(self, tmp_path):
+        data, cache = tmp_path / "data", tmp_path / "cache"
+        assert main(["synth", "--out-dir", str(data), "--users", "250",
+                     "--businesses", "150", "--events", "3500", "--friend-prob", "0.02",
+                     "--influence-prob", "0.12", "--cities", "1", "--seed", "7"]) == 0
+        args = ["--business", str(data / "business.json"), "--user", str(data / "user.json"),
+                "--review", str(data / "review.json"), "--tip", str(data / "tip.json"),
+                "--cache-dir", str(cache), "--k", "2", "--min-big-cascades", "3"]
+        for stage in ("ingest", "build-cascades", "features"):
+            assert main([stage, *args]) == 0
+        lines = (cache / "features.csv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        assert header[:3] == ["cascade_id", "city", "label"]
+        assert tuple(header[3:]) == FEATURE_NAMES
+        assert len(header) == 3 + N_FEATURES
+        assert len(lines) > 1
+        assert all(len(line.split(",")) == len(header) for line in lines[1:])
