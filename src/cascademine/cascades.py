@@ -15,9 +15,11 @@ The on-disk store is JSON lines, one cascade per line:
    "edges": [[src, dst], ...]}
 
 Nodes are ordered by (date, user id), edges lexicographically, cascades by
-cascade_id, so the file is byte-stable for fixed inputs. The per-node
-``stars``/``text_len``/``votes`` carry the first event's payload so prefix
-features can be computed from the store alone.
+cascade_id, so the file is byte-stable for fixed inputs. Each node is the
+user's first :class:`~cascademine.ingest.Event` at the business; its
+``stars``/``text_len``/``votes`` carry that event's payload, so prefix
+features need no event table, only the user, business and graph tables of the
+ingest cache.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from cascademine.ingest import Event, EventKind, KIND_FROM_NAME, KIND_NAMES
+from cascademine.ingest import Event, KIND_FROM_NAME, KIND_NAMES
 from cascademine.social import SocialGraph
 from cascademine.util import nearest_rank
 
@@ -38,22 +40,18 @@ CascadeId = tuple[str, int, int]
 
 
 @dataclass(frozen=True, slots=True)
-class CascadeNode:
-    user: int
-    date: dt.date
-    kind: EventKind
-    stars: int | None
-    text_len: int
-    votes: int
-
-
-@dataclass(frozen=True, slots=True)
 class Cascade:
     cascade_id: CascadeId  # (city, business_id, component index)
-    city: str
-    business_id: int
-    nodes: tuple[CascadeNode, ...]  # sorted by (date, user)
+    nodes: tuple[Event, ...]  # each user's first event, sorted by (date, user)
     edges: tuple[tuple[int, int], ...]  # directed (src_user, dst_user), lexicographic
+
+    @property
+    def city(self) -> str:
+        return self.cascade_id[0]
+
+    @property
+    def business_id(self) -> int:
+        return self.cascade_id[1]
 
     @property
     def size(self) -> int:
@@ -149,13 +147,8 @@ def _business_cascades(city: str, business_id: int, events: Sequence[Event],
         evs = members[root]
         if len(evs) < 2:
             continue  # isolated reviewer, no qualifying edge
-        nodes = tuple(
-            CascadeNode(e.user_id, e.date, e.kind, e.stars, e.text_len, e.votes)
-            for e in evs
-        )
         cascade_edges = tuple(sorted(edges_by_root.get(root, ())))
-        cascades.append(Cascade((city, business_id, index), city, business_id,
-                                nodes, cascade_edges))
+        cascades.append(Cascade((city, business_id, index), tuple(evs), cascade_edges))
         index += 1
     return cascades
 
@@ -196,7 +189,7 @@ def _cascade_to_json(cascade: Cascade) -> str:
         "city": cascade.city,
         "business_id": cascade.business_id,
         "nodes": [
-            {"user": n.user, "date": n.date.isoformat(), "kind": KIND_NAMES[n.kind],
+            {"user": n.user_id, "date": n.date.isoformat(), "kind": KIND_NAMES[n.kind],
              "stars": n.stars, "text_len": n.text_len, "votes": n.votes}
             for n in cascade.nodes
         ],
@@ -221,14 +214,12 @@ def read_cascades(path) -> dict[str, list[Cascade]]:
             if not line:
                 continue
             obj = json.loads(line)
+            city, business_id, index = obj["cascade_id"]
             nodes = tuple(
-                CascadeNode(n["user"], dt.date.fromisoformat(n["date"]),
-                            KIND_FROM_NAME[n["kind"]], n["stars"], n["text_len"], n["votes"])
+                Event(n["user"], business_id, dt.date.fromisoformat(n["date"]),
+                      KIND_FROM_NAME[n["kind"]], n["stars"], n["text_len"], n["votes"])
                 for n in obj["nodes"]
             )
             edges = tuple((e[0], e[1]) for e in obj["edges"])
-            city, business_id, index = obj["cascade_id"]
-            cascade = Cascade((city, business_id, index), obj["city"], obj["business_id"],
-                              nodes, edges)
-            out.setdefault(cascade.city, []).append(cascade)
+            out.setdefault(city, []).append(Cascade((city, business_id, index), nodes, edges))
     return {city: out[city] for city in sorted(out)}

@@ -65,7 +65,7 @@ def digraph_signature(n: int, edges: Sequence[tuple[int, int]]) -> TopologySigna
 
 
 def _local_edges(cascade: Cascade) -> tuple[int, list[tuple[int, int]]]:
-    index = {node.user: i for i, node in enumerate(cascade.nodes)}
+    index = {node.user_id: i for i, node in enumerate(cascade.nodes)}
     return len(cascade.nodes), [(index[u], index[v]) for u, v in cascade.edges]
 
 
@@ -149,6 +149,19 @@ def is_isomorphic(a: Cascade, b: Cascade, node_cap: int = DEFAULT_NODE_CAP) -> b
     return digraph_isomorphic(*_local_edges(a), *_local_edges(b))
 
 
+def _buckets(cascades: Sequence[Cascade]) -> list[tuple[TopologySignature, list[Cascade]]]:
+    """Signature buckets, members in cascade_id order, ranked by descending
+    member count with ties broken on the serialized signature."""
+    buckets: dict[str, tuple[TopologySignature, list[Cascade]]] = {}
+    for cascade in sorted(cascades, key=lambda c: c.cascade_id):
+        sig = signature(cascade)
+        key = sig.serialize()
+        if key not in buckets:
+            buckets[key] = (sig, [])
+        buckets[key][1].append(cascade)
+    return [buckets[key] for key in sorted(buckets, key=lambda k: (-len(buckets[k][1]), k))]
+
+
 def census(cascades_by_city: Mapping[str, Sequence[Cascade]],
            max_rank: int = 10) -> dict[str, list[CensusRow]]:
     """Rank topologies per city by frequency; ties break on the serialized
@@ -158,24 +171,11 @@ def census(cascades_by_city: Mapping[str, Sequence[Cascade]],
     out: dict[str, list[CensusRow]] = {}
     for city in sorted(cascades_by_city):
         cascades = cascades_by_city[city]
-        buckets: dict[str, list] = {}
-        for cascade in cascades:
-            sig = signature(cascade)
-            key = sig.serialize()
-            entry = buckets.get(key)
-            if entry is None:
-                buckets[key] = [sig, 1, cascade.cascade_id]
-            else:
-                entry[1] += 1
-                if cascade.cascade_id < entry[2]:
-                    entry[2] = cascade.cascade_id
-        total = len(cascades)
-        ranked = sorted(buckets.items(), key=lambda kv: (-kv[1][1], kv[0]))
-        rows = [
-            CensusRow(city, rank, sig, rep, count, count / total)
-            for rank, (_, (sig, count, rep)) in enumerate(ranked[:max_rank], start=1)
+        out[city] = [
+            CensusRow(city, rank, sig, members[0].cascade_id, len(members),
+                      len(members) / len(cascades))
+            for rank, (sig, members) in enumerate(_buckets(cascades)[:max_rank], start=1)
         ]
-        out[city] = rows
     return out
 
 
@@ -187,26 +187,16 @@ def bucket_purity(cascades: Sequence[Cascade], node_cap: int = DEFAULT_NODE_CAP,
     cascade_id order) are tested. Buckets whose representative exceeds
     node_cap get purity None.
     """
-    buckets: dict[str, list[Cascade]] = {}
-    sigs: dict[str, TopologySignature] = {}
-    for cascade in cascades:
-        sig = signature(cascade)
-        key = sig.serialize()
-        buckets.setdefault(key, []).append(cascade)
-        sigs.setdefault(key, sig)
-
     rows = []
-    for key in sorted(buckets, key=lambda k: (-len(buckets[k]), k)):
-        members = sorted(buckets[key], key=lambda c: c.cascade_id)
+    for sig, members in _buckets(cascades):
         rep = members[0]
-        city = rep.city
         if rep.size > node_cap:
-            rows.append(PurityRow(city, sigs[key], len(members), 0, None))
+            rows.append(PurityRow(rep.city, sig, len(members), 0, None))
             continue
         sample = members[1:1 + max_members]
         if not sample:
-            rows.append(PurityRow(city, sigs[key], len(members), 0, 1.0))
+            rows.append(PurityRow(rep.city, sig, len(members), 0, 1.0))
             continue
         hits = sum(1 for c in sample if is_isomorphic(rep, c, node_cap))
-        rows.append(PurityRow(city, sigs[key], len(members), len(sample), hits / len(sample)))
+        rows.append(PurityRow(rep.city, sig, len(members), len(sample), hits / len(sample)))
     return rows

@@ -168,9 +168,15 @@ def stage_export_dot(cfg: RunConfig) -> None:
     out_dir = cfg.cache_path("dot")
     out_dir.mkdir(parents=True, exist_ok=True)
     top = stats_mod.longest_cascades(by_city, cfg.top_k_longest)
-    n = 0
+    stems: dict[str, str] = {}  # DOT name stem -> city
     for city in sorted(top):
         stem = re.sub(r"[^\w-]", "_", city)  # no separators: files stay inside dot/
+        if stem in stems:
+            raise DataError(f"cities {stems[stem]!r} and {city!r} both map to DOT "
+                            f"names {stem}_rank<k>.dot")
+        stems[stem] = city
+    n = 0
+    for stem, city in stems.items():
         for rank, cascade in enumerate(top[city], start=1):
             (out_dir / f"{stem}_rank{rank}.dot").write_text(stats_mod.export_dot(cascade),
                                                             encoding="ascii")
@@ -181,11 +187,8 @@ def stage_export_dot(cfg: RunConfig) -> None:
 def stage_features(cfg: RunConfig) -> None:
     result = load_ingest(_require(cfg, INGEST_CACHE, "ingest"))
     by_city = casc.read_cascades(_require(cfg, CASCADES_CACHE, "build-cascades"))
-    fc = feat.FeatureConfig(k=cfg.k, percentile=cfg.percentile,
-                            min_big_cascades=cfg.min_big_cascades,
-                            balance_seed=cfg.seed)
-    labeling = feat.label_cascades(by_city, fc)
-    balanced = feat.balance(labeling.labeled, fc)
+    labeling = feat.label_cascades(by_city, cfg.k, cfg.percentile, cfg.min_big_cascades)
+    balanced = feat.balance(labeling.labeled, cfg.seed)
     extractor = feat.FeatureExtractor(result.users, result.businesses, result.graph, cfg.k)
     examples = feat.build_examples(balanced, extractor)
     write_csv(cfg.cache_path("features.csv"),
@@ -238,10 +241,9 @@ def stage_train(cfg: RunConfig) -> None:
         X, y = feat.examples_matrix(examples)
         try:
             gbdt = _gbdt_fit(cfg)(X, y)
-            logreg = _logreg_fit(cfg)(X, y)
         except ValueError as exc:
             raise DataError(f"{city}: {exc}") from exc
-        models[city] = {"gbdt": gbdt, "logreg": logreg}
+        models[city] = {"gbdt": gbdt}
         level = learn.feature_importance(gbdt, feat.FEATURE_NAMES)
         gain = dict(learn.split_gain_importance(gbdt, feat.FEATURE_NAMES))
         for rank, (name, score) in enumerate(level, start=1):

@@ -9,6 +9,7 @@ is reproducible from (input files, config, seed) alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,14 +59,17 @@ class RunConfig:
             raise ConfigError("k must be at least 2")
         if not 50.0 < self.percentile < 100.0:
             raise ConfigError("percentile must lie in (50, 100)")
+        if self.min_big_cascades < 1:
+            raise ConfigError("min_big_cascades must be at least 1")
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
         if self.n_trees < 0:
             raise ConfigError("n_trees must be nonnegative")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError("learning_rate must be in (0, 1]")
-        if self.l1 < 0 or self.l2 < 0:
-            raise ConfigError("penalties must be nonnegative")
+        # written so that NaN fails too: every comparison with NaN is false
+        if not (0.0 <= self.l1 < math.inf and 0.0 <= self.l2 < math.inf):
+            raise ConfigError("penalties l1 and l2 must be finite and nonnegative")
 
     def cache_path(self, name: str) -> Path:
         return Path(self.cache_dir) / name

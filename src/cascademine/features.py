@@ -13,7 +13,7 @@ imputed value increments a per-feature counter.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log1p
 from typing import Mapping, Sequence
 
@@ -70,22 +70,6 @@ N_FEATURES = len(FEATURE_NAMES)
 FALLBACK_STARS = 3.0  # midpoint of the 1..5 scale, used only with no businesses at all
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    k: int = 5  # prefix size in nodes
-    percentile: float = 90.0  # long/short threshold percentile
-    min_big_cascades: int = 50  # city eligibility floor on Long count
-    balance_seed: int = 0  # substream seed for majority-class downsampling
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        if not 50.0 < self.percentile < 100.0:
-            raise ValueError("percentile must lie in (50, 100)")
-        if self.min_big_cascades < 1:
-            raise ValueError("min_big_cascades must be positive")
-
-
 @dataclass(frozen=True, slots=True)
 class LabeledCascade:
     cascade: Cascade
@@ -94,10 +78,13 @@ class LabeledCascade:
 
 @dataclass(frozen=True, slots=True)
 class LabeledExample:
-    cascade_id: CascadeId
-    city: str
+    cascade_id: CascadeId  # (city, business_id, component index)
     features: np.ndarray  # length N_FEATURES, float64
     label: int
+
+    @property
+    def city(self) -> str:
+        return self.cascade_id[0]
 
 
 @dataclass
@@ -107,10 +94,11 @@ class LabelingResult:
     excluded: list[tuple[str, int]]  # (city, number of Long cascades found)
 
 
-def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
-                   config: FeatureConfig) -> LabelingResult:
-    """Label eligible cascades (size >= k) per city; drop cities whose Long
-    count falls below the floor, or that have no Short cascade to balance
+def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], k: int,
+                   percentile: float, min_big_cascades: int) -> LabelingResult:
+    """Label eligible cascades (size >= k) Long when larger than the city's
+    ``percentile`` size threshold; drop cities with fewer than
+    ``min_big_cascades`` Long cascades, or no Short cascade to balance
     against, reporting them with their Long count instead."""
     labeled: dict[str, list[LabeledCascade]] = {}
     thresholds: dict[str, int] = {}
@@ -121,15 +109,15 @@ def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
             excluded.append((city, 0))
             continue
         sizes = sorted(c.size for c in cascades)
-        threshold = int(nearest_rank(sizes, config.percentile))
+        threshold = int(nearest_rank(sizes, percentile))
         thresholds[city] = threshold
         rows = [
             LabeledCascade(c, LABEL_LONG if c.size > threshold else LABEL_SHORT)
             for c in sorted(cascades, key=lambda c: c.cascade_id)
-            if c.size >= config.k
+            if c.size >= k
         ]
         n_long = sum(1 for r in rows if r.label == LABEL_LONG)
-        if n_long < config.min_big_cascades or n_long == len(rows):
+        if n_long < min_big_cascades or n_long == len(rows):
             excluded.append((city, n_long))
         else:
             labeled[city] = rows
@@ -137,17 +125,17 @@ def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
 
 
 def balance(labeled_by_city: Mapping[str, Sequence[LabeledCascade]],
-            config: FeatureConfig) -> dict[str, list[LabeledCascade]]:
+            seed: int) -> dict[str, list[LabeledCascade]]:
     """Downsample the majority class uniformly without replacement to the
     minority count per city; the minority class is kept whole. Deterministic
-    given balance_seed."""
+    given ``seed``, from which each city draws its own substream."""
     out: dict[str, list[LabeledCascade]] = {}
     for city in sorted(labeled_by_city):
         rows = sorted(labeled_by_city[city], key=lambda r: r.cascade.cascade_id)
         longs = [r for r in rows if r.label == LABEL_LONG]
         shorts = [r for r in rows if r.label == LABEL_SHORT]
         n = min(len(longs), len(shorts))
-        rng = np.random.default_rng(substream_seed(config.balance_seed, "balance", city))
+        rng = np.random.default_rng(substream_seed(seed, "balance", city))
         if len(shorts) > n:
             shorts = _uniform_subset(shorts, n, rng)
         elif len(longs) > n:
@@ -206,7 +194,7 @@ class FeatureExtractor:
                 f"cascade {cascade.cascade_id} has {cascade.size} nodes, needs >= {self.k}"
             )
         city = cascade.city
-        prefix = sorted(cascade.nodes, key=lambda n: (n.date, n.user))[: self.k]
+        prefix = sorted(cascade.nodes, key=lambda n: (n.date, n.user_id))[: self.k]
         root = prefix[0]
         rest = prefix[1:]
 
@@ -229,8 +217,8 @@ class FeatureExtractor:
             v[3] = 1.0 if biz.is_open else 0.0
 
         # root node block
-        root_user = self.users.get(root.user)
-        v[4] = log1p(self.graph.degree(root.user))
+        root_user = self.users.get(root.user_id)
+        v[4] = log1p(self.graph.degree(root.user_id))
         if root_user is None:
             for name in ("root_review_count_log1p", "root_avg_stars",
                          "root_account_age_days", "root_fans_log1p", "root_elite_years"):
@@ -252,14 +240,14 @@ class FeatureExtractor:
             v[9] = float(root_user.elite_years)
 
         # non-root node block (k >= 2 guarantees rest is nonempty)
-        degrees = [log1p(self.graph.degree(n.user)) for n in rest]
+        degrees = [log1p(self.graph.degree(n.user_id)) for n in rest]
         review_counts = []
         avg_stars = []
         fans = []
         elite = []
         friend_hits = 0
         for n in rest:
-            rec = self.users.get(n.user)
+            rec = self.users.get(n.user_id)
             if rec is None:
                 for name in ("nonroot_review_count_log1p_mean", "nonroot_avg_stars_mean",
                              "nonroot_fans_log1p_mean", "nonroot_elite_years_mean"):
@@ -274,7 +262,7 @@ class FeatureExtractor:
                     rec.average_stars, city, "nonroot_avg_stars_mean"))
                 fans.append(log1p(rec.fans))
                 elite.append(float(rec.elite_years))
-            if self.graph.are_friends(root.user, n.user):
+            if self.graph.are_friends(root.user_id, n.user_id):
                 friend_hits += 1
         v[10] = float(np.mean(degrees))
         v[11] = float(np.max(degrees))
@@ -321,7 +309,6 @@ def build_examples(balanced_by_city: Mapping[str, Sequence[LabeledCascade]],
         for row in sorted(balanced_by_city[city], key=lambda r: r.cascade.cascade_id):
             examples.append(LabeledExample(
                 cascade_id=row.cascade.cascade_id,
-                city=city,
                 features=extractor.extract(row.cascade),
                 label=row.label,
             ))
@@ -335,19 +322,18 @@ def examples_matrix(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.
 
 
 FEATURES_CACHE_FORMAT = "cascademine.features"
-FEATURES_CACHE_VERSION = 1
+FEATURES_CACHE_VERSION = 2
 
 
 def save_examples(examples: Sequence[LabeledExample], path) -> None:
     save_cache(path, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION,
                feature_names=list(FEATURE_NAMES),
-               examples=[(e.cascade_id, e.city, e.features.tolist(), e.label)
-                         for e in examples])
+               examples=[(e.cascade_id, e.features.tolist(), e.label) for e in examples])
 
 
 def load_examples(path) -> list[LabeledExample]:
     payload = load_cache(path, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION, "features")
     return [
-        LabeledExample(tuple(cid), city, np.asarray(vec, dtype=np.float64), label)
-        for cid, city, vec, label in payload["examples"]
+        LabeledExample(tuple(cid), np.asarray(vec, dtype=np.float64), label)
+        for cid, vec, label in payload["examples"]
     ]

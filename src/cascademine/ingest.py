@@ -19,7 +19,7 @@ The friendship graph is built once here, as CSR (:mod:`cascademine.social`),
 and stored in the result; later stages read it from the cache.
 
 The binary cache written by :func:`save_ingest` is a pickle of
-``{"format": "cascademine.ingest", "version": 2, "result": IngestResult}``;
+``{"format": "cascademine.ingest", "version": 3, "result": IngestResult}``;
 :func:`load_ingest` refuses anything else with a DataError.
 """
 
@@ -39,7 +39,7 @@ from cascademine.errors import DataError
 from cascademine.util import load_cache, save_cache
 
 CACHE_FORMAT = "cascademine.ingest"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class EventKind(IntEnum):
@@ -53,7 +53,10 @@ KIND_FROM_NAME = {v: k for k, v in KIND_NAMES.items()}
 
 @dataclass(frozen=True, slots=True)
 class Event:
-    """One review or tip, reduced to the fields the pipeline consumes."""
+    """One review or tip, reduced to the fields the pipeline consumes.
+
+    A cascade node is its user's first Event at the cascade's business.
+    """
 
     user_id: int
     business_id: int
@@ -61,14 +64,7 @@ class Event:
     kind: EventKind
     stars: int | None  # 1..5 for reviews when present; always None for tips
     text_len: int
-    useful: int
-    funny: int
-    cool: int
-    likes: int
-
-    @property
-    def votes(self) -> int:
-        return self.useful + self.funny + self.cool + self.likes
+    votes: int  # useful + funny + cool for a review, likes for a tip
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,12 +264,10 @@ def _parse_events(path: Path, kind: EventKind, known_businesses, counts: Counter
         text = obj.get("text")
         text_len = len(text) if isinstance(text, str) else 0
         if kind is EventKind.REVIEW:
-            row = (uid, bid, day, kind, _event_stars(obj.get("stars")), text_len,
-                   _as_int(obj.get("useful")), _as_int(obj.get("funny")),
-                   _as_int(obj.get("cool")), 0)
+            votes = sum(_as_int(obj.get(name)) for name in ("useful", "funny", "cool"))
+            rows.append((uid, bid, day, kind, _event_stars(obj.get("stars")), text_len, votes))
         else:
-            row = (uid, bid, day, kind, None, text_len, 0, 0, 0, _as_int(obj.get("likes")))
-        rows.append(row)
+            rows.append((uid, bid, day, kind, None, text_len, _as_int(obj.get("likes"))))
         counts["retained"] += 1
     return rows
 
@@ -329,10 +323,9 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
         businesses[bid] = BusinessRecord(bid, city, stars, review_count, category_count, is_open)
 
     events_by_city: dict[str, list[Event]] = {}
-    for raw_uid, raw_bid, day, kind, stars, text_len, useful, funny, cool, likes in raw_events:
+    for raw_uid, raw_bid, day, kind, stars, text_len, votes in raw_events:
         bid = business_index[raw_bid]
-        event = Event(user_index[raw_uid], bid, day, kind,
-                      stars, text_len, useful, funny, cool, likes)
+        event = Event(user_index[raw_uid], bid, day, kind, stars, text_len, votes)
         events_by_city.setdefault(businesses[bid].city, []).append(event)
 
     for city in events_by_city:

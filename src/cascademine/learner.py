@@ -347,22 +347,20 @@ def roc_curve(scores: np.ndarray, y: np.ndarray) -> list[tuple[float, float, flo
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs both classes")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("ROC needs finite scores")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_y = y[order]
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    n = len(y)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            tp += int(sorted_y[j] == 1)
-            fp += int(sorted_y[j] == 0)
-            j += 1
-        points.append((fp / n_neg, tp / n_pos, float(sorted_scores[i])))
-        i = j
-    return points
+    # One point per tie group: counts up to the group's last member, threshold
+    # from its first (0.0 and -0.0 tie, and the first one's sign is reported).
+    ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    starts = np.append(0, ends[:-1] + 1)
+    tp = np.cumsum(sorted_y == 1)[ends].tolist()
+    fp = np.cumsum(sorted_y == 0)[ends].tolist()
+    thresholds = sorted_scores[starts].tolist()
+    return [(0.0, 0.0, float("inf"))] + [
+        (f / n_neg, t / n_pos, thr) for f, t, thr in zip(fp, tp, thresholds)]
 
 
 def auc_trapezoid(points: Sequence[tuple[float, float, float]]) -> float:

@@ -182,7 +182,7 @@ def longest_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
 
 def export_dot(cascade: Cascade) -> str:
     """Graphviz DOT text with nodes anonymized to their temporal order index."""
-    index = {node.user: i for i, node in enumerate(cascade.nodes)}
+    index = {node.user_id: i for i, node in enumerate(cascade.nodes)}
     lines = ["digraph cascade {"]
     for i in range(len(cascade.nodes)):
         lines.append(f"  n{i};")

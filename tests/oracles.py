@@ -142,6 +142,27 @@ def mann_whitney_auc(scores, y) -> float:
     return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
 
 
+def roc_by_walking(scores, y) -> list[tuple[float, float, float]]:
+    """ROC points by walking the stable descending order one row at a time,
+    emitting a point after each run of equal scores (threshold from the run's
+    first row). Finite scores only: NaN never compares equal to itself."""
+    scores = [float(s) for s in scores]
+    y = [int(v) for v in y]
+    n_pos, n_neg = y.count(1), y.count(0)
+    order = sorted(range(len(scores)), key=lambda i: -scores[i])  # sorted is stable
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    for pos, i in enumerate(order):
+        tp += y[i] == 1
+        fp += y[i] == 0
+        if pos + 1 == len(order) or scores[order[pos + 1]] != scores[i]:
+            start = pos
+            while start > 0 and scores[order[start - 1]] == scores[i]:
+                start -= 1
+            points.append((fp / n_neg, tp / n_pos, scores[order[start]]))
+    return points
+
+
 # ---------------------------------------------------------------------------
 # digraph enumeration
 
@@ -212,7 +233,7 @@ def _lg(x: float) -> float:
 def reference_features(cascade, k: int, users, businesses, graph) -> dict[str, float]:
     """Straightforward per-cascade recomputation of every feature, written
     against the same tables but with its own ordering, lookup, and math."""
-    nodes = sorted(cascade.nodes, key=lambda n: (n.date, n.user))[:k]
+    nodes = sorted(cascade.nodes, key=lambda n: (n.date, n.user_id))[:k]
     root, others = nodes[0], nodes[1:]
     out: dict[str, float] = {}
 
@@ -228,8 +249,8 @@ def reference_features(cascade, k: int, users, businesses, graph) -> dict[str, f
     out["biz_is_open"] = float(bool(biz and biz.is_open))
 
     nbrs_of = lambda u: set(int(x) for x in graph.neighbors(u))
-    ru = users.get(root.user)
-    out["root_degree_log1p"] = _lg(len(nbrs_of(root.user)))
+    ru = users.get(root.user_id)
+    out["root_degree_log1p"] = _lg(len(nbrs_of(root.user_id)))
     out["root_review_count_log1p"] = _lg(ru.review_count) if ru else 0.0
     out["root_avg_stars"] = (ru.average_stars if ru and ru.average_stars is not None
                              else city_mean)
@@ -240,16 +261,16 @@ def reference_features(cascade, k: int, users, businesses, graph) -> dict[str, f
     out["root_fans_log1p"] = _lg(ru.fans) if ru else 0.0
     out["root_elite_years"] = float(ru.elite_years) if ru else 0.0
 
-    degs = [_lg(len(nbrs_of(n.user))) for n in others]
+    degs = [_lg(len(nbrs_of(n.user_id))) for n in others]
     rcs, avgs, fans, elites = [], [], [], []
     for n in others:
-        rec = users.get(n.user)
+        rec = users.get(n.user_id)
         rcs.append(_lg(rec.review_count) if rec else 0.0)
         avgs.append(rec.average_stars if rec and rec.average_stars is not None
                     else city_mean)
         fans.append(_lg(rec.fans) if rec else 0.0)
         elites.append(float(rec.elite_years) if rec else 0.0)
-    root_nbrs = nbrs_of(root.user)
+    root_nbrs = nbrs_of(root.user_id)
     out["nonroot_degree_log1p_mean"] = statistics.fmean(degs)
     out["nonroot_degree_log1p_max"] = max(degs)
     out["nonroot_review_count_log1p_mean"] = statistics.fmean(rcs)
@@ -258,7 +279,7 @@ def reference_features(cascade, k: int, users, businesses, graph) -> dict[str, f
     out["nonroot_fans_log1p_mean"] = statistics.fmean(fans)
     out["nonroot_elite_years_mean"] = statistics.fmean(elites)
     out["nonroot_friend_of_root_frac"] = (
-        sum(1 for n in others if n.user in root_nbrs) / len(others))
+        sum(1 for n in others if n.user_id in root_nbrs) / len(others))
 
     out["root_stars"] = float(root.stars) if root.stars is not None else city_mean
     out["root_text_len_log1p"] = _lg(root.text_len)

@@ -18,8 +18,7 @@ from cascademine.cascades import build_cascades
 from cascademine.census import (bucket_purity, census, digraph_isomorphic,
                                 digraph_signature, signature)
 from cascademine.cli import main
-from cascademine.features import (FEATURE_NAMES, FeatureConfig, FeatureExtractor,
-                                  LABEL_LONG, label_cascades)
+from cascademine.features import FEATURE_NAMES, FeatureExtractor, LABEL_LONG, label_cascades
 from cascademine.ingest import DatasetPaths, ingest_dataset
 from cascademine.learner import (auc_trapezoid, cross_validate, feature_importance,
                                  log_loss, logistic_smooth_grad,
@@ -60,7 +59,7 @@ def test_criterion_01_cascade_oracle_equivalence():
         for c in cascades:
             got_edges.setdefault(c.business_id, set()).update(c.edges)
             got_comps.setdefault(c.business_id, set()).add(
-                frozenset(n.user for n in c.nodes))
+                frozenset(n.user_id for n in c.nodes))
         for business, first in by_business_first.items():
             want_edges, want_comps = brute_force_business(first, friend_pairs, window)
             if (got_edges.get(business, set()) != want_edges
@@ -112,7 +111,7 @@ def test_criterion_03_signature_vs_exact_isomorphism():
     iso_classes: list[tuple[tuple, int]] = []  # ((n, edges), count)
     for c in cascades:
         n, edges = len(c.nodes), c.edges
-        local = {node.user: i for i, node in enumerate(c.nodes)}
+        local = {node.user_id: i for i, node in enumerate(c.nodes)}
         edges = [(local[u], local[v]) for u, v in edges]
         for i, ((cn, cedges), count) in enumerate(iso_classes):
             if cn == n and digraph_isomorphic(cn, cedges, n, edges):
@@ -200,7 +199,7 @@ def test_criterion_05_percentile_labeling():
                     for i, s in enumerate(rng.pareto(1.2, size=400).astype(int))],
         "tinyville": [path_cascade(2, i) for i in range(30)] + [path_cascade(9, 30)],
     }
-    result = label_cascades(by_city, FeatureConfig(k=2, min_big_cascades=5))
+    result = label_cascades(by_city, 2, 90.0, 5)
     excluded_names = [city for city, _ in result.excluded]
     exclusion_ok = ("tinyville" in excluded_names and "bigtown" in result.labeled
                     and result.excluded[0][1] < 5)
@@ -396,10 +395,9 @@ def test_criterion_10_optional_full_dataset():
         slopes[city] = -fit.alpha
     slope_ok = all(-2.35 <= s <= -1.50 for s in slopes.values())
 
-    fc = FeatureConfig(k=5, percentile=90.0, min_big_cascades=50, balance_seed=0)
-    labeling = label_cascades(by_city, fc)
+    labeling = label_cascades(by_city, 5, 90.0, 50)
     from cascademine.features import balance, build_examples, examples_matrix
-    balanced = balance(labeling.labeled, fc)
+    balanced = balance(labeling.labeled, 0)
     extractor = FeatureExtractor(result.users, result.businesses, result.graph, 5)
     clf_ok = True
     for city in sorted(balanced):

@@ -20,7 +20,7 @@ class TestBuildCascades:
         graph = graph_from_edges([(0, 1)], 2)
         cascades = build_one_city([mk_event(0, 7, 1), mk_event(1, 7, 3)], graph)
         (cascade,) = cascades
-        assert [n.user for n in cascade.nodes] == [0, 1]
+        assert [n.user_id for n in cascade.nodes] == [0, 1]
         assert cascade.edges == ((0, 1),)
         assert cascade.cascade_id == ("testville", 7, 0)
 
@@ -34,7 +34,7 @@ class TestBuildCascades:
         cascades = build_one_city(
             [mk_event(0, 7, 1), mk_event(1, 7, 2), mk_event(2, 7, 2)], graph)
         (cascade,) = cascades
-        assert {n.user for n in cascade.nodes} == {0, 1}
+        assert {n.user_id for n in cascade.nodes} == {0, 1}
 
     def test_non_friends_never_linked(self):
         graph = graph_from_edges([], 2)
@@ -44,7 +44,7 @@ class TestBuildCascades:
         graph = graph_from_edges([(0, 1)], 2)
         events = [mk_event(0, 7, 1), mk_event(0, 7, 9), mk_event(1, 7, 3)]
         (cascade,) = build_one_city(events, graph)
-        assert [n.user for n in cascade.nodes] == [0, 1]
+        assert [n.user_id for n in cascade.nodes] == [0, 1]
         assert cascade.nodes[0].date == day(1)
         # the later event by user 0 creates no second node or self-influence
         assert cascade.edges == ((0, 1),)
@@ -76,7 +76,7 @@ class TestBuildCascades:
         graph = random_graph(rng, 40, 0.2)
         events = random_events(rng, 40, 5, 200, span_days=20)
         for cascade in build_one_city(events, graph):
-            date_of = {n.user: n.date for n in cascade.nodes}
+            date_of = {n.user_id: n.date for n in cascade.nodes}
             strict = [(u, v) for u, v in cascade.edges if date_of[u] != date_of[v]]
             # Kahn's algorithm
             succ, indeg = {}, {}
@@ -115,7 +115,7 @@ class TestBuildCascades:
             for c in cascades:
                 got_edges.setdefault(c.business_id, set()).update(c.edges)
                 got_components.setdefault(c.business_id, set()).add(
-                    frozenset(n.user for n in c.nodes))
+                    frozenset(n.user_id for n in c.nodes))
             for business, first_date in by_business.items():
                 want_edges, want_comps = brute_force_business(
                     first_date, friend_pairs, window)
@@ -152,7 +152,7 @@ class TestBuildCascades:
                 assert max(graph.degree(u) for u in first_date) > 5 * len(first_date)
                 got = [c for c in cascades if c.business_id == business]
                 got_edges = {e for c in got for e in c.edges}
-                got_comps = {frozenset(n.user for n in c.nodes) for c in got}
+                got_comps = {frozenset(n.user_id for n in c.nodes) for c in got}
                 want_edges, want_comps = brute_force_business(first_date, friend_pairs,
                                                               window)
                 assert got_edges == want_edges, (seed, business)
@@ -169,7 +169,7 @@ class TestBuildCascades:
         for c in cascades:
             by_business.setdefault(c.business_id, []).append(c)
         for business, group in by_business.items():
-            node_sets = [frozenset(n.user for n in c.nodes) for c in group]
+            node_sets = [frozenset(n.user_id for n in c.nodes) for c in group]
             for i, a in enumerate(node_sets):
                 for b in node_sets[i + 1:]:
                     assert not (a & b)
@@ -184,7 +184,7 @@ class TestBuildCascades:
             assert c.size >= 2
             assert c.edges
             users_in_edges = {u for e in c.edges for u in e}
-            assert users_in_edges <= {n.user for n in c.nodes}
+            assert users_in_edges <= {n.user_id for n in c.nodes}
 
     def test_rejects_nonpositive_window(self, rng):
         graph = graph_from_edges([(0, 1)], 2)
@@ -233,5 +233,5 @@ class TestStore:
         by_city = build_cascades({"t": sorted(
             events, key=lambda e: (e.business_id, e.date, e.user_id, e.kind))}, graph)
         (cascade,) = by_city["t"]
-        assert [n.user for n in cascade.nodes] == [2, 1, 0]  # date order
+        assert [n.user_id for n in cascade.nodes] == [2, 1, 0]  # date order
         assert list(cascade.edges) == sorted(cascade.edges)

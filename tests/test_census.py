@@ -173,6 +173,25 @@ class TestCensus:
         assert sum(r.count for r in table) == len(cascades)
 
 
+    def test_census_and_purity_rank_the_same_buckets(self, rng):
+        cascades = []
+        for i in rng.permutation(120):
+            n = int(rng.integers(2, 5))
+            users = [100 * int(i) + j for j in range(n)]
+            edges = [(users[j], users[j + 1]) for j in range(n - 1)]
+            if rng.random() < 0.4:
+                edges.append((users[1], users[0]))
+            cascades.append(mk_cascade([(u, j) for j, u in enumerate(users)], edges,
+                                       index=int(i)))
+        table = census({"testville": cascades}, max_rank=10 ** 9)["testville"]
+        purity = bucket_purity(cascades)
+        assert [(r.signature, r.count) for r in table] == [
+            (r.signature, r.bucket_size) for r in purity]
+        for row in table:
+            members = [c.cascade_id for c in cascades if signature(c) == row.signature]
+            assert row.representative == min(members)
+
+
 class TestBucketPurity:
     def test_pure_bucket_of_relabeled_g1(self):
         cascades = [mk_cascade([(10 * i, 0), (10 * i + 1, 1)],

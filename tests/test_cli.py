@@ -11,6 +11,7 @@ from cascademine.cli import main
 from cascademine.config import RunConfig, build_config, load_config_file
 from cascademine.errors import ConfigError
 from cascademine.features import FEATURE_NAMES, N_FEATURES, LabeledExample, save_examples
+from cascademine.util import load_cache
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             build_config(None, {"learning_rate": 0.0})
 
+    @pytest.mark.parametrize("overrides", [
+        {"l1": float("nan")}, {"l2": float("nan")}, {"l1": float("inf")},
+        {"l2": float("inf")},
+    ])
+    def test_non_finite_penalties_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="finite"):
+            build_config(None, overrides)
+
+    def test_bad_values_exit_before_any_stage_work(self, tmp_path, capsys):
+        for flags in (["features", "--min-big-cascades", "0"], ["evaluate", "--l1", "nan"]):
+            assert main([*flags, "--cache-dir", str(tmp_path)]) == 1
+            assert "config error" in capsys.readouterr().err
+
     def test_defaults_documented_in_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["ingest", "--help"])
@@ -162,6 +176,16 @@ class TestExitCodes:
             (tmp_path / "features.pkl").write_bytes(payload)
             assert main(["train", "--cache-dir", str(tmp_path)]) == 3
             assert "rerun 'features'" in capsys.readouterr().err
+
+
+    def test_caches_of_earlier_versions_are_data_errors(self, tmp_path, capsys):
+        for name, fmt, version, stage, rerun in (
+                ("ingest.pkl", "cascademine.ingest", 2, "build-cascades", "ingest"),
+                ("features.pkl", "cascademine.features", 1, "train", "features")):
+            (tmp_path / name).write_bytes(pickle.dumps({"format": fmt, "version": version}))
+            assert main([stage, "--cache-dir", str(tmp_path)]) == 3
+            err = capsys.readouterr().err
+            assert f"version {version} " in err and f"rerun '{rerun}'" in err
 
 
 class TestPipeline:
@@ -232,6 +256,28 @@ class TestPipeline:
         assert [str(p) for p in dots] == ["cache/dot/___up_rank1.dot",
                                           "cache/dot/a_b_rank1.dot"]
 
+    def test_dot_name_clash_is_data_error(self, two_city_dataset, tmp_path, capsys):
+        data = rename_cities(two_city_dataset, tmp_path / "data",
+                             {"city00": "a/b", "city01": "a_b"})
+        cache = tmp_path / "cache"
+        args = pipeline_args(data, cache)
+        for stage in ("ingest", "build-cascades"):
+            assert main([stage, *args]) == 0
+        assert main(["export-dot", *args]) == 3
+        assert "'a/b' and 'a_b'" in capsys.readouterr().err
+        assert not list((cache / "dot").iterdir())
+
+    def test_train_saves_one_gbdt_per_city(self, tmp_path):
+        rng = np.random.default_rng(5)
+        examples = [LabeledExample((city, 0, i), rng.normal(size=N_FEATURES) + i % 2, i % 2)
+                    for city in ("acity", "bcity") for i in range(20)]
+        save_examples(examples, tmp_path / "features.pkl")
+        assert main(["train", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 0
+        models = load_cache(tmp_path / "models.pkl", "cascademine.models", 1,
+                            "train")["models"]
+        assert {city: sorted(m) for city, m in models.items()} == {
+            "acity": ["gbdt"], "bcity": ["gbdt"]}
+
     def test_real_world_city_names(self, two_city_dataset, tmp_path):
         data = rename_cities(two_city_dataset, tmp_path / "data",
                              {"city00": "Montréal", "city01": "Saint Louis, MO"})
@@ -283,7 +329,7 @@ class TestSmallCities:
             for i in range(2 * per_class):
                 label = i % 2
                 features = rng.normal(size=N_FEATURES) + label
-                examples.append(LabeledExample((city, 0, i), city, features, label))
+                examples.append(LabeledExample((city, 0, i), features, label))
         save_examples(examples, tmp_path / "features.pkl")
         args = ["--cache-dir", str(tmp_path), "--n-trees", "5", "--folds", "5"]
         assert main(["train", *args]) == 0

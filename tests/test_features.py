@@ -3,14 +3,15 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from cascademine.cascades import Cascade, CascadeNode
+from cascademine.cascades import Cascade
 from cascademine.cli import main
-from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureConfig,
-                                  FeatureExtractor, LABEL_LONG, LABEL_SHORT,
+from cascademine.config import build_config
+from cascademine.errors import ConfigError
+from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureExtractor, LABEL_LONG, LABEL_SHORT,
                                   LabeledCascade, balance, extract_features,
                                   label_cascades, load_examples, save_examples,
                                   build_examples)
-from cascademine.ingest import BusinessRecord, EventKind, UserRecord
+from cascademine.ingest import BusinessRecord, Event, EventKind, UserRecord
 from conftest import day, graph_from_edges, mk_cascade, random_graph
 from oracles import reference_features
 
@@ -33,23 +34,22 @@ def cascade_of_size(n, index=0, business_id=0):
 
 class TestConfig:
     def test_defaults_valid(self):
-        cfg = FeatureConfig()
+        cfg = build_config()
         assert cfg.k == 5 and cfg.percentile == 90.0 and cfg.min_big_cascades == 50
 
     @pytest.mark.parametrize("kwargs", [
         {"k": 1}, {"percentile": 50.0}, {"percentile": 100.0}, {"min_big_cascades": 0},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            FeatureConfig(**kwargs)
+        with pytest.raises(ConfigError):
+            build_config(None, kwargs)
 
 
 class TestLabeling:
     def test_threshold_and_eligibility(self):
         sizes = [2] * 5 + [3] * 3 + [5, 20]
         cascades = [cascade_of_size(s, i) for i, s in enumerate(sizes)]
-        cfg = FeatureConfig(k=5, min_big_cascades=1)
-        res = label_cascades({"t": cascades}, cfg)
+        res = label_cascades({"t": cascades}, 5, 90.0, 1)
         assert res.thresholds["t"] == 5  # nearest rank: ceil(0.9*10)=9th of sorted
         rows = res.labeled["t"]
         # only the size-5 and size-20 cascades are >= k=5; only 20 exceeds 5
@@ -60,8 +60,7 @@ class TestLabeling:
         # threshold = 25th of 27 sorted sizes = 2, so the two 9s are Long
         cascades = [cascade_of_size(2, i) for i in range(25)] + [
             cascade_of_size(9, 25), cascade_of_size(9, 26)]
-        cfg = FeatureConfig(k=2, min_big_cascades=50)
-        res = label_cascades({"smalltown": cascades}, cfg)
+        res = label_cascades({"smalltown": cascades}, 2, 90.0, 50)
         assert res.labeled == {}
         assert res.excluded == [("smalltown", 2)]
 
@@ -69,7 +68,7 @@ class TestLabeling:
         # threshold = 2, so every cascade with at least k=5 nodes is Long
         cascades = [cascade_of_size(2, i) for i in range(30)] + [
             cascade_of_size(6, 30 + i) for i in range(3)]
-        res = label_cascades({"t": cascades}, FeatureConfig(k=5, min_big_cascades=1))
+        res = label_cascades({"t": cascades}, 5, 90.0, 1)
         assert res.thresholds["t"] == 2
         assert res.labeled == {}
         assert res.excluded == [("t", 3)]
@@ -77,16 +76,14 @@ class TestLabeling:
     def test_planted_quantile_fraction(self, rng):
         sizes = rng.integers(2, 100, size=2000)
         cascades = [cascade_of_size(int(s), i) for i, s in enumerate(sizes)]
-        cfg = FeatureConfig(k=2, min_big_cascades=1)
-        res = label_cascades({"t": cascades}, cfg)
+        res = label_cascades({"t": cascades}, 2, 90.0, 1)
         rows = res.labeled["t"]
         frac = sum(1 for r in rows if r.label == LABEL_LONG) / len(rows)
         assert 0.05 <= frac <= 0.15
 
     def test_label_definition_strictly_greater(self):
         cascades = [cascade_of_size(s, i) for i, s in enumerate([2, 2, 3, 3, 8])]
-        cfg = FeatureConfig(k=2, min_big_cascades=1, percentile=60.0)
-        res = label_cascades({"t": cascades}, cfg)
+        res = label_cascades({"t": cascades}, 2, 60.0, 1)
         threshold = res.thresholds["t"]
         assert threshold == 3
         for row in res.labeled["t"]:
@@ -102,23 +99,20 @@ class TestBalance:
         return {"t": rows}
 
     def test_downsamples_shorts(self):
-        out = balance(self.make_labeled(30, 400), FeatureConfig(min_big_cascades=1))
+        out = balance(self.make_labeled(30, 400), 0)
         rows = out["t"]
         assert sum(1 for r in rows if r.label == LABEL_LONG) == 30
         assert sum(1 for r in rows if r.label == LABEL_SHORT) == 30
 
     def test_same_seed_same_sample(self):
         labeled = self.make_labeled(10, 100)
-        cfg = FeatureConfig(min_big_cascades=1, balance_seed=42)
-        ids1 = [r.cascade.cascade_id for r in balance(labeled, cfg)["t"]]
-        ids2 = [r.cascade.cascade_id for r in balance(labeled, cfg)["t"]]
+        ids1 = [r.cascade.cascade_id for r in balance(labeled, 42)["t"]]
+        ids2 = [r.cascade.cascade_id for r in balance(labeled, 42)["t"]]
         assert ids1 == ids2
 
     def test_different_seed_usually_differs(self):
         labeled = self.make_labeled(10, 200)
-        ids = {tuple(r.cascade.cascade_id for r in balance(
-            labeled, FeatureConfig(min_big_cascades=1, balance_seed=s))["t"])
-            for s in range(5)}
+        ids = {tuple(r.cascade.cascade_id for r in balance(labeled, s)["t"]) for s in range(5)}
         assert len(ids) > 1
 
     def test_selection_frequency_uniform(self):
@@ -126,8 +120,7 @@ class TestBalance:
         labeled = self.make_labeled(n_long, n_short)
         counts = np.zeros(n_short)
         for seed in range(n_seeds):
-            cfg = FeatureConfig(min_big_cascades=1, balance_seed=seed)
-            for row in balance(labeled, cfg)["t"]:
+            for row in balance(labeled, seed)["t"]:
                 if row.label == LABEL_SHORT:
                     counts[row.cascade.cascade_id[2] - n_long] += 1
         expected = n_seeds * n_long / n_short  # 15
@@ -139,7 +132,7 @@ class TestBalance:
         labeled = self.make_labeled(n_long, n_short)
         counts = np.zeros(n_long)
         for seed in range(n_seeds):
-            rows = balance(labeled, FeatureConfig(min_big_cascades=1, balance_seed=seed))["t"]
+            rows = balance(labeled, seed)["t"]
             assert sum(1 for r in rows if r.label == LABEL_SHORT) == n_short
             for row in rows:
                 if row.label == LABEL_LONG:
@@ -283,36 +276,34 @@ def random_world(rng, n_cascades):
 
 def mutate_beyond_prefix(cascade, k, rng):
     """Mutations that only touch nodes after position k or later edges."""
-    nodes = sorted(cascade.nodes, key=lambda n: (n.date, n.user))
+    nodes = sorted(cascade.nodes, key=lambda n: (n.date, n.user_id))
     prefix, suffix = nodes[:k], nodes[k:]
     last_day = max(n.date for n in nodes)
     big_user = 10_000 + int(rng.integers(0, 1000))
+    bid = cascade.business_id
 
     # 1: change payloads and push dates later on suffix nodes
-    mutated = [CascadeNode(n.user, n.date + dt.timedelta(days=3), EventKind.TIP,
-                           None, n.text_len + 7, n.votes + 5) for n in suffix]
-    yield Cascade(cascade.cascade_id, cascade.city, cascade.business_id,
-                  tuple(prefix + mutated), cascade.edges)
+    mutated = [Event(n.user_id, bid, n.date + dt.timedelta(days=3), EventKind.TIP,
+                     None, n.text_len + 7, n.votes + 5) for n in suffix]
+    yield Cascade(cascade.cascade_id, tuple(prefix + mutated), cascade.edges)
 
     # 2: append brand-new later nodes and edges among them
-    extra = [CascadeNode(big_user + j, last_day + dt.timedelta(days=j + 1),
-                         EventKind.REVIEW, 5, 10, 0) for j in range(3)]
-    new_edges = tuple(list(cascade.edges) + [(extra[0].user, extra[1].user),
-                                             (extra[1].user, extra[2].user)])
-    yield Cascade(cascade.cascade_id, cascade.city, cascade.business_id,
-                  tuple(nodes + extra), new_edges)
+    extra = [Event(big_user + j, bid, last_day + dt.timedelta(days=j + 1),
+                   EventKind.REVIEW, 5, 10, 0) for j in range(3)]
+    new_edges = tuple(list(cascade.edges) + [(extra[0].user_id, extra[1].user_id),
+                                             (extra[1].user_id, extra[2].user_id)])
+    yield Cascade(cascade.cascade_id, tuple(nodes + extra), new_edges)
 
     # 3: relabel a suffix node's user id upward (stays after the prefix)
     if suffix:
         target = suffix[0]
-        relabeled = CascadeNode(big_user, target.date, target.kind, target.stars,
-                                target.text_len, target.votes)
+        relabeled = Event(big_user, bid, target.date, target.kind, target.stars,
+                          target.text_len, target.votes)
         rest = [relabeled if n is target else n for n in suffix]
-        edges = tuple((big_user if u == target.user else u,
-                       big_user if v == target.user else v)
+        edges = tuple((big_user if u == target.user_id else u,
+                       big_user if v == target.user_id else v)
                       for u, v in cascade.edges)
-        yield Cascade(cascade.cascade_id, cascade.city, cascade.business_id,
-                      tuple(prefix + rest), edges)
+        yield Cascade(cascade.cascade_id, tuple(prefix + rest), edges)
 
 
 class TestIO:

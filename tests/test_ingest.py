@@ -45,10 +45,17 @@ class TestIngest:
         assert event.kind is EventKind.REVIEW
         assert event.stars == 4
         assert event.text_len == 2
-        assert event.useful == 1
+        assert event.votes == 1
         assert event.date == dt.date(2012, 1, 5)
         assert result.business_ids[event.business_id] == "b1"
         assert result.user_ids[event.user_id] == "a"
+
+    def test_votes_sum_review_counts(self, tmp_path):
+        reviews = [{"user_id": "a", "business_id": "b1", "date": "2012-01-05",
+                    "text": "ok", "useful": 1, "funny": 2, "cool": 4, "likes": 8}]
+        result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
+        (event,) = list(result.all_events())
+        assert event.votes == 7  # a review has no likes
 
     def test_tip_has_no_stars(self, tmp_path):
         tips = [{"user_id": "a", "business_id": "b1", "date": "2012-02-01",
@@ -57,7 +64,7 @@ class TestIngest:
         (event,) = list(result.all_events())
         assert event.kind is EventKind.TIP
         assert event.stars is None
-        assert event.likes == 3
+        assert event.votes == 3
 
     def test_malformed_lines_counted(self, tmp_path):
         reviews = [

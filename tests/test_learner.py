@@ -6,7 +6,7 @@ from cascademine.learner import (GbdtModel, Tree, auc_trapezoid, cross_validate,
                                  logistic_smooth_grad, logistic_smooth_objective,
                                  roc_curve, sigmoid, split_gain_importance,
                                  stratified_folds, train_gbdt, train_logreg)
-from oracles import mann_whitney_auc
+from oracles import mann_whitney_auc, roc_by_walking
 
 
 def separable_1d(n=60):
@@ -249,6 +249,21 @@ class TestCrossValidation:
             y[:2] = [0, 1]
             points = roc_curve(scores, y)
             assert abs(auc_trapezoid(points) - mann_whitney_auc(scores, y)) < 1e-10
+
+    def test_roc_matches_walk_with_heavy_ties(self, rng):
+        for case in range(300):
+            n = int(rng.integers(2, 40))
+            levels = np.array([-1.5, -0.0, 0.0, 0.25, 0.25, 0.5, 3.0])
+            scores = rng.choice(levels[: int(rng.integers(1, len(levels) + 1))], size=n)
+            y = rng.integers(0, 2, size=n)
+            y[:2] = [0, 1]
+            got = roc_curve(scores, y)
+            assert repr(got) == repr(roc_by_walking(scores, y)), case
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_roc_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            roc_curve(np.array([0.2, bad, 0.7]), np.array([0, 1, 1]))
 
     def test_roc_monotone_and_endpoints(self, rng):
         scores = rng.random(50)
