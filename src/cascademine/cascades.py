@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from cascademine.errors import DataError
 from cascademine.ingest import Event, KIND_FROM_NAME, KIND_NAMES
 from cascademine.social import SocialGraph
 from cascademine.util import nearest_rank
@@ -207,19 +208,31 @@ def write_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> N
 
 
 def read_cascades(path) -> dict[str, list[Cascade]]:
+    """Load the store that :func:`write_cascades` wrote.
+
+    A line that is not a cascade record (a truncated or edited store) raises
+    DataError naming the line and 'build-cascades' as the stage to rerun.
+    """
     out: dict[str, list[Cascade]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            city, business_id, index = obj["cascade_id"]
-            nodes = tuple(
-                Event(n["user"], business_id, dt.date.fromisoformat(n["date"]),
-                      KIND_FROM_NAME[n["kind"]], n["stars"], n["text_len"], n["votes"])
-                for n in obj["nodes"]
-            )
-            edges = tuple((e[0], e[1]) for e in obj["edges"])
-            out.setdefault(city, []).append(Cascade((city, business_id, index), nodes, edges))
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                city, business_id, index = obj["cascade_id"]
+                nodes = tuple(
+                    Event(n["user"], business_id, dt.date.fromisoformat(n["date"]),
+                          KIND_FROM_NAME[n["kind"]], n["stars"], n["text_len"], n["votes"])
+                    for n in obj["nodes"]
+                )
+                edges = tuple((e[0], e[1]) for e in obj["edges"])
+                cascade = Cascade((city, business_id, index), nodes, edges)
+                out.setdefault(city, []).append(cascade)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"damaged cascade store {path}, line {lineno} ({exc!r}); "
+                        "rerun 'build-cascades'") from exc
     return {city: out[city] for city in sorted(out)}

@@ -367,24 +367,34 @@ def _build_parser() -> _Parser:
 
     stage_names = [name for name, _ in ALL_STAGES] + ["export-dot", "all"]
     for name in stage_names:
-        p = sub.add_parser(name, help=f"run the {name} stage",
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", help="key=value config file; flags override it")
         for flag, dest, ftype, helptext in _CONFIG_FLAGS:
-            p.add_argument(flag, dest=dest, type=ftype, default=None,
-                           help=f"{helptext} (default: {getattr(_DEFAULTS, dest)})")
+            # flags default to None so that the config file can fill them in;
+            # the help shows RunConfig's default instead
+            default = getattr(_DEFAULTS, dest)
+            if default is not None:
+                helptext = f"{helptext} (default: {default})"
+            p.add_argument(flag, dest=dest, type=ftype, default=None, help=helptext)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset in Yelp format",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("synth", help="generate a synthetic dataset in Yelp format")
     p.add_argument("--out-dir", required=True, help="output directory for the files")
-    p.add_argument("--users", type=int, default=50)
-    p.add_argument("--businesses", type=int, default=10)
-    p.add_argument("--events", type=int, default=200)
-    p.add_argument("--friend-prob", type=float, default=0.1)
-    p.add_argument("--influence-prob", type=float, default=0.3)
-    p.add_argument("--cities", type=int, default=2)
-    p.add_argument("--topology", choices=("random", "chain"), default="random")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--users", type=int, default=50,
+                   help="number of users (default: %(default)s)")
+    p.add_argument("--businesses", type=int, default=10,
+                   help="number of businesses (default: %(default)s)")
+    p.add_argument("--events", type=int, default=200,
+                   help="review and tip events (default: %(default)s)")
+    p.add_argument("--friend-prob", type=float, default=0.1,
+                   help="friendship probability per user pair (default: %(default)s)")
+    p.add_argument("--influence-prob", type=float, default=0.3,
+                   help="probability that an active user's friend joins "
+                        "(default: %(default)s)")
+    p.add_argument("--cities", type=int, default=2,
+                   help="number of cities (default: %(default)s)")
+    p.add_argument("--topology", choices=("random", "chain"), default="random",
+                   help="friendship graph shape (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     return parser
 
 

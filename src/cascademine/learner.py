@@ -7,7 +7,14 @@ Two learners, both written against plain numpy arrays:
   with per-feature standardization learned from the training data only;
 * gradient-boosted regression trees on the logistic loss: each stage fits an
   axis-aligned squared-error tree to the current residuals y - p and assigns
-  leaf values with a Newton step sum(r) / sum(p * (1 - p)).
+  leaf values with a Newton step sum(r) / sum(p * (1 - p)). The split search
+  is the exact greedy "column block" one of XGBoost (Chen & Guestrin, KDD
+  2016): every feature column is sorted once per training set, a node filters
+  its parent's per-feature orders with its own row mask (a stable filter, so
+  tied values stay in ascending row order), and all candidate splits of all
+  features are scored as one (features, rows - 1) array. Within a feature the
+  lowest threshold among equal gains wins; a later feature replaces an
+  earlier one only if it gains more than 1e-15 more.
 
 Evaluation is stratified k-fold cross-validation with the ROC pooled over
 out-of-fold scores and AUC by the trapezoid rule; it fits one model per fold
@@ -174,68 +181,84 @@ class Tree:
         return out
 
 
-def _best_split(Xn: np.ndarray, r: np.ndarray, min_leaf: int):
-    """Greedy squared-error split: maximize S_L^2/n_L + S_R^2/n_R - S^2/n.
+def _best_split(xs: np.ndarray, rs: np.ndarray, total: float, min_leaf: int):
+    """Greedy squared-error split of one node: maximize S_L^2/n_L + S_R^2/n_R - S^2/n.
 
-    Returns (gain, feature, threshold) or None. Ties resolve to the lowest
-    feature index and then the lowest threshold, so training is deterministic
-    for a fixed row order.
+    Row f of ``xs`` and ``rs`` holds feature f's values and the residuals of
+    the node's rows in ascending order of that feature, ties in ascending row
+    order; ``total`` is the residual sum in ascending row order. Returns
+    (gain, feature, threshold) or None. Ties resolve to the lowest threshold of
+    a feature, then to the lowest feature index unless a later one gains more
+    than 1e-15 more, so training is deterministic for a fixed row order.
     """
-    n = len(r)
+    d, n = xs.shape
     if n < 2 * min_leaf:
         return None
-    total = r.sum()
     parent = total * total / n
+    # split after each left size with both sides >= min_leaf, only where x changes
+    sizes = np.arange(min_leaf, n - min_leaf + 1)
+    s_left = np.cumsum(rs, axis=1)[:, min_leaf - 1:n - min_leaf]
+    # s_left**2 / sizes + (total - s_left)**2 / (n - sizes) - parent, in place
+    gain = s_left * s_left
+    gain /= sizes
+    right = total - s_left
+    right *= right
+    right /= n - sizes
+    gain += right
+    gain -= parent
+    gain[xs[:, min_leaf - 1:n - min_leaf] == xs[:, min_leaf:n - min_leaf + 1]] = -np.inf
+    pos = np.argmax(gain, axis=1)
+    best_gain = gain.max(axis=1)
     best = None
-    for f in range(Xn.shape[1]):
-        col = Xn[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        cum = np.cumsum(r[order])
-        # split after position i (1-based left size), only where x changes
-        sizes = np.arange(1, n)
-        valid = (xs[1:] != xs[:-1]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
-        if not valid.any():
-            continue
-        s_left = cum[:-1][valid]
-        n_left = sizes[valid]
-        gain = s_left * s_left / n_left + (total - s_left) ** 2 / (n - n_left) - parent
-        j = int(np.argmax(gain))
-        if gain[j] <= 1e-12:
-            continue
-        pos = np.nonzero(valid)[0][j]
-        threshold = 0.5 * (xs[pos] + xs[pos + 1])
-        candidate = (float(gain[j]), f, float(threshold))
-        if best is None or candidate[0] > best[0] + 1e-15:
-            best = candidate
-    return best
+    for f in np.flatnonzero(best_gain > 1e-12).tolist():
+        if best is None or best_gain[f] > best_gain[best] + 1e-15:
+            best = f
+    if best is None:
+        return None
+    i = pos[best] + min_leaf - 1
+    return float(best_gain[best]), best, float(0.5 * (xs[best, i] + xs[best, i + 1]))
 
 
-def _fit_tree(X: np.ndarray, r: np.ndarray, hess: np.ndarray, max_depth: int,
-              min_leaf: int) -> Tree:
+def _fit_tree(XT: np.ndarray, orders: np.ndarray, xs: np.ndarray, r: np.ndarray,
+              hess: np.ndarray, max_depth: int, min_leaf: int) -> tuple[Tree, np.ndarray]:
+    """Grow one tree on all rows, given each feature's presorted row ``orders``
+    and sorted values ``xs``.
+
+    A node filters its parent's orders and values with its own row mask, which
+    keeps them sorted with ties in ascending row order. Returns the tree and
+    every training row's leaf value.
+    """
     tree = Tree()
+    fitted = np.empty(len(r), dtype=np.float64)
+    d = len(orders)
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, orders: np.ndarray, xs: np.ndarray, depth: int) -> int:
         node = tree.add_node(depth)
+        r_node = r[rows]
+        total = r_node.sum()
         split = None
         if depth < max_depth:
-            split = _best_split(X[idx], r[idx], min_leaf)
+            keep = np.flatnonzero(rows[orders])
+            orders = orders.ravel()[keep].reshape(d, len(r_node))
+            xs = xs.ravel()[keep].reshape(d, len(r_node))
+            split = _best_split(xs, r[orders], total, min_leaf)
         if split is None:
-            num = r[idx].sum()
-            den = max(hess[idx].sum(), 1e-12)
-            tree.value[node] = float(np.clip(num / den, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
+            den = max(hess[rows].sum(), 1e-12)
+            value = float(np.clip(total / den, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
+            tree.value[node] = value
+            fitted[rows] = value
             return node
         gain, f, threshold = split
-        go_left = X[idx, f] <= threshold
+        go_left = XT[f] <= threshold
         tree.feature[node] = f
         tree.threshold[node] = threshold
         tree.gain[node] = gain
-        tree.left[node] = grow(idx[go_left], depth + 1)
-        tree.right[node] = grow(idx[~go_left], depth + 1)
+        tree.left[node] = grow(rows & go_left, orders, xs, depth + 1)
+        tree.right[node] = grow(rows & ~go_left, orders, xs, depth + 1)
         return node
 
-    grow(np.arange(len(r)), 0)
-    return tree
+    grow(np.ones(len(r), dtype=bool), orders, xs, 0)
+    return tree, fitted
 
 
 @dataclass
@@ -281,12 +304,15 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int 
     p0 = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     base = float(np.log(p0 / (1.0 - p0)))
     raw = np.full(len(y), base)
+    XT = np.ascontiguousarray(X.T)
+    orders = np.argsort(XT, axis=1, kind="stable")
+    xs = np.take_along_axis(XT, orders, axis=1)
     trees: list[Tree] = []
     for _ in range(n_trees):
         p = sigmoid(raw)
-        tree = _fit_tree(X, y - p, p * (1.0 - p), max_depth, min_leaf)
+        tree, fitted = _fit_tree(XT, orders, xs, y - p, p * (1.0 - p), max_depth, min_leaf)
         trees.append(tree)
-        raw += learning_rate * tree.predict(X)
+        raw += learning_rate * fitted
     return GbdtModel(trees, learning_rate, base)
 
 

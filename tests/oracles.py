@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's code paths: brute-force
 pair enumeration instead of adjacency walks, BFS components instead of
 union-find, exact inverse-CDF sampling against tabulated zeta mass, a
-from-first-principles feature recomputation, and the Mann-Whitney pair count
-for AUC.
+from-first-principles feature recomputation, the Mann-Whitney pair count
+for AUC, and a GBDT grower that argsorts every feature again at every node
+instead of filtering presorted orders.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from collections import Counter, deque
 
 import numpy as np
 from scipy.special import zeta
+
+from cascademine.learner import MAX_LEAF_VALUE, GbdtModel, Tree, sigmoid
 
 BASE_DAY = dt.date(2012, 1, 1)
 
@@ -297,3 +300,84 @@ def reference_features(cascade, k: int, users, businesses, graph) -> dict[str, f
     out["event_gap_days_max"] = float(max(gaps))
     out["prefix_span_days"] = float((nodes[-1].date - nodes[0].date).days)
     return out
+
+
+def _reference_best_split(Xn: np.ndarray, r: np.ndarray, min_leaf: int):
+    """Per-node split search: argsort each feature column of the node's rows.
+
+    Returns (gain, feature, threshold) or None, with the library's tie rule:
+    first maximum within a feature, and a later feature replaces the best
+    only if it gains more than 1e-15 more.
+    """
+    n = len(r)
+    if n < 2 * min_leaf:
+        return None
+    total = r.sum()
+    parent = total * total / n
+    best = None
+    for f in range(Xn.shape[1]):
+        col = Xn[:, f]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        cum = np.cumsum(r[order])
+        sizes = np.arange(1, n)
+        valid = (xs[1:] != xs[:-1]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
+        if not valid.any():
+            continue
+        s_left = cum[:-1][valid]
+        n_left = sizes[valid]
+        gain = s_left * s_left / n_left + (total - s_left) ** 2 / (n - n_left) - parent
+        j = int(np.argmax(gain))
+        if gain[j] <= 1e-12:
+            continue
+        pos = np.nonzero(valid)[0][j]
+        threshold = 0.5 * (xs[pos] + xs[pos + 1])
+        candidate = (float(gain[j]), f, float(threshold))
+        if best is None or candidate[0] > best[0] + 1e-15:
+            best = candidate
+    return best
+
+
+def _reference_fit_tree(X: np.ndarray, r: np.ndarray, hess: np.ndarray, max_depth: int,
+                        min_leaf: int) -> Tree:
+    tree = Tree()
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        node = tree.add_node(depth)
+        split = None
+        if depth < max_depth:
+            split = _reference_best_split(X[idx], r[idx], min_leaf)
+        if split is None:
+            num = r[idx].sum()
+            den = max(hess[idx].sum(), 1e-12)
+            tree.value[node] = float(np.clip(num / den, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
+            return node
+        gain, f, threshold = split
+        go_left = X[idx, f] <= threshold
+        tree.feature[node] = f
+        tree.threshold[node] = threshold
+        tree.gain[node] = gain
+        tree.left[node] = grow(idx[go_left], depth + 1)
+        tree.right[node] = grow(idx[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(len(r)), 0)
+    return tree
+
+
+def reference_train_gbdt(X, y, n_trees: int = 100, max_depth: int = 3,
+                         learning_rate: float = 0.1, min_leaf: int = 5) -> GbdtModel:
+    """`learner.train_gbdt` with the per-node split search and `Tree.predict`
+    updates; inputs are assumed valid."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    p0 = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
+    base = float(np.log(p0 / (1.0 - p0)))
+    raw = np.full(len(y), base)
+    trees = []
+    for _ in range(n_trees):
+        p = sigmoid(raw)
+        tree = _reference_fit_tree(X, y - p, p * (1.0 - p), max_depth, min_leaf)
+        trees.append(tree)
+        raw += learning_rate * tree.predict(X)
+    return GbdtModel(trees, learning_rate, base)

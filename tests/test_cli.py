@@ -140,6 +140,16 @@ class TestConfigFile:
         message = capsys.readouterr().out
         for fragment in ("default: 5", "default: 90.0", "default: cache"):
             assert fragment in message
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        message = " ".join(capsys.readouterr().out.split())
+        assert "--n-trees N_TREES boosting rounds (default: 100) --max-depth" in message
+        assert "(default: None)" not in message
+        assert ("--window-days WINDOW_DAYS max influence window in days "
+                "(default: unlimited) --census-max-rank") in message
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        assert "default: 50" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -177,6 +187,21 @@ class TestExitCodes:
             assert main(["train", "--cache-dir", str(tmp_path)]) == 3
             assert "rerun 'features'" in capsys.readouterr().err
 
+    def test_damaged_cascade_store_is_data_error(self, fixture_dataset, tmp_path, capsys):
+        assert main(["ingest", *pipeline_args(fixture_dataset, tmp_path)]) == 0
+        assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 0
+        store = tmp_path / "cascades.jsonl"
+        lines = store.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 2
+        truncated = b"".join(lines[:2]) + lines[2][:len(lines[2]) // 2]
+        malformed = [b"{}", b"[1, 2]", b'{"cascade_id": ["c", 1]}',
+                     b'{"cascade_id": ["c", 1, 0], "nodes": [{"user": 1}], "edges": []}']
+        for damaged in (truncated, *(b"".join(lines[:2]) + m + b"\n" for m in malformed)):
+            store.write_bytes(damaged)
+            capsys.readouterr()
+            assert main(["census", "--cache-dir", str(tmp_path)]) == 3
+            err = capsys.readouterr().err
+            assert "rerun 'build-cascades'" in err and "line 3" in err
 
     def test_caches_of_earlier_versions_are_data_errors(self, tmp_path, capsys):
         for name, fmt, version, stage, rerun in (

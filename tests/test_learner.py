@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from cascademine.learner import (GbdtModel, Tree, auc_trapezoid, cross_validate,
                                  logistic_smooth_grad, logistic_smooth_objective,
                                  roc_curve, sigmoid, split_gain_importance,
                                  stratified_folds, train_gbdt, train_logreg)
-from oracles import mann_whitney_auc, roc_by_walking
+from oracles import mann_whitney_auc, reference_train_gbdt, roc_by_walking
 
 
 def separable_1d(n=60):
@@ -145,6 +147,59 @@ class TestGbdt:
                 go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
                 stack.append((tree.left[node], idx[go_left]))
                 stack.append((tree.right[node], idx[~go_left]))
+
+
+def tie_heavy_columns(rng, n: int, d: int) -> np.ndarray:
+    """Columns of mixed kinds: continuous, few integer levels, constant, and
+    0.0/-0.0/1.0 (signed zeros compare equal)."""
+    cols = []
+    for _ in range(d):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            cols.append(rng.normal(size=n))
+        elif kind == 1:
+            cols.append(rng.integers(0, int(rng.integers(2, 5)), size=n).astype(float))
+        elif kind == 2:
+            cols.append(np.full(n, float(rng.normal())))
+        else:
+            cols.append(rng.choice([0.0, -0.0, 1.0], size=n))
+    return np.column_stack(cols)
+
+
+class TestGbdtMatchesReference:
+    """The presorted split search grows the same trees, bit for bit, as the
+    per-node argsort search in tests/oracles.py."""
+
+    @staticmethod
+    def assert_same_model(X, y, **params):
+        got = train_gbdt(X, y, **params)
+        want = reference_train_gbdt(X, y, **params)
+        assert pickle.dumps(got) == pickle.dumps(want), params
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tie_heavy_data(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 90))
+        X = tie_heavy_columns(rng, n, int(rng.integers(1, 7)))
+        y = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.int64)
+        y[:2] = [0, 1]
+        self.assert_same_model(X, y, n_trees=int(rng.integers(1, 8)),
+                               max_depth=int(rng.integers(1, 6)),
+                               min_leaf=int(rng.integers(1, 9)),
+                               learning_rate=float(rng.uniform(0.05, 1.0)))
+
+    def test_too_few_rows_to_split(self, rng):
+        X = tie_heavy_columns(rng, 9, 3)
+        y = np.array([0, 1] * 4 + [1])
+        self.assert_same_model(X, y, n_trees=3, max_depth=3, min_leaf=5)
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5, 8])
+    def test_depth_and_leaf_grid(self, rng, max_depth, min_leaf):
+        X = tie_heavy_columns(rng, 120, 5)
+        y = (X[:, 0] + rng.normal(0, 1.0, 120) > 0).astype(np.int64)
+        y[:2] = [0, 1]
+        self.assert_same_model(X, y, n_trees=6, max_depth=max_depth, min_leaf=min_leaf)
 
 
 class TestImportance:
