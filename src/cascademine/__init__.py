@@ -7,8 +7,7 @@ distribution, and predict long vs short cascades from the first k events.
 
 from cascademine.cascades import Cascade, build_cascades, cascade_summary
 from cascademine.census import TopologySignature, bucket_purity, is_isomorphic, signature
-from cascademine.features import (FEATURE_NAMES, FeatureExtractor, balance,
-                                  extract_features, label_cascades)
+from cascademine.features import FEATURE_NAMES, FeatureExtractor, balance, label_cascades
 from cascademine.ingest import (BusinessRecord, DatasetPaths, Event, EventKind,
                                 IngestResult, UserRecord, ingest_dataset,
                                 yearly_activity_counts)

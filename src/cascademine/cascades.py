@@ -7,19 +7,24 @@ day get the reciprocal pair u->v and v->u. Cascades are the weakly connected
 components with at least two nodes; users whose activity links to no friend
 are discarded.
 
-The on-disk store is JSON lines, one cascade per line:
+A cascade's nodes are :data:`NODE_DTYPE` rows, each user's first
+:class:`~cascademine.ingest.Event` at the business (``day`` is the date's
+ordinal, ``stars`` 0 means none), ordered by (date, user id); its edges are a
+sorted ``(m, 2)`` int32 array of (src_user, dst_user). ``build-cascades``
+writes the store ``cascades.npz`` (:func:`save_cascades`): all nodes and all
+edges as one array each, with per-cascade offsets, business and component
+index, and per-city offsets and names. :func:`read_cascades` loads it once and
+slices views out of it, so no stage builds an object per node. The export
+``cascades.jsonl`` (:func:`write_cascades`), read by no stage, has one cascade
+per line:
 
   {"cascade_id": [city, business_id, index], "city": ..., "business_id": ...,
    "nodes": [{"user": u, "date": "YYYY-MM-DD", "kind": "review"|"tip",
               "stars": 4|null, "text_len": n, "votes": n}, ...],
    "edges": [[src, dst], ...]}
 
-Nodes are ordered by (date, user id), edges lexicographically, cascades by
-cascade_id, so the file is byte-stable for fixed inputs. Each node is the
-user's first :class:`~cascademine.ingest.Event` at the business; its
-``stars``/``text_len``/``votes`` carry that event's payload, so prefix
-features need no event table, only the user, business and graph tables of the
-ingest cache.
+Both list cascades in cascade_id order and leave out cities without any, and
+both are byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
@@ -27,24 +32,28 @@ from __future__ import annotations
 import datetime as dt
 import json
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, groupby
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from cascademine.errors import DataError
-from cascademine.ingest import Event, KIND_FROM_NAME, KIND_NAMES
+from cascademine.ingest import Event, KIND_NAMES
 from cascademine.social import SocialGraph
-from cascademine.util import nearest_rank
+from cascademine.util import load_arrays, nearest_rank, save_arrays
 
 CascadeId = tuple[str, int, int]
+NODE_DTYPE = np.dtype([("user", np.int32), ("day", np.int32), ("kind", np.int8),
+                       ("stars", np.int8), ("text_len", np.int32), ("votes", np.int32)])
+STORE_FORMAT = "cascademine.cascades"
+STORE_VERSION = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Cascade:
     cascade_id: CascadeId  # (city, business_id, component index)
-    nodes: tuple[Event, ...]  # each user's first event, sorted by (date, user)
-    edges: tuple[tuple[int, int], ...]  # directed (src_user, dst_user), lexicographic
+    nodes: np.ndarray  # NODE_DTYPE rows: each user's first event, sorted by (day, user)
+    edges: np.ndarray  # (m, 2) int32 directed (src_user, dst_user), lexicographic
 
     @property
     def city(self) -> str:
@@ -58,6 +67,11 @@ class Cascade:
     def size(self) -> int:
         return len(self.nodes)
 
+    def local_edges(self) -> list[tuple[int, int]]:
+        """The edges as (src, dst) positions in ``nodes``."""
+        index = {user: i for i, user in enumerate(self.nodes["user"].tolist())}
+        return [(index[u], index[v]) for u, v in self.edges.tolist()]
+
 
 @dataclass(frozen=True, slots=True)
 class SummaryRow:
@@ -66,15 +80,6 @@ class SummaryRow:
     p50_size: int
     p90_size: int
     max_size: int
-
-
-def _first_events(events: Iterable[Event]) -> dict[int, Event]:
-    """Collapse a business's time-sorted events to each user's first one."""
-    first: dict[int, Event] = {}
-    for event in events:
-        if event.user_id not in first:
-            first[event.user_id] = event
-    return first
 
 
 class _UnionFind:
@@ -98,9 +103,26 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _business_cascades(city: str, business_id: int, events: Sequence[Event],
-                       graph: SocialGraph, window_days: int | None) -> list[Cascade]:
-    first = _first_events(events)
+def node_array(events: Sequence[Event]) -> np.ndarray:
+    """Pack events into :data:`NODE_DTYPE` rows, in the order given."""
+    return np.array([(e.user_id, e.date.toordinal(), e.kind,
+                      0 if e.stars is None else e.stars, e.text_len, e.votes)
+                     for e in events], dtype=NODE_DTYPE)
+
+
+def _views(ids: Sequence[CascadeId], nodes: np.ndarray, edges: np.ndarray,
+           node_at: Sequence[int], edge_at: Sequence[int]) -> list[Cascade]:
+    """Cascade ``j`` is ``ids[j]`` over rows ``[at[j], at[j + 1])`` of each array."""
+    return [Cascade(cid, nodes[node_at[j]:node_at[j + 1]], edges[edge_at[j]:edge_at[j + 1]])
+            for j, cid in enumerate(ids)]
+
+
+def _business_cascades(events: Sequence[Event], graph: SocialGraph, window_days: int | None
+                       ) -> list[tuple[list[Event], list[tuple[int, int]]]]:
+    """(nodes, edges) of each component, in component index order."""
+    first: dict[int, Event] = {}  # each user's first event, events being time-sorted
+    for event in events:
+        first.setdefault(event.user_id, event)
     if len(first) < 2:
         return []
 
@@ -129,29 +151,17 @@ def _business_cascades(city: str, business_id: int, events: Sequence[Event],
     # Component index follows the position of each component's earliest node
     # in the canonical (date, user) order, so ids are stable across runs.
     order = sorted(first.values(), key=lambda e: (e.date, e.user_id))
-    members: dict[int, list[Event]] = {}
-    roots_in_order: list[int] = []
+    members: dict[int, list[Event]] = {}  # root -> events; roots in first-seen order
     for ev in order:
-        root = uf.find(ev.user_id)
-        if root not in members:
-            members[root] = []
-            roots_in_order.append(root)
-        members[root].append(ev)
+        members.setdefault(uf.find(ev.user_id), []).append(ev)
 
     edges_by_root: dict[int, list[tuple[int, int]]] = {}
     for u, v in edges:
         edges_by_root.setdefault(uf.find(u), []).append((u, v))
 
-    cascades = []
-    index = 0
-    for root in roots_in_order:
-        evs = members[root]
-        if len(evs) < 2:
-            continue  # isolated reviewer, no qualifying edge
-        cascade_edges = tuple(sorted(edges_by_root.get(root, ())))
-        cascades.append(Cascade((city, business_id, index), tuple(evs), cascade_edges))
-        index += 1
-    return cascades
+    # an isolated reviewer (one node) has no qualifying edge
+    return [(evs, sorted(edges_by_root.get(root, ())))
+            for root, evs in members.items() if len(evs) >= 2]
 
 
 def build_cascades(events_by_city: Mapping[str, Sequence[Event]], graph: SocialGraph,
@@ -162,10 +172,16 @@ def build_cascades(events_by_city: Mapping[str, Sequence[Event]], graph: SocialG
         raise ValueError("window_days must be positive when given")
     out: dict[str, list[Cascade]] = {}
     for city in sorted(events_by_city):
-        cascades: list[Cascade] = []
+        ids, found = [], []
         for business_id, group in groupby(events_by_city[city], key=lambda e: e.business_id):
-            cascades.extend(_business_cascades(city, business_id, list(group), graph, window_days))
-        out[city] = cascades
+            components = _business_cascades(list(group), graph, window_days)
+            ids.extend((city, business_id, index) for index in range(len(components)))
+            found.extend(components)
+        nodes = node_array([e for evs, _ in found for e in evs])
+        edges = np.array([e for _, es in found for e in es], dtype=np.int32).reshape(-1, 2)
+        node_at = list(accumulate((len(evs) for evs, _ in found), initial=0))
+        edge_at = list(accumulate((len(es) for _, es in found), initial=0))
+        out[city] = _views(ids, nodes, edges, node_at, edge_at)
     return out
 
 
@@ -174,13 +190,9 @@ def cascade_summary(cascades_by_city: Mapping[str, Sequence[Cascade]]) -> list[S
     rows = []
     for city in sorted(cascades_by_city):
         sizes = sorted(c.size for c in cascades_by_city[city])
-        if not sizes:
-            rows.append(SummaryRow(city, 0, 0, 0, 0))
-            continue
-        rows.append(SummaryRow(
-            city, len(sizes),
-            nearest_rank(sizes, 50), nearest_rank(sizes, 90), sizes[-1],
-        ))
+        rows.append(SummaryRow(city, len(sizes), nearest_rank(sizes, 50),
+                               nearest_rank(sizes, 90), sizes[-1])
+                    if sizes else SummaryRow(city, 0, 0, 0, 0))
     return rows
 
 
@@ -190,49 +202,74 @@ def _cascade_to_json(cascade: Cascade) -> str:
         "city": cascade.city,
         "business_id": cascade.business_id,
         "nodes": [
-            {"user": n.user_id, "date": n.date.isoformat(), "kind": KIND_NAMES[n.kind],
-             "stars": n.stars, "text_len": n.text_len, "votes": n.votes}
-            for n in cascade.nodes
+            {"user": user, "date": dt.date.fromordinal(day).isoformat(),
+             "kind": KIND_NAMES[kind], "stars": stars or None, "text_len": text_len,
+             "votes": votes}
+            for user, day, kind, stars, text_len, votes in cascade.nodes.tolist()
         ],
-        "edges": [list(e) for e in cascade.edges],
+        "edges": cascade.edges.tolist(),
     }
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _store_order(cascades_by_city: Mapping[str, Sequence[Cascade]]
+                 ) -> list[tuple[str, list[Cascade]]]:
+    """Cities with cascades, sorted, each with its cascades in cascade_id order."""
+    return [(city, sorted(cascades_by_city[city], key=lambda c: c.cascade_id))
+            for city in sorted(cascades_by_city) if cascades_by_city[city]]
+
+
 def write_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> None:
+    """The JSON lines export, one cascade per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for city in sorted(cascades_by_city):
-            for cascade in sorted(cascades_by_city[city], key=lambda c: c.cascade_id):
+        for _, cascades in _store_order(cascades_by_city):
+            for cascade in cascades:
                 fh.write(_cascade_to_json(cascade))
                 fh.write("\n")
 
 
-def read_cascades(path) -> dict[str, list[Cascade]]:
-    """Load the store that :func:`write_cascades` wrote.
+def save_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> None:
+    """Write the columnar store that :func:`read_cascades` loads."""
+    by_city = _store_order(cascades_by_city)
+    flat = [c for _, cascades in by_city for c in cascades]
+    save_arrays(
+        path, STORE_FORMAT, STORE_VERSION,
+        nodes=np.frombuffer(b"".join([c.nodes.tobytes() for c in flat]), NODE_DTYPE),
+        edges=np.concatenate([np.empty((0, 2), np.int32), *(c.edges for c in flat)]),
+        node_offsets=np.cumsum([0] + [len(c.nodes) for c in flat], dtype=np.int64),
+        edge_offsets=np.cumsum([0] + [len(c.edges) for c in flat], dtype=np.int64),
+        business=np.array([c.business_id for c in flat], dtype=np.int32),
+        component=np.array([c.cascade_id[2] for c in flat], dtype=np.int32),
+        city_offsets=np.cumsum([0] + [len(cs) for _, cs in by_city], dtype=np.int64),
+        cities=np.array([city for city, _ in by_city], dtype=np.str_),
+    )
 
-    A line that is not a cascade record (a truncated or edited store) raises
-    DataError naming the line and 'build-cascades' as the stage to rerun.
+
+def read_cascades(path) -> dict[str, list[Cascade]]:
+    """Load the store that :func:`save_cascades` wrote; nodes and edges are
+    views into its two arrays.
+
+    A damaged store, one of another format or version, or one with a missing
+    or malformed array raises DataError naming 'build-cascades' as the stage
+    to rerun.
     """
-    out: dict[str, list[Cascade]] = {}
-    lineno = 0
+    arrays = load_arrays(path, STORE_FORMAT, STORE_VERSION, "build-cascades")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                city, business_id, index = obj["cascade_id"]
-                nodes = tuple(
-                    Event(n["user"], business_id, dt.date.fromisoformat(n["date"]),
-                          KIND_FROM_NAME[n["kind"]], n["stars"], n["text_len"], n["votes"])
-                    for n in obj["nodes"]
-                )
-                edges = tuple((e[0], e[1]) for e in obj["edges"])
-                cascade = Cascade((city, business_id, index), nodes, edges)
-                out.setdefault(city, []).append(cascade)
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
-        # ValueError covers json.JSONDecodeError and UnicodeDecodeError
-        raise DataError(f"damaged cascade store {path}, line {lineno} ({exc!r}); "
+        nodes, edges, cities = arrays["nodes"], arrays["edges"], arrays["cities"]
+        node_at, edge_at, city_at = (arrays[f"{name}_offsets"].tolist()
+                                     for name in ("node", "edge", "city"))
+        # one name string per cascade, as a per-line parse gives: pickles of
+        # cascade ids then keep their bytes
+        names = np.repeat(cities, np.diff(city_at)).tolist()
+        ids = list(zip(names, arrays["business"].tolist(), arrays["component"].tolist(),
+                       strict=True))
+        if (nodes.dtype != NODE_DTYPE or edges.dtype != np.int32 or edges.shape[1:] != (2,)
+                or [len(node_at), len(edge_at), node_at[-1], edge_at[-1]]
+                != [len(ids) + 1, len(ids) + 1, len(nodes), len(edges)]):
+            raise ValueError("the arrays do not fit together")
+        cascades = _views(ids, nodes, edges, node_at, edge_at)
+        return {city: cascades[city_at[j]:city_at[j + 1]]
+                for j, city in enumerate(cities.tolist())}
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
+        raise DataError(f"damaged cascade store {path} ({exc!r}); "
                         "rerun 'build-cascades'") from exc
-    return {city: out[city] for city in sorted(out)}

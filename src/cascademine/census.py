@@ -64,14 +64,17 @@ def digraph_signature(n: int, edges: Sequence[tuple[int, int]]) -> TopologySigna
     return TopologySignature(n, len(edges), tuple(sorted(indeg)), tuple(sorted(outdeg)))
 
 
-def _local_edges(cascade: Cascade) -> tuple[int, list[tuple[int, int]]]:
-    index = {node.user_id: i for i, node in enumerate(cascade.nodes)}
-    return len(cascade.nodes), [(index[u], index[v]) for u, v in cascade.edges]
-
-
 def signature(cascade: Cascade) -> TopologySignature:
-    n, edges = _local_edges(cascade)
-    return digraph_signature(n, edges)
+    return digraph_signature(cascade.size, cascade.local_edges())
+
+
+def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> tuple[list[set], list[set]]:
+    """Successor and predecessor sets of nodes 0..n-1."""
+    succ, pred = [set() for _ in range(n)], [set() for _ in range(n)]
+    for u, v in edges:
+        succ[u].add(v)
+        pred[v].add(u)
+    return succ, pred
 
 
 def digraph_isomorphic(n_a: int, edges_a: Sequence[tuple[int, int]],
@@ -84,16 +87,7 @@ def digraph_isomorphic(n_a: int, edges_a: Sequence[tuple[int, int]],
     """
     if n_a != n_b or len(set(edges_a)) != len(set(edges_b)):
         return False
-    succ_a = [set() for _ in range(n_a)]
-    pred_a = [set() for _ in range(n_a)]
-    for u, v in edges_a:
-        succ_a[u].add(v)
-        pred_a[v].add(u)
-    succ_b = [set() for _ in range(n_b)]
-    pred_b = [set() for _ in range(n_b)]
-    for u, v in edges_b:
-        succ_b[u].add(v)
-        pred_b[v].add(u)
+    (succ_a, pred_a), (succ_b, pred_b) = _adjacency(n_a, edges_a), _adjacency(n_b, edges_b)
 
     profile_a = [(len(pred_a[i]), len(succ_a[i])) for i in range(n_a)]
     profile_b = [(len(pred_b[i]), len(succ_b[i])) for i in range(n_b)]
@@ -146,7 +140,7 @@ def is_isomorphic(a: Cascade, b: Cascade, node_cap: int = DEFAULT_NODE_CAP) -> b
     """Exact isomorphism for cascades up to node_cap nodes; None when larger."""
     if a.size > node_cap or b.size > node_cap:
         return None
-    return digraph_isomorphic(*_local_edges(a), *_local_edges(b))
+    return digraph_isomorphic(a.size, a.local_edges(), b.size, b.local_edges())
 
 
 def _buckets(cascades: Sequence[Cascade]) -> list[tuple[TopologySignature, list[Cascade]]]:

@@ -29,7 +29,7 @@ from cascademine.util import save_cache, substream_seed, write_csv, write_json
 SCHEMA_VERSION = 1
 
 INGEST_CACHE = "ingest.pkl"
-CASCADES_CACHE = "cascades.jsonl"
+CASCADES_CACHE = "cascades.npz"
 
 MODELS_CACHE_FORMAT = "cascademine.models"
 
@@ -80,7 +80,8 @@ def stage_ingest(cfg: RunConfig) -> None:
 def stage_build_cascades(cfg: RunConfig) -> None:
     result = load_ingest(_require(cfg, INGEST_CACHE, "ingest"))
     by_city = casc.build_cascades(result.events_by_city, result.graph, cfg.window_days)
-    casc.write_cascades(by_city, cfg.cache_path(CASCADES_CACHE))
+    casc.save_cascades(by_city, cfg.cache_path(CASCADES_CACHE))
+    casc.write_cascades(by_city, cfg.cache_path("cascades.jsonl"))
     total = sum(len(v) for v in by_city.values())
     print(f"[build-cascades] {total} cascades in {len(by_city)} cities "
           f"(window_days={cfg.window_days})")

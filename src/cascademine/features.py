@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from datetime import date
 from math import log1p
 from typing import Mapping, Sequence
 
@@ -194,111 +195,71 @@ class FeatureExtractor:
                 f"cascade {cascade.cascade_id} has {cascade.size} nodes, needs >= {self.k}"
             )
         city = cascade.city
-        prefix = sorted(cascade.nodes, key=lambda n: (n.date, n.user_id))[: self.k]
-        root = prefix[0]
-        rest = prefix[1:]
+        # nodes are stored in (day, user) order, so the prefix is the first k
+        # rows; Python ints from here on keep the arithmetic of the Event fields
+        users, days, kinds, stars, text_lens, votes = zip(*cascade.nodes[: self.k].tolist())
+        stars = [s or None for s in stars]  # 0 marks a node without stars
+        root, rest = users[0], users[1:]
 
         v = np.empty(N_FEATURES, dtype=np.float64)
 
         # business block
         biz = self.businesses.get(cascade.business_id)
         if biz is None:
-            for name in ("biz_stars", "biz_review_count_log1p", "biz_category_count",
-                         "biz_is_open"):
-                self.imputed[name] += 1
-            v[0] = self._city_mean_stars(city)
-            v[1] = 0.0
-            v[2] = 0.0
-            v[3] = 0.0
+            self.imputed.update(FEATURE_NAMES[0:4])
+            v[0:4] = (self._city_mean_stars(city), 0.0, 0.0, 0.0)
         else:
-            v[0] = biz.stars
-            v[1] = log1p(biz.review_count)
-            v[2] = float(biz.category_count)
-            v[3] = 1.0 if biz.is_open else 0.0
+            v[0:4] = (biz.stars, log1p(biz.review_count), float(biz.category_count),
+                      float(biz.is_open))
 
         # root node block
-        root_user = self.users.get(root.user_id)
-        v[4] = log1p(self.graph.degree(root.user_id))
+        root_user = self.users.get(root)
+        v[4] = log1p(self.graph.degree(root))
         if root_user is None:
-            for name in ("root_review_count_log1p", "root_avg_stars",
-                         "root_account_age_days", "root_fans_log1p", "root_elite_years"):
-                self.imputed[name] += 1
-            v[5] = 0.0
-            v[6] = self._city_mean_stars(city)
-            v[7] = 0.0
-            v[8] = 0.0
-            v[9] = 0.0
+            self.imputed.update(FEATURE_NAMES[5:10])
+            v[5:10] = (0.0, self._city_mean_stars(city), 0.0, 0.0, 0.0)
         else:
-            v[5] = log1p(root_user.review_count)
-            v[6] = self._stars_or_city_mean(root_user.average_stars, city, "root_avg_stars")
-            if root_user.yelping_since is None:
+            since = root_user.yelping_since
+            if since is None:
                 self.imputed["root_account_age_days"] += 1
-                v[7] = 0.0
-            else:
-                v[7] = float(max((root.date - root_user.yelping_since).days, 0))
-            v[8] = log1p(root_user.fans)
-            v[9] = float(root_user.elite_years)
+            v[5:10] = (log1p(root_user.review_count),
+                       self._stars_or_city_mean(root_user.average_stars, city, "root_avg_stars"),
+                       0.0 if since is None else float(max(days[0] - since.toordinal(), 0)),
+                       log1p(root_user.fans), float(root_user.elite_years))
 
         # non-root node block (k >= 2 guarantees rest is nonempty)
-        degrees = [log1p(self.graph.degree(n.user_id)) for n in rest]
-        review_counts = []
-        avg_stars = []
-        fans = []
-        elite = []
-        friend_hits = 0
-        for n in rest:
-            rec = self.users.get(n.user_id)
+        rows = []
+        for u in rest:
+            rec = self.users.get(u)
             if rec is None:
-                for name in ("nonroot_review_count_log1p_mean", "nonroot_avg_stars_mean",
-                             "nonroot_fans_log1p_mean", "nonroot_elite_years_mean"):
-                    self.imputed[name] += 1
-                review_counts.append(0.0)
-                avg_stars.append(self._city_mean_stars(city))
-                fans.append(0.0)
-                elite.append(0.0)
+                self.imputed.update(("nonroot_review_count_log1p_mean", "nonroot_avg_stars_mean",
+                                     "nonroot_fans_log1p_mean", "nonroot_elite_years_mean"))
+                rows.append((0.0, self._city_mean_stars(city), 0.0, 0.0))
             else:
-                review_counts.append(log1p(rec.review_count))
-                avg_stars.append(self._stars_or_city_mean(
-                    rec.average_stars, city, "nonroot_avg_stars_mean"))
-                fans.append(log1p(rec.fans))
-                elite.append(float(rec.elite_years))
-            if self.graph.are_friends(root.user_id, n.user_id):
-                friend_hits += 1
-        v[10] = float(np.mean(degrees))
-        v[11] = float(np.max(degrees))
-        v[12] = float(np.mean(review_counts))
-        v[13] = float(np.max(review_counts))
-        v[14] = float(np.mean(avg_stars))
-        v[15] = float(np.mean(fans))
-        v[16] = float(np.mean(elite))
-        v[17] = friend_hits / len(rest)
+                rows.append((log1p(rec.review_count), self._stars_or_city_mean(
+                    rec.average_stars, city, "nonroot_avg_stars_mean"),
+                    log1p(rec.fans), float(rec.elite_years)))
+        review_counts, avg_stars, fans, elite = zip(*rows)
+        degrees = [log1p(self.graph.degree(u)) for u in rest]
+        v[10:18] = (np.mean(degrees), np.max(degrees), np.mean(review_counts),
+                    np.max(review_counts), np.mean(avg_stars), np.mean(fans), np.mean(elite),
+                    sum(self.graph.are_friends(root, u) for u in rest) / len(rest))
 
         # root event block
-        v[18] = self._stars_or_city_mean(root.stars, city, "root_stars")
-        v[19] = log1p(root.text_len)
-        v[20] = float(root.votes)
-        v[21] = 1.0 if root.kind is EventKind.TIP else 0.0
-        v[22] = float(root.date.weekday())
+        v[18:23] = (self._stars_or_city_mean(stars[0], city, "root_stars"), log1p(text_lens[0]),
+                    float(votes[0]), float(kinds[0] == EventKind.TIP),
+                    float(date.fromordinal(days[0]).weekday()))
 
         # non-root event block
-        stars = [self._stars_or_city_mean(n.stars, city, "nonroot_stars_mean") for n in rest]
-        v[23] = float(np.mean(stars))
-        v[24] = float(np.mean([log1p(n.text_len) for n in rest]))
-        v[25] = float(np.mean([float(n.votes) for n in rest]))
-        v[26] = sum(1 for n in rest if n.kind is EventKind.TIP) / len(rest)
-        gaps = [float((b.date - a.date).days) for a, b in zip(prefix, prefix[1:])]
-        v[27] = float(np.mean(gaps))
-        v[28] = float(np.max(gaps))
-        v[29] = float((prefix[-1].date - root.date).days)
+        gaps = [float(b - a) for a, b in zip(days, days[1:])]
+        v[23:30] = (np.mean([self._stars_or_city_mean(s, city, "nonroot_stars_mean")
+                             for s in stars[1:]]),
+                    np.mean([log1p(n) for n in text_lens[1:]]),
+                    np.mean([float(n) for n in votes[1:]]),
+                    sum(kind == EventKind.TIP for kind in kinds[1:]) / len(rest),
+                    np.mean(gaps), np.max(gaps), float(days[-1] - days[0]))
 
         return v
-
-
-def extract_features(cascade: Cascade, k: int, users: Mapping[int, UserRecord],
-                     businesses: Mapping[int, BusinessRecord],
-                     graph: SocialGraph) -> np.ndarray:
-    """One-shot wrapper around FeatureExtractor for a single cascade."""
-    return FeatureExtractor(users, businesses, graph, k).extract(cascade)
 
 
 def build_examples(balanced_by_city: Mapping[str, Sequence[LabeledCascade]],

@@ -48,7 +48,6 @@ class EventKind(IntEnum):
 
 
 KIND_NAMES = {EventKind.REVIEW: "review", EventKind.TIP: "tip"}
-KIND_FROM_NAME = {v: k for k, v in KIND_NAMES.items()}
 
 
 @dataclass(frozen=True, slots=True)

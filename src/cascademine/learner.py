@@ -274,15 +274,6 @@ class GbdtModel:
             raw += self.learning_rate * tree.predict(X)
         return raw
 
-    def staged_raw_scores(self, X: np.ndarray):
-        """Yield raw scores after 0, 1, ..., n_trees stages."""
-        X = np.asarray(X, dtype=np.float64)
-        raw = np.full(len(X), self.base_score)
-        yield raw.copy()
-        for tree in self.trees:
-            raw += self.learning_rate * tree.predict(X)
-            yield raw.copy()
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
 
@@ -300,6 +291,10 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int 
         raise ValueError("learning_rate must be in (0, 1]")
     if n_trees < 0 or max_depth < 1 or min_leaf < 1:
         raise ValueError("bad tree hyperparameters")
+    # a -inf/+inf neighbour pair would put a split threshold at NaN
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+    if bad.size:
+        raise ValueError(f"feature column {bad[0]} has non-finite values")
 
     p0 = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     base = float(np.log(p0 / (1.0 - p0)))

@@ -8,8 +8,6 @@ immutable once built and is stored once, in the ingest cache.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 
@@ -48,12 +46,6 @@ class SocialGraph:
         nbrs = self.neighbors(u)
         i = int(np.searchsorted(nbrs, v))
         return i < len(nbrs) and nbrs[i] == v
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All undirected edges as (u, v) with u < v, ascending."""
-        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
-        upper = self.indices > rows
-        yield from zip(rows[upper].tolist(), self.indices[upper].tolist())
 
 
 def build_graph(src, dst, n_nodes: int) -> SocialGraph:

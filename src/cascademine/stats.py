@@ -136,18 +136,6 @@ def fit_power_law(sizes: Sequence[int], min_tail: int = 10,
     return PowerLawFit(alpha=alpha, xmin=xmin, ks_statistic=d, n_tail=n_tail)
 
 
-def alpha_mle_approx(sizes: Sequence[int], xmin: int) -> float:
-    """Closed-form continuous approximation 1 + n / sum(log(x / (xmin - 0.5))).
-
-    Kept as a cheap cross-check of the exact discrete MLE.
-    """
-    arr = np.asarray(sizes, dtype=np.float64)
-    tail = arr[arr >= xmin]
-    if tail.size == 0:
-        raise ValueError("empty tail")
-    return float(1.0 + tail.size / np.sum(np.log(tail / (xmin - 0.5))))
-
-
 def ccdf_tail_slope(sizes: Sequence[int], min_tail_count: int = 10) -> float:
     """Least-squares slope of log CCDF vs log size over well-populated sizes.
 
@@ -182,11 +170,6 @@ def longest_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
 
 def export_dot(cascade: Cascade) -> str:
     """Graphviz DOT text with nodes anonymized to their temporal order index."""
-    index = {node.user_id: i for i, node in enumerate(cascade.nodes)}
-    lines = ["digraph cascade {"]
-    for i in range(len(cascade.nodes)):
-        lines.append(f"  n{i};")
-    for u, v in sorted((index[u], index[v]) for u, v in cascade.edges):
-        lines.append(f"  n{u} -> n{v};")
-    lines.append("}")
+    lines = ["digraph cascade {", *(f"  n{i};" for i in range(cascade.size)),
+             *(f"  n{u} -> n{v};" for u, v in sorted(cascade.local_edges())), "}"]
     return "\n".join(lines) + "\n"

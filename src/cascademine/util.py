@@ -3,9 +3,11 @@ the output formats every stage writes through.
 
 Every CSV export goes through :func:`write_csv` (UTF-8, standard minimal
 quoting, so a city named "Saint Louis, MO" or "Montréal" round-trips), every
-JSON report through :func:`write_json`, and every binary stage cache through
-:func:`save_cache`, which :func:`load_cache` reads back. Two formats of their
-own stay with their modules: the cascade JSONL store and DOT exports.
+JSON report through :func:`write_json`, every pickled stage cache through
+:func:`save_cache`, which :func:`load_cache` reads back, and every columnar
+stage cache (an ``.npz`` of plain arrays) through :func:`save_arrays`, which
+:func:`load_arrays` reads back. Two formats of their own stay with their
+modules: the cascade JSONL export and DOT exports.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import hashlib
 import json
 import math
 import pickle
+import zipfile
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from cascademine.errors import DataError
 
@@ -90,3 +95,36 @@ def load_cache(path, fmt: str, version: int, stage: str) -> dict:
         raise DataError(f"unsupported {stage} cache version {payload.get('version')!r} "
                         f"in {path}; {rerun}")
     return payload
+
+
+def save_arrays(path, fmt: str, version: int, **arrays) -> None:
+    """``np.savez`` of ``arrays`` plus the ``format``/``version`` entries of
+    :func:`load_arrays`, with every zip entry stamped 1980-01-01 so that equal
+    arrays give equal bytes whenever they are written."""
+    entries = {"format": np.array(fmt), "version": np.array(version, dtype=np.int64), **arrays}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in entries.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(arr), allow_pickle=False)
+
+
+def load_arrays(path, fmt: str, version: int, stage: str) -> dict[str, np.ndarray]:
+    """Every array of a :func:`save_arrays` cache, read without unpickling.
+
+    A damaged file, an object array, another format or another version
+    raises DataError naming ``stage`` as the one to rerun.
+    """
+    rerun = f"rerun '{stage}'"
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    # np.load yields an ndarray, not a context manager, for a bare .npy file
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, AttributeError,
+            TypeError) as exc:
+        raise DataError(f"unreadable {stage} cache {path} ({exc!r}); {rerun}") from exc
+    if "format" not in arrays or arrays["format"].tolist() != fmt:
+        raise DataError(f"not a {stage} cache: {path}; {rerun}")
+    found = arrays["version"].tolist() if "version" in arrays else None
+    if found != version:
+        raise DataError(f"unsupported {stage} cache version {found!r} in {path}; {rerun}")
+    return arrays

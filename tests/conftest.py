@@ -11,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from cascademine.cascades import Cascade
+from cascademine.cascades import Cascade, node_array
 from cascademine.ingest import Event, EventKind
 from cascademine.social import SocialGraph, build_graph
 
@@ -47,7 +47,11 @@ def mk_cascade(node_specs, edges, city: str = "testville", business: int = 0,
         votes = spec[5] if len(spec) > 5 else 1
         nodes.append(Event(user, business, day(offset), kind, stars, text_len, votes))
     nodes.sort(key=lambda n: (n.date, n.user_id))
-    return Cascade((city, business, index), tuple(nodes), tuple(sorted(edges)))
+    return Cascade((city, business, index), node_array(nodes), edge_array(sorted(edges)))
+
+
+def edge_array(edges) -> np.ndarray:
+    return np.array(list(edges), dtype=np.int32).reshape(-1, 2)
 
 
 def random_events(rng: np.random.Generator, n_users: int, n_businesses: int,

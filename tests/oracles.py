@@ -2,15 +2,19 @@
 
 Everything here deliberately avoids the library's code paths: brute-force
 pair enumeration instead of adjacency walks, BFS components instead of
-union-find, exact inverse-CDF sampling against tabulated zeta mass, a
+union-find, a JSON parse of the cascade export instead of the columnar store,
+exact inverse-CDF sampling against tabulated zeta mass, a
 from-first-principles feature recomputation, the Mann-Whitney pair count
 for AUC, and a GBDT grower that argsorts every feature again at every node
-instead of filtering presorted orders.
+instead of filtering presorted orders. The library's test-only helpers live
+here too: the graph's edge list, a one-shot feature extractor, the
+continuous power-law exponent and staged GBDT scores.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import json
 import math
 import statistics
 from collections import Counter, deque
@@ -18,6 +22,8 @@ from collections import Counter, deque
 import numpy as np
 from scipy.special import zeta
 
+from cascademine.features import FeatureExtractor
+from cascademine.ingest import Event, EventKind
 from cascademine.learner import MAX_LEAF_VALUE, GbdtModel, Tree, sigmoid
 
 BASE_DAY = dt.date(2012, 1, 1)
@@ -75,6 +81,49 @@ def brute_force_business(first_date: dict[int, dt.date], friend_pairs: set,
     return edges, components
 
 
+def graph_edges(graph) -> list[tuple[int, int]]:
+    """All undirected edges of a SocialGraph as (u, v) with u < v, ascending."""
+    return [(u, int(v)) for u in range(graph.n_nodes) for v in graph.neighbors(u) if u < v]
+
+
+# ---------------------------------------------------------------------------
+# cascades as Events: the columnar store's nodes unpacked, and the JSONL export
+
+
+def cascade_events(cascade) -> tuple[Event, ...]:
+    """A cascade's node rows as the Events they stand for (stars 0 is None)."""
+    return tuple(Event(int(n["user"]), cascade.business_id, dt.date.fromordinal(int(n["day"])),
+                       EventKind(int(n["kind"])), int(n["stars"]) or None,
+                       int(n["text_len"]), int(n["votes"])) for n in cascade.nodes)
+
+
+def cascade_edges(cascade) -> tuple[tuple[int, int], ...]:
+    return tuple((int(u), int(v)) for u, v in cascade.edges)
+
+
+def as_plain(cascades_by_city) -> dict:
+    """{city: [(cascade_id, Events, edges), ...]}, the form read_cascades_jsonl returns."""
+    return {city: [(c.cascade_id, cascade_events(c), cascade_edges(c)) for c in cascades]
+            for city, cascades in cascades_by_city.items()}
+
+
+def read_cascades_jsonl(path) -> dict:
+    """Parse the ``cascades.jsonl`` export into the form of :func:`as_plain`."""
+    kinds = {"review": EventKind.REVIEW, "tip": EventKind.TIP}
+    out: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            obj = json.loads(line)
+            city, business_id, index = obj["cascade_id"]
+            assert (obj["city"], obj["business_id"]) == (city, business_id)
+            nodes = tuple(Event(n["user"], business_id, dt.date.fromisoformat(n["date"]),
+                                kinds[n["kind"]], n["stars"], n["text_len"], n["votes"])
+                          for n in obj["nodes"])
+            edges = tuple((u, v) for u, v in obj["edges"])
+            out.setdefault(city, []).append(((city, business_id, index), nodes, edges))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # discrete power-law sampling (exact inverse CDF)
 
@@ -120,6 +169,16 @@ class DiscretePowerLawSampler:
 
 # ---------------------------------------------------------------------------
 # rank statistics
+
+
+def alpha_mle_approx(sizes, xmin: int) -> float:
+    """Closed-form continuous approximation 1 + n / sum(log(x / (xmin - 0.5))),
+    a cheap cross-check of the exact discrete MLE."""
+    arr = np.asarray(sizes, dtype=np.float64)
+    tail = arr[arr >= xmin]
+    if tail.size == 0:
+        raise ValueError("empty tail")
+    return float(1.0 + tail.size / np.sum(np.log(tail / (xmin - 0.5))))
 
 
 def percentile_by_counting(values, p: float):
@@ -233,10 +292,15 @@ def _lg(x: float) -> float:
     return math.log(1.0 + x)
 
 
+def extract_features(cascade, k: int, users, businesses, graph) -> np.ndarray:
+    """One-shot FeatureExtractor for a single cascade."""
+    return FeatureExtractor(users, businesses, graph, k).extract(cascade)
+
+
 def reference_features(cascade, k: int, users, businesses, graph) -> dict[str, float]:
     """Straightforward per-cascade recomputation of every feature, written
     against the same tables but with its own ordering, lookup, and math."""
-    nodes = sorted(cascade.nodes, key=lambda n: (n.date, n.user_id))[:k]
+    nodes = sorted(cascade_events(cascade), key=lambda n: (n.date, n.user_id))[:k]
     root, others = nodes[0], nodes[1:]
     out: dict[str, float] = {}
 
@@ -381,3 +445,13 @@ def reference_train_gbdt(X, y, n_trees: int = 100, max_depth: int = 3,
         trees.append(tree)
         raw += learning_rate * tree.predict(X)
     return GbdtModel(trees, learning_rate, base)
+
+
+def staged_raw_scores(model: GbdtModel, X):
+    """Yield a GBDT's raw scores after 0, 1, ..., n_trees stages."""
+    X = np.asarray(X, dtype=np.float64)
+    raw = np.full(len(X), model.base_score)
+    yield raw.copy()
+    for tree in model.trees:
+        raw += model.learning_rate * tree.predict(X)
+        yield raw.copy()

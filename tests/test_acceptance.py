@@ -28,8 +28,9 @@ from cascademine.stats import fit_power_law
 from cascademine.util import nearest_rank
 from conftest import mk_cascade, random_events, random_graph
 from oracles import (DiscretePowerLawSampler, all_digraphs, brute_force_business,
-                     mann_whitney_auc, percentile_by_counting,
-                     realizable_cascade_graphs, reference_features, weakly_connected)
+                     cascade_edges, cascade_events, graph_edges, mann_whitney_auc,
+                     percentile_by_counting, realizable_cascade_graphs, reference_features,
+                     staged_raw_scores, weakly_connected)
 from test_features import mutate_beyond_prefix, random_world
 
 
@@ -46,7 +47,7 @@ def test_criterion_01_cascade_oracle_equivalence():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         graph = random_graph(rng, 50, 0.1)
-        friend_pairs = {frozenset(e) for e in graph.edges()}
+        friend_pairs = {frozenset(e) for e in graph_edges(graph)}
         events = random_events(rng, 50, 10, 200)
         window = None if seed % 2 == 0 else int(rng.integers(1, 30))
         by_business_first = {}
@@ -57,9 +58,9 @@ def test_criterion_01_cascade_oracle_equivalence():
         cascades = build_cascades({"t": events}, graph, window)["t"]
         got_edges, got_comps = {}, {}
         for c in cascades:
-            got_edges.setdefault(c.business_id, set()).update(c.edges)
+            got_edges.setdefault(c.business_id, set()).update(cascade_edges(c))
             got_comps.setdefault(c.business_id, set()).add(
-                frozenset(n.user_id for n in c.nodes))
+                frozenset(n.user_id for n in cascade_events(c)))
         for business, first in by_business_first.items():
             want_edges, want_comps = brute_force_business(first, friend_pairs, window)
             if (got_edges.get(business, set()) != want_edges
@@ -110,8 +111,8 @@ def test_criterion_03_signature_vs_exact_isomorphism():
     sig_counts = sorted(row.count for row in census({"t": cascades}, 10 ** 9)["t"])
     iso_classes: list[tuple[tuple, int]] = []  # ((n, edges), count)
     for c in cascades:
-        n, edges = len(c.nodes), c.edges
-        local = {node.user_id: i for i, node in enumerate(c.nodes)}
+        n, edges = c.size, cascade_edges(c)
+        local = {node.user_id: i for i, node in enumerate(cascade_events(c))}
         edges = [(local[u], local[v]) for u, v in edges]
         for i, ((cn, cedges), count) in enumerate(iso_classes):
             if cn == n and digraph_isomorphic(cn, cedges, n, edges):
@@ -265,7 +266,7 @@ def test_criterion_07_learner_correctness():
         yd = (dsr.random(120) < 0.5).astype(np.int64)
         yd[:2] = [0, 1]
         model = train_gbdt(Xd, yd, n_trees=30, max_depth=3)
-        losses = [log_loss(raw, yd) for raw in model.staged_raw_scores(Xd)]
+        losses = [log_loss(raw, yd) for raw in staged_raw_scores(model, Xd)]
         if any(b > a + 1e-12 for a, b in zip(losses, losses[1:])):
             loss_ok = False
 

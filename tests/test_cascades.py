@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 
 from cascademine.cascades import (build_cascades, cascade_summary, read_cascades,
-                                  write_cascades)
+                                  save_cascades, write_cascades)
 from cascademine.ingest import EventKind
 from cascademine.util import nearest_rank
 from conftest import day, graph_from_edges, mk_event, random_events, random_graph
-from oracles import brute_force_business, percentile_by_counting
+from oracles import (as_plain, brute_force_business, cascade_edges, cascade_events, graph_edges,
+                     percentile_by_counting, read_cascades_jsonl)
 
 
 def build_one_city(events, graph, window_days=None):
@@ -20,21 +21,21 @@ class TestBuildCascades:
         graph = graph_from_edges([(0, 1)], 2)
         cascades = build_one_city([mk_event(0, 7, 1), mk_event(1, 7, 3)], graph)
         (cascade,) = cascades
-        assert [n.user_id for n in cascade.nodes] == [0, 1]
-        assert cascade.edges == ((0, 1),)
+        assert [n.user_id for n in cascade_events(cascade)] == [0, 1]
+        assert cascade_edges(cascade) == ((0, 1),)
         assert cascade.cascade_id == ("testville", 7, 0)
 
     def test_same_day_friends_reciprocal_pair(self):
         graph = graph_from_edges([(0, 1)], 2)
         (cascade,) = build_one_city([mk_event(0, 7, 5), mk_event(1, 7, 5)], graph)
-        assert set(cascade.edges) == {(0, 1), (1, 0)}
+        assert set(cascade_edges(cascade)) == {(0, 1), (1, 0)}
 
     def test_isolated_user_discarded(self):
         graph = graph_from_edges([(0, 1)], 3)
         cascades = build_one_city(
             [mk_event(0, 7, 1), mk_event(1, 7, 2), mk_event(2, 7, 2)], graph)
         (cascade,) = cascades
-        assert {n.user_id for n in cascade.nodes} == {0, 1}
+        assert {n.user_id for n in cascade_events(cascade)} == {0, 1}
 
     def test_non_friends_never_linked(self):
         graph = graph_from_edges([], 2)
@@ -44,17 +45,17 @@ class TestBuildCascades:
         graph = graph_from_edges([(0, 1)], 2)
         events = [mk_event(0, 7, 1), mk_event(0, 7, 9), mk_event(1, 7, 3)]
         (cascade,) = build_one_city(events, graph)
-        assert [n.user_id for n in cascade.nodes] == [0, 1]
-        assert cascade.nodes[0].date == day(1)
+        assert [n.user_id for n in cascade_events(cascade)] == [0, 1]
+        assert cascade_events(cascade)[0].date == day(1)
         # the later event by user 0 creates no second node or self-influence
-        assert cascade.edges == ((0, 1),)
+        assert cascade_edges(cascade) == ((0, 1),)
 
     def test_window_filters_long_gaps(self):
         graph = graph_from_edges([(0, 1)], 2)
         events = [mk_event(0, 7, 0), mk_event(1, 7, 40)]
         assert build_one_city(events, graph, window_days=30) == []
         (cascade,) = build_one_city(events, graph, window_days=40)
-        assert cascade.edges == ((0, 1),)
+        assert cascade_edges(cascade) == ((0, 1),)
 
     def test_window_monotonicity(self, rng):
         graph = random_graph(rng, 40, 0.15)
@@ -62,7 +63,7 @@ class TestBuildCascades:
         def edge_set(window):
             out = set()
             for c in build_one_city(events, graph, window):
-                out |= set(c.edges)
+                out |= set(cascade_edges(c))
             return out
         unlimited = edge_set(None)
         prev = unlimited
@@ -76,8 +77,8 @@ class TestBuildCascades:
         graph = random_graph(rng, 40, 0.2)
         events = random_events(rng, 40, 5, 200, span_days=20)
         for cascade in build_one_city(events, graph):
-            date_of = {n.user_id: n.date for n in cascade.nodes}
-            strict = [(u, v) for u, v in cascade.edges if date_of[u] != date_of[v]]
+            date_of = {n.user_id: n.date for n in cascade_events(cascade)}
+            strict = [(u, v) for u, v in cascade_edges(cascade) if date_of[u] != date_of[v]]
             # Kahn's algorithm
             succ, indeg = {}, {}
             for u, v in strict:
@@ -100,7 +101,7 @@ class TestBuildCascades:
             local = np.random.default_rng(seed)
             n_users = 50
             graph = random_graph(local, n_users, 0.1)
-            friend_pairs = {frozenset((u, v)) for u, v in graph.edges()}
+            friend_pairs = {frozenset((u, v)) for u, v in graph_edges(graph)}
             events = random_events(local, n_users, 10, 200)
             window = None if seed % 2 == 0 else 7
             by_business = {}
@@ -113,9 +114,9 @@ class TestBuildCascades:
             got_edges = {}
             got_components = {}
             for c in cascades:
-                got_edges.setdefault(c.business_id, set()).update(c.edges)
+                got_edges.setdefault(c.business_id, set()).update(cascade_edges(c))
                 got_components.setdefault(c.business_id, set()).add(
-                    frozenset(n.user_id for n in c.nodes))
+                    frozenset(n.user_id for n in cascade_events(c)))
             for business, first_date in by_business.items():
                 want_edges, want_comps = brute_force_business(
                     first_date, friend_pairs, window)
@@ -135,7 +136,7 @@ class TestBuildCascades:
             edges += [(u, v) for u in range(len(hubs), n_users)
                       for v in range(u + 1, n_users) if local.random() < 0.02]
             graph = graph_from_edges(edges, n_users)
-            friend_pairs = {frozenset(e) for e in graph.edges()}
+            friend_pairs = {frozenset(e) for e in graph_edges(graph)}
             events = []
             for business in range(6):
                 others = local.choice(np.arange(len(hubs), n_users), size=12, replace=False)
@@ -151,8 +152,8 @@ class TestBuildCascades:
             for business, first_date in first_dates.items():
                 assert max(graph.degree(u) for u in first_date) > 5 * len(first_date)
                 got = [c for c in cascades if c.business_id == business]
-                got_edges = {e for c in got for e in c.edges}
-                got_comps = {frozenset(n.user_id for n in c.nodes) for c in got}
+                got_edges = {e for c in got for e in cascade_edges(c)}
+                got_comps = {frozenset(n.user_id for n in cascade_events(c)) for c in got}
                 want_edges, want_comps = brute_force_business(first_date, friend_pairs,
                                                               window)
                 assert got_edges == want_edges, (seed, business)
@@ -169,11 +170,11 @@ class TestBuildCascades:
         for c in cascades:
             by_business.setdefault(c.business_id, []).append(c)
         for business, group in by_business.items():
-            node_sets = [frozenset(n.user_id for n in c.nodes) for c in group]
+            node_sets = [frozenset(n.user_id for n in cascade_events(c)) for c in group]
             for i, a in enumerate(node_sets):
                 for b in node_sets[i + 1:]:
                     assert not (a & b)
-            linked = set().union(*({u for e in c.edges for u in e} for c in group))
+            linked = set().union(*({u for e in cascade_edges(c) for u in e} for c in group))
             assert linked == set().union(*node_sets)
 
     def test_size_at_least_two_and_edges_nonempty(self, rng):
@@ -182,9 +183,9 @@ class TestBuildCascades:
         assert cascades
         for c in cascades:
             assert c.size >= 2
-            assert c.edges
-            users_in_edges = {u for e in c.edges for u in e}
-            assert users_in_edges <= {n.user_id for n in c.nodes}
+            assert cascade_edges(c)
+            users_in_edges = {u for e in cascade_edges(c) for u in e}
+            assert users_in_edges <= {n.user_id for n in cascade_events(c)}
 
     def test_rejects_nonpositive_window(self, rng):
         graph = graph_from_edges([(0, 1)], 2)
@@ -214,18 +215,57 @@ class TestSummary:
             assert nearest_rank(sorted_sizes, p) == percentile_by_counting(sizes, p)
 
 
+def random_cities(seed):
+    """Three cities of random events over one graph; "ghost" has a single
+    event, so it has no cascade."""
+    local = np.random.default_rng(seed)
+    graph = random_graph(local, 40, 0.12)
+    by_city = {city: random_events(local, 40, 8, n) for city, n in
+               (("a town", 180), ("Montréal", 90), ("Saint Louis, MO", 60))}
+    by_city["ghost"] = random_events(local, 40, 1, 1)
+    return by_city, graph
+
+
 class TestStore:
     def test_round_trip_and_determinism(self, tmp_path, rng):
         graph = random_graph(rng, 40, 0.12)
         events = random_events(rng, 40, 8, 180)
         by_city = build_cascades({"a town": sorted(
             events, key=lambda e: (e.business_id, e.date, e.user_id, e.kind))}, graph)
-        p1, p2 = tmp_path / "c1.jsonl", tmp_path / "c2.jsonl"
-        write_cascades(by_city, p1)
+        p1, p2 = tmp_path / "c1.npz", tmp_path / "c2.npz"
+        save_cascades(by_city, p1)
         loaded = read_cascades(p1)
-        assert loaded == by_city
-        write_cascades(loaded, p2)
+        assert as_plain(loaded) == as_plain(by_city)
+        save_cascades(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_store_matches_jsonl_export(self, tmp_path, seed):
+        events_by_city, graph = random_cities(seed)
+        by_city = build_cascades(events_by_city, graph, None if seed % 2 else 7)
+        assert by_city["ghost"] == [] and all(by_city[c] for c in by_city if c != "ghost")
+        store, export = tmp_path / "c.npz", tmp_path / "c.jsonl"
+        save_cascades(by_city, store)
+        write_cascades(by_city, export)
+        loaded = read_cascades(store)
+        expected = read_cascades_jsonl(export)
+        assert "ghost" not in expected
+        assert as_plain(loaded) == expected
+        assert as_plain({c: v for c, v in by_city.items() if v}) == expected
+        # every cascade is a view into one node array and one edge array
+        flat = [c for cascades in loaded.values() for c in cascades]
+        assert all(c.nodes.base is flat[0].nodes.base is not None for c in flat)
+        assert all(c.edges.base is flat[0].edges.base is not None for c in flat)
+        save_cascades(loaded, tmp_path / "again.npz")
+        write_cascades(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.npz").read_bytes() == store.read_bytes()
+        assert (tmp_path / "again.jsonl").read_bytes() == export.read_bytes()
+
+    def test_empty_store(self, tmp_path):
+        save_cascades({"ghost": []}, tmp_path / "c.npz")
+        write_cascades({"ghost": []}, tmp_path / "c.jsonl")
+        assert read_cascades(tmp_path / "c.npz") == {}
+        assert (tmp_path / "c.jsonl").read_bytes() == b""
 
     def test_node_and_edge_ordering(self, tmp_path):
         graph = graph_from_edges([(0, 1), (1, 2), (0, 2)], 3)
@@ -233,5 +273,5 @@ class TestStore:
         by_city = build_cascades({"t": sorted(
             events, key=lambda e: (e.business_id, e.date, e.user_id, e.kind))}, graph)
         (cascade,) = by_city["t"]
-        assert [n.user_id for n in cascade.nodes] == [2, 1, 0]  # date order
-        assert list(cascade.edges) == sorted(cascade.edges)
+        assert [n.user_id for n in cascade_events(cascade)] == [2, 1, 0]  # date order
+        assert list(cascade_edges(cascade)) == sorted(cascade_edges(cascade))

@@ -190,18 +190,51 @@ class TestExitCodes:
     def test_damaged_cascade_store_is_data_error(self, fixture_dataset, tmp_path, capsys):
         assert main(["ingest", *pipeline_args(fixture_dataset, tmp_path)]) == 0
         assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 0
-        store = tmp_path / "cascades.jsonl"
-        lines = store.read_bytes().splitlines(keepends=True)
-        assert len(lines) > 2
-        truncated = b"".join(lines[:2]) + lines[2][:len(lines[2]) // 2]
-        malformed = [b"{}", b"[1, 2]", b'{"cascade_id": ["c", 1]}',
-                     b'{"cascade_id": ["c", 1, 0], "nodes": [{"user": 1}], "edges": []}']
-        for damaged in (truncated, *(b"".join(lines[:2]) + m + b"\n" for m in malformed)):
-            store.write_bytes(damaged)
+        store = tmp_path / "cascades.npz"
+        good = store.read_bytes()
+        with np.load(store) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        assert arrays["format"].tolist() == "cascademine.cascades"
+        damaged = [
+            good[:len(good) // 2],  # truncated
+            b"not a zip archive\n",
+            {**arrays, "format": np.array("cascademine.features")},
+            {**arrays, "version": np.array(0)},  # an older version
+            {name: a for name, a in arrays.items() if name != "edges"},
+            {**arrays, "cities": arrays["cities"].astype(object)},  # needs pickle
+        ]
+        for payload in damaged:
+            if isinstance(payload, bytes):
+                store.write_bytes(payload)
+            else:
+                np.savez(store, **payload)
             capsys.readouterr()
             assert main(["census", "--cache-dir", str(tmp_path)]) == 3
-            err = capsys.readouterr().err
-            assert "rerun 'build-cascades'" in err and "line 3" in err
+            assert "rerun 'build-cascades'" in capsys.readouterr().err
+
+    def test_cache_without_cascade_store_is_missing_stage(self, fixture_dataset, tmp_path,
+                                                          capsys):
+        # a cache dir from before the store: cascades.jsonl alone
+        assert main(["ingest", *pipeline_args(fixture_dataset, tmp_path)]) == 0
+        assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 0
+        (tmp_path / "cascades.npz").unlink()
+        assert (tmp_path / "cascades.jsonl").is_file()
+        for stage in ("summary", "census", "purity", "fit", "longest", "export-dot",
+                      "features"):
+            capsys.readouterr()
+            assert main([stage, "--cache-dir", str(tmp_path)]) == 2, stage
+            assert "build-cascades" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_fail_train(self, tmp_path, capsys, bad):
+        rng = np.random.default_rng(5)
+        examples = [LabeledExample(("acity", 0, i), rng.normal(size=N_FEATURES) + i % 2, i % 2)
+                    for i in range(20)]
+        examples[3].features[4] = bad
+        examples[7].features[4] = -bad
+        save_examples(examples, tmp_path / "features.pkl")
+        assert main(["train", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
+        assert "feature column 4 has non-finite values" in capsys.readouterr().err
 
     def test_caches_of_earlier_versions_are_data_errors(self, tmp_path, capsys):
         for name, fmt, version, stage, rerun in (
@@ -217,7 +250,7 @@ class TestPipeline:
     def test_all_produces_expected_artifacts(self, fixture_dataset, tmp_path):
         cache = tmp_path / "cache"
         assert main(["all", *pipeline_args(fixture_dataset, cache)]) == 0
-        for name in ("ingest.pkl", "yearly.csv", "cascades.jsonl", "summary.csv",
+        for name in ("ingest.pkl", "yearly.csv", "cascades.npz", "cascades.jsonl", "summary.csv",
                      "census.csv", "purity.csv", "distribution.csv", "fit.csv",
                      "longest.csv", "features.csv", "features.pkl", "labeling.json",
                      "models.pkl", "importance.csv", "eval.json", "accuracy.csv",

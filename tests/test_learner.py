@@ -8,7 +8,7 @@ from cascademine.learner import (GbdtModel, Tree, auc_trapezoid, cross_validate,
                                  logistic_smooth_grad, logistic_smooth_objective,
                                  roc_curve, sigmoid, split_gain_importance,
                                  stratified_folds, train_gbdt, train_logreg)
-from oracles import mann_whitney_auc, reference_train_gbdt, roc_by_walking
+from oracles import mann_whitney_auc, reference_train_gbdt, roc_by_walking, staged_raw_scores
 
 
 def separable_1d(n=60):
@@ -103,7 +103,7 @@ class TestGbdt:
         y = (rng.random(150) < 0.5).astype(np.int64)
         y[:2] = [0, 1]
         model = train_gbdt(X, y, n_trees=40, max_depth=3, learning_rate=0.1)
-        losses = [log_loss(raw, y) for raw in model.staged_raw_scores(X)]
+        losses = [log_loss(raw, y) for raw in staged_raw_scores(model, X)]
         assert len(losses) == 41
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-12
@@ -148,6 +148,15 @@ class TestGbdt:
                 stack.append((tree.left[node], idx[go_left]))
                 stack.append((tree.right[node], idx[~go_left]))
 
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_feature_rejected(self, rng, bad):
+        X = rng.normal(size=(40, 3))
+        y = (X[:, 0] > 0).astype(np.int64)
+        X[5, 2] = bad
+        X[9, 2] = -bad  # with inf, a -inf/+inf neighbour pair in one column
+        with pytest.raises(ValueError, match="feature column 2 has non-finite values"):
+            train_gbdt(X, y, n_trees=3)
 
 def tie_heavy_columns(rng, n: int, d: int) -> np.ndarray:
     """Columns of mixed kinds: continuous, few integer levels, constant, and

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from cascademine.stats import (alpha_mle_approx, ccdf_tail_slope, export_dot,
+from cascademine.stats import (ccdf_tail_slope, export_dot,
                                fit_power_law, longest_cascades, size_distribution)
 from conftest import graph_from_edges, mk_cascade, random_events, random_graph
 from cascademine.cascades import build_cascades
-from oracles import DiscretePowerLawSampler
+from oracles import DiscretePowerLawSampler, alpha_mle_approx
 
 _SAMPLER = None
 
