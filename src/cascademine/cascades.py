@@ -69,8 +69,9 @@ class Cascade:
 
     def local_edges(self) -> list[tuple[int, int]]:
         """The edges as (src, dst) positions in ``nodes``."""
-        index = {user: i for i, user in enumerate(self.nodes["user"].tolist())}
-        return [(index[u], index[v]) for u, v in self.edges.tolist()]
+        position = {user: i for i, user in enumerate(self.nodes["user"].tolist())}.__getitem__
+        src, dst = self.edges.T.tolist()
+        return list(zip(map(position, src), map(position, dst)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -99,13 +99,10 @@ def load_cache(path, fmt: str, version: int, stage: str) -> dict:
 
 def save_arrays(path, fmt: str, version: int, **arrays) -> None:
     """``np.savez`` of ``arrays`` plus the ``format``/``version`` entries of
-    :func:`load_arrays`, with every zip entry stamped 1980-01-01 so that equal
-    arrays give equal bytes whenever they are written."""
-    entries = {"format": np.array(fmt), "version": np.array(version, dtype=np.int64), **arrays}
-    with zipfile.ZipFile(path, "w") as zf:
-        for name, arr in entries.items():
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asanyarray(arr), allow_pickle=False)
+    :func:`load_arrays`; it dates every zip entry 1980-01-01, so equal arrays
+    give equal bytes whenever they are written."""
+    with open(path, "wb") as fh:
+        np.savez(fh, format=np.array(fmt), version=np.array(version, dtype=np.int64), **arrays)
 
 
 def load_arrays(path, fmt: str, version: int, stage: str) -> dict[str, np.ndarray]:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import pickle
 from pathlib import Path
@@ -195,9 +196,12 @@ class TestExitCodes:
         with np.load(store) as npz:
             arrays = {name: npz[name] for name in npz.files}
         assert arrays["format"].tolist() == "cascademine.cascades"
+        bare = io.BytesIO()
+        np.save(bare, arrays["nodes"])
         damaged = [
             good[:len(good) // 2],  # truncated
             b"not a zip archive\n",
+            bare.getvalue(),  # one .npy array, not an archive
             {**arrays, "format": np.array("cascademine.features")},
             {**arrays, "version": np.array(0)},  # an older version
             {name: a for name, a in arrays.items() if name != "edges"},
