@@ -148,7 +148,6 @@ class TestGbdt:
                 stack.append((tree.left[node], idx[go_left]))
                 stack.append((tree.right[node], idx[~go_left]))
 
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_feature_rejected(self, rng, bad):
         X = rng.normal(size=(40, 3))
@@ -157,6 +156,7 @@ class TestGbdt:
         X[9, 2] = -bad  # with inf, a -inf/+inf neighbour pair in one column
         with pytest.raises(ValueError, match="feature column 2 has non-finite values"):
             train_gbdt(X, y, n_trees=3)
+
 
 def tie_heavy_columns(rng, n: int, d: int) -> np.ndarray:
     """Columns of mixed kinds: continuous, few integer levels, constant, and
