@@ -22,11 +22,11 @@ WINDOWS = [None, 365, 90, 30, 7, 1]
 def load_result(cache_dir: str | None):
     if cache_dir:
         return load_ingest(Path(cache_dir) / "ingest.pkl")
-    tmp = Path(tempfile.mkdtemp(prefix="window_sweep_"))
-    synth = generate_synthetic(SynthConfig(
-        n_users=400, n_businesses=300, n_events=6000,
-        friend_prob=0.015, influence_prob=0.1, n_cities=1, seed=7), tmp)
-    return ingest_dataset(synth.paths)
+    with tempfile.TemporaryDirectory(prefix="window_sweep_") as tmp:
+        synth = generate_synthetic(SynthConfig(
+            n_users=400, n_businesses=300, n_events=6000,
+            friend_prob=0.015, influence_prob=0.1, n_cities=1, seed=7), Path(tmp))
+        return ingest_dataset(synth.paths)
 
 
 def main() -> int:

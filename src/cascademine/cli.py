@@ -270,10 +270,12 @@ def stage_evaluate(cfg: RunConfig) -> None:
             logreg_rep = learn.cross_validate(
                 X, y, _logreg_fit(cfg), folds=cfg.folds,
                 seed=substream_seed(cfg.seed, "cv", "logreg", city))
-        except ValueError as exc:  # too few examples of a class for the folds
+        except learn.TooFewExamples as exc:
             print(f"[evaluate] skipped {city}: {exc} ({len(examples)} examples)")
             report["skipped"].append([city, str(exc)])
             continue
+        except ValueError as exc:
+            raise DataError(f"{city}: {exc}") from exc
         report["cities"][city] = {
             "n_examples": len(examples),
             "gbdt": {

@@ -311,29 +311,24 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int 
     return GbdtModel(trees, learning_rate, base)
 
 
-def feature_importance(model: GbdtModel, feature_names: Sequence[str] | None = None,
-                       n_features: int | None = None) -> list[tuple[str, float]]:
+def feature_importance(model: GbdtModel, feature_names: Sequence[str]
+                       ) -> list[tuple[str, float]]:
     """Rank features by sum of 2**(-depth) over the decision nodes using them.
 
     Shallower use counts more; a feature split at the root of one tree scores
-    1.0 from that node. Ties break by feature index. Without ``feature_names``
-    the ``n_features`` features are named f0, f1, ...
+    1.0 from that node. Ties break by feature index.
     """
-    return _node_scores(model, lambda tree, node: 2.0 ** (-tree.depth[node]),
-                        feature_names, n_features)
+    return _node_scores(model, lambda tree, node: 2.0 ** (-tree.depth[node]), feature_names)
 
 
-def split_gain_importance(model: GbdtModel, feature_names: Sequence[str] | None = None,
-                          n_features: int | None = None) -> list[tuple[str, float]]:
+def split_gain_importance(model: GbdtModel, feature_names: Sequence[str]
+                          ) -> list[tuple[str, float]]:
     """Secondary ranking: total squared-error gain of each feature's splits."""
-    return _node_scores(model, lambda tree, node: tree.gain[node], feature_names, n_features)
+    return _node_scores(model, lambda tree, node: tree.gain[node], feature_names)
 
 
 def _node_scores(model: GbdtModel, node_score: Callable,
-                 feature_names: Sequence[str] | None,
-                 n_features: int | None) -> list[tuple[str, float]]:
-    if feature_names is None:
-        feature_names = [f"f{i}" for i in range(n_features)]
+                 feature_names: Sequence[str]) -> list[tuple[str, float]]:
     totals = np.zeros(len(feature_names))
     for tree in model.trees:
         for node, f in enumerate(tree.feature):
@@ -402,6 +397,10 @@ class CrossValReport:
 FitFunction = Callable[[np.ndarray, np.ndarray], object]
 
 
+class TooFewExamples(ValueError):
+    """A class has fewer examples than there are folds."""
+
+
 def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 5,
                    seed: int = 0) -> CrossValReport:
     """Stratified k-fold CV; the ROC pools out-of-fold scores from all folds.
@@ -416,7 +415,7 @@ def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 
     _check_binary(y)
     for cls in (0, 1):
         if int((y == cls).sum()) < folds:
-            raise ValueError(f"need at least {folds} examples of class {cls}")
+            raise TooFewExamples(f"need at least {folds} examples of class {cls}")
 
     assignment = stratified_folds(y, folds, seed)
     pooled_scores = np.empty(len(y), dtype=np.float64)

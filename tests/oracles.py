@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the library's code paths: brute-force
-pair enumeration instead of adjacency walks, BFS components instead of
-union-find, a JSON parse of the cascade export instead of the columnar store,
-exact inverse-CDF sampling against tabulated zeta mass, a
+pair enumeration instead of friend-list lookups, BFS components instead of
+hook-and-compress labels, a JSON parse of the cascade export instead of the
+columnar store, exact inverse-CDF sampling against tabulated zeta mass, a
 from-first-principles feature recomputation, the Mann-Whitney pair count
 for AUC, and a GBDT grower that argsorts every feature again at every node
 instead of filtering presorted orders. The library's test-only helpers live

@@ -2,7 +2,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from cascademine.cascades import (build_cascades, cascade_summary, read_cascades,
+from cascademine import cascades
+from cascademine.cascades import (_components, build_cascades, cascade_summary, read_cascades,
                                   save_cascades, write_cascades)
 from cascademine.ingest import EventKind
 from cascademine.util import nearest_rank
@@ -162,6 +163,48 @@ class TestBuildCascades:
                 assert got_comps == {frozenset(c) for c in
                                      nx.weakly_connected_components(digraph)}
 
+    @pytest.mark.parametrize("window", [None, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_order_and_lookup_chunks(self, tmp_path, monkeypatch, seed, window):
+        # Hubs befriend about 60 % of the graph; users 50-59 act but are not in it.
+        local = np.random.default_rng(seed)
+        n_graph, hubs = 50, range(3)
+        edges = [(h, v) for h in hubs for v in range(n_graph) if v != h and local.random() < 0.6]
+        edges += [(u, v) for u in range(n_graph) for v in range(u + 1, n_graph)
+                  if local.random() < 0.05]
+        graph = graph_from_edges(edges, n_graph)
+        events = random_events(local, n_graph + 10, 6, 300, span_days=30)
+        assert any(e.user_id >= n_graph for e in events)
+        friend_pairs = {frozenset(e) for e in graph_edges(graph)}
+        first = {}
+        for e in events:
+            first.setdefault((e.business_id, e.user_id), e)
+
+        # Businesses ascend; within one, cascades go by earliest (date, user)
+        # node, nodes by (date, user) and edges by (src, dst).
+        want = []
+        for business in sorted({b for b, _ in first}):
+            nodes = {u: e for (b, u), e in first.items() if b == business}
+            want_edges, want_comps = brute_force_business(
+                {u: e.date for u, e in nodes.items()}, friend_pairs, window)
+            def when(u):
+                return nodes[u].date, u
+            ordered = sorted((sorted(comp, key=when) for comp in want_comps),
+                             key=lambda comp: when(comp[0]))
+            for index, comp in enumerate(ordered):
+                want.append((("testville", business, index), tuple(nodes[u] for u in comp),
+                             tuple(sorted(e for e in want_edges if e[0] in comp))))
+        assert any(u in hubs for _, nodes, _ in want for u in (n.user_id for n in nodes))
+
+        stores = []
+        for chunk in (1, 7, cascades.LOOKUP_CHUNK):
+            monkeypatch.setattr(cascades, "LOOKUP_CHUNK", chunk)
+            by_city = build_cascades({"testville": events}, graph, window)
+            assert as_plain(by_city) == {"testville": want}, chunk
+            save_cascades(by_city, tmp_path / f"{chunk}.npz")
+            stores.append((tmp_path / f"{chunk}.npz").read_bytes())
+        assert stores[0] == stores[1] == stores[2]
+
     def test_components_partition_linked_users(self, rng):
         graph = random_graph(rng, 30, 0.2)
         events = random_events(rng, 30, 4, 120)
@@ -191,6 +234,27 @@ class TestBuildCascades:
         graph = graph_from_edges([(0, 1)], 2)
         with pytest.raises(ValueError):
             build_cascades({"x": []}, graph, window_days=0)
+
+
+class TestComponents:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_networkx(self, seed):
+        local = np.random.default_rng(seed)
+        n = int(local.integers(1, 300))
+        src, dst = local.integers(0, n, size=(2, int(local.integers(0, 2 * n))))
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(range(n))
+        digraph.add_edges_from(zip(src.tolist(), dst.tolist()))
+        want = [0] * n
+        for comp in nx.weakly_connected_components(digraph):
+            for node in comp:
+                want[node] = min(comp)
+        assert _components(n, src, dst).tolist() == want
+
+    def test_shuffled_long_path_is_one_component(self):
+        # label propagation needs rounds in the thousands here
+        path = np.random.default_rng(0).permutation(100_000)
+        assert (_components(len(path), path[:-1], path[1:]) == 0).all()
 
 
 class TestSummary:

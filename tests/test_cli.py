@@ -240,6 +240,18 @@ class TestExitCodes:
         assert main(["train", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
         assert "feature column 4 has non-finite values" in capsys.readouterr().err
 
+    def test_non_finite_feature_fails_evaluate(self, tmp_path, capsys):
+        # a data fault is not a city too small for the folds
+        rng = np.random.default_rng(5)
+        examples = [LabeledExample(("acity", 0, i), rng.normal(size=N_FEATURES) + i % 2, i % 2)
+                    for i in range(20)]
+        examples[3].features[4] = np.inf
+        save_examples(examples, tmp_path / "features.pkl")
+        assert main(["evaluate", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "acity: feature column 4 has non-finite values" in err
+        assert not (tmp_path / "eval.json").exists()
+
     def test_caches_of_earlier_versions_are_data_errors(self, tmp_path, capsys):
         for name, fmt, version, stage, rerun in (
                 ("ingest.pkl", "cascademine.ingest", 2, "build-cascades", "ingest"),

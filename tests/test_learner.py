@@ -226,13 +226,13 @@ class TestImportance:
 
     def test_single_root_split_scores_one(self):
         model = GbdtModel([self.manual_tree(3, 0)], 0.1, 0.0)
-        ranking = feature_importance(model, n_features=5)
+        ranking = feature_importance(model, [f"f{i}" for i in range(5)])
         assert ranking[0] == ("f3", 1.0)
         assert all(score == 0.0 for _, score in ranking[1:])
 
     def test_zero_trees_all_zero(self):
         model = GbdtModel([], 0.1, 0.0)
-        ranking = feature_importance(model, n_features=4)
+        ranking = feature_importance(model, [f"f{i}" for i in range(4)])
         assert all(score == 0.0 for _, score in ranking)
         assert [name for name, _ in ranking] == ["f0", "f1", "f2", "f3"]
 
@@ -242,8 +242,8 @@ class TestImportance:
         X = rng.normal(size=(n, 8))
         X[:, 5] = y + rng.normal(0, 0.3, size=n)
         model = train_gbdt(X, y.astype(np.int64), n_trees=30, max_depth=3)
-        assert feature_importance(model, n_features=8)[0][0] == "f5"
-        assert split_gain_importance(model, n_features=8)[0][0] == "f5"
+        assert feature_importance(model, [f"f{i}" for i in range(8)])[0][0] == "f5"
+        assert split_gain_importance(model, [f"f{i}" for i in range(8)])[0][0] == "f5"
 
     def test_depth_weighting(self):
         # one split at depth 0 on f0 outweighs two splits at depth 1 on f1
@@ -257,10 +257,10 @@ class TestImportance:
             a, b = tree.add_node(2), tree.add_node(2)
             tree.left[node], tree.right[node] = a, b
         model = GbdtModel([tree], 0.1, 0.0)
-        scores = dict(feature_importance(model, n_features=2))
+        scores = dict(feature_importance(model, [f"f{i}" for i in range(2)]))
         assert scores["f0"] == 1.0
         assert scores["f1"] == 1.0  # 2 * 2^-1; ties break to lower index
-        assert feature_importance(model, n_features=2)[0][0] == "f0"
+        assert feature_importance(model, [f"f{i}" for i in range(2)])[0][0] == "f0"
 
 
 class TestCrossValidation:
