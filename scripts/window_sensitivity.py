@@ -4,7 +4,7 @@
 The default edge rule draws an edge from every earlier-acting friend with no
 time limit; this script quantifies what a finite window would change: number
 of cascades, edges, and the size tail. Uses a synthetic dataset unless you
-pass an existing cache directory containing ingest.pkl.
+pass an existing cache directory containing ingest.pkl and profiles.npz.
 """
 
 import sys
@@ -12,29 +12,31 @@ import tempfile
 from pathlib import Path
 
 from cascademine.cascades import build_cascades
-from cascademine.ingest import ingest_dataset, load_ingest
+from cascademine.ingest import ingest_dataset, load_ingest, load_profiles
 from cascademine.synth import SynthConfig, generate_synthetic
 from cascademine.util import nearest_rank
 
 WINDOWS = [None, 365, 90, 30, 7, 1]
 
 
-def load_result(cache_dir: str | None):
+def load_events_and_graph(cache_dir: str | None):
     if cache_dir:
-        return load_ingest(Path(cache_dir) / "ingest.pkl")
+        events_by_city = load_ingest(Path(cache_dir) / "ingest.pkl").events_by_city
+        return events_by_city, load_profiles(Path(cache_dir) / "profiles.npz").graph
     with tempfile.TemporaryDirectory(prefix="window_sweep_") as tmp:
         synth = generate_synthetic(SynthConfig(
             n_users=400, n_businesses=300, n_events=6000,
             friend_prob=0.015, influence_prob=0.1, n_cities=1, seed=7), Path(tmp))
-        return ingest_dataset(synth.paths)
+        result = ingest_dataset(synth.paths)
+    return result.events_by_city, result.profiles.graph
 
 
 def main() -> int:
     cache_dir = sys.argv[1] if len(sys.argv) > 1 else None
-    result = load_result(cache_dir)
+    events_by_city, graph = load_events_and_graph(cache_dir)
     print(f"{'window':>8} {'cascades':>9} {'edges':>8} {'p50':>5} {'p90':>5} {'max':>5}")
     for window in WINDOWS:
-        by_city = build_cascades(result.events_by_city, result.graph, window)
+        by_city = build_cascades(events_by_city, graph, window)
         cascades = [c for cs in by_city.values() for c in cs]
         sizes = sorted(c.size for c in cascades)
         n_edges = sum(len(c.edges) for c in cascades)

@@ -20,8 +20,8 @@ import cascademine.learner as learn
 import cascademine.stats as stats_mod
 from cascademine.config import RunConfig, build_config
 from cascademine.errors import ConfigError, DataError, MissingStageError
-from cascademine.ingest import (DatasetPaths, ingest_dataset, load_ingest, save_ingest,
-                                yearly_activity_counts)
+from cascademine.ingest import (DatasetPaths, ingest_dataset, load_ingest, load_profiles,
+                                save_ingest, save_profiles, yearly_activity_counts)
 from cascademine.social import build_graph  # noqa: F401; pipebench/tracing.py patches it here
 from cascademine.synth import SynthConfig, generate_synthetic
 from cascademine.util import save_cache, substream_seed, write_csv, write_json
@@ -29,6 +29,7 @@ from cascademine.util import save_cache, substream_seed, write_csv, write_json
 SCHEMA_VERSION = 1
 
 INGEST_CACHE = "ingest.pkl"
+PROFILES_CACHE = "profiles.npz"
 CASCADES_CACHE = "cascades.npz"
 
 MODELS_CACHE_FORMAT = "cascademine.models"
@@ -68,6 +69,7 @@ def stage_ingest(cfg: RunConfig) -> None:
     result = ingest_dataset(paths)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
     save_ingest(result, cfg.cache_path(INGEST_CACHE))
+    save_profiles(result.profiles, cfg.cache_path(PROFILES_CACHE))
     write_csv(cfg.cache_path("yearly.csv"), ("year", "review_count", "tip_count"),
               yearly_activity_counts(result.all_events()))
     for name, counts in sorted(result.drop_counts.items()):
@@ -78,8 +80,9 @@ def stage_ingest(cfg: RunConfig) -> None:
 
 
 def stage_build_cascades(cfg: RunConfig) -> None:
-    result = load_ingest(_require(cfg, INGEST_CACHE, "ingest"))
-    by_city = casc.build_cascades(result.events_by_city, result.graph, cfg.window_days)
+    events_by_city = load_ingest(_require(cfg, INGEST_CACHE, "ingest")).events_by_city
+    graph = load_profiles(_require(cfg, PROFILES_CACHE, "ingest")).graph
+    by_city = casc.build_cascades(events_by_city, graph, cfg.window_days)
     casc.save_cascades(by_city, cfg.cache_path(CASCADES_CACHE))
     casc.write_cascades(by_city, cfg.cache_path("cascades.jsonl"))
     total = sum(len(v) for v in by_city.values())
@@ -186,11 +189,11 @@ def stage_export_dot(cfg: RunConfig) -> None:
 
 
 def stage_features(cfg: RunConfig) -> None:
-    result = load_ingest(_require(cfg, INGEST_CACHE, "ingest"))
+    profiles = load_profiles(_require(cfg, PROFILES_CACHE, "ingest"))
     by_city = casc.read_cascades(_require(cfg, CASCADES_CACHE, "build-cascades"))
     labeling = feat.label_cascades(by_city, cfg.k, cfg.percentile, cfg.min_big_cascades)
     balanced = feat.balance(labeling.labeled, cfg.seed)
-    extractor = feat.FeatureExtractor(result.users, result.businesses, result.graph, cfg.k)
+    extractor = feat.FeatureExtractor(profiles, cfg.k)
     examples = feat.build_examples(balanced, extractor)
     write_csv(cfg.cache_path("features.csv"),
               ("cascade_id", "city", "label", *feat.FEATURE_NAMES),

@@ -15,14 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
-from math import log1p
+from math import isnan, log1p
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from cascademine.cascades import Cascade, CascadeId
-from cascademine.ingest import BusinessRecord, EventKind, UserRecord
-from cascademine.social import SocialGraph
+from cascademine.ingest import EventKind, Profiles
 from cascademine.util import load_cache, nearest_rank, save_cache, substream_seed
 
 LABEL_SHORT = 0
@@ -153,21 +152,19 @@ def _uniform_subset(rows: list[LabeledCascade], n: int,
 
 
 class FeatureExtractor:
-    """Computes feature vectors against read-only attribute tables.
+    """Computes feature vectors against the read-only profile tables.
 
-    ``imputed`` counts every value that had to be filled in, keyed by the
-    feature it fed, so gaps in the user/business tables reconcile exactly
-    with what the matrix contains.
+    Table values are read as Python numbers (``tolist``), so the arithmetic
+    is that of the parsed input values. ``imputed`` counts every value that
+    had to be filled in, keyed by the feature it fed, so gaps in the
+    user/business tables reconcile exactly with what the matrix contains.
     """
 
-    def __init__(self, users: Mapping[int, UserRecord],
-                 businesses: Mapping[int, BusinessRecord],
-                 graph: SocialGraph, k: int = 5):
+    def __init__(self, profiles: Profiles, k: int = 5):
         if k < 2:
             raise ValueError("k must be at least 2")
-        self.users = users
-        self.businesses = businesses
-        self.graph = graph
+        self.profiles = profiles
+        self.graph = profiles.graph
         self.k = k
         self.imputed: Counter = Counter()
         self._city_stars: dict[str, float] = {}
@@ -176,9 +173,10 @@ class FeatureExtractor:
         cached = self._city_stars.get(city)
         if cached is not None:
             return cached
-        stars = [b.stars for b in self.businesses.values() if b.city == city]
-        if not stars:
-            stars = [b.stars for b in self.businesses.values()]
+        businesses, cities = self.profiles.businesses, self.profiles.cities
+        all_stars = businesses["stars"].tolist()
+        stars = [s for s, c in zip(all_stars, businesses["city"].tolist())
+                 if cities[c] == city] or all_stars
         value = float(np.mean(stars)) if stars else FALLBACK_STARS
         self._city_stars[city] = value
         return value
@@ -188,6 +186,17 @@ class FeatureExtractor:
             self.imputed[feature] += 1
             return self._city_mean_stars(city)
         return float(value)
+
+    def _user(self, u: int):
+        """(review_count, average_stars, yelping_since ordinal, fans, elite_years)
+        with None for an absent value, or None for a user the user file did not list."""
+        table = self.profiles.users
+        if not 0 <= u < len(table):
+            return None
+        listed, review_count, avg, since, fans, elite = table[u].tolist()
+        if not listed:
+            return None
+        return review_count, None if isnan(avg) else avg, since or None, fans, elite
 
     def extract(self, cascade: Cascade) -> np.ndarray:
         if cascade.size < self.k:
@@ -204,41 +213,42 @@ class FeatureExtractor:
         v = np.empty(N_FEATURES, dtype=np.float64)
 
         # business block
-        biz = self.businesses.get(cascade.business_id)
-        if biz is None:
+        businesses = self.profiles.businesses
+        if not 0 <= cascade.business_id < len(businesses):
             self.imputed.update(FEATURE_NAMES[0:4])
             v[0:4] = (self._city_mean_stars(city), 0.0, 0.0, 0.0)
         else:
-            v[0:4] = (biz.stars, log1p(biz.review_count), float(biz.category_count),
-                      float(biz.is_open))
+            _, biz_stars, review_count, category_count, is_open = (
+                businesses[cascade.business_id].tolist())
+            v[0:4] = (biz_stars, log1p(review_count), float(category_count), float(is_open))
 
         # root node block
-        root_user = self.users.get(root)
+        root_user = self._user(root)
         v[4] = log1p(self.graph.degree(root))
         if root_user is None:
             self.imputed.update(FEATURE_NAMES[5:10])
             v[5:10] = (0.0, self._city_mean_stars(city), 0.0, 0.0, 0.0)
         else:
-            since = root_user.yelping_since
+            review_count, avg, since, fans, elite = root_user
             if since is None:
                 self.imputed["root_account_age_days"] += 1
-            v[5:10] = (log1p(root_user.review_count),
-                       self._stars_or_city_mean(root_user.average_stars, city, "root_avg_stars"),
-                       0.0 if since is None else float(max(days[0] - since.toordinal(), 0)),
-                       log1p(root_user.fans), float(root_user.elite_years))
+            v[5:10] = (log1p(review_count),
+                       self._stars_or_city_mean(avg, city, "root_avg_stars"),
+                       0.0 if since is None else float(max(days[0] - since, 0)),
+                       log1p(fans), float(elite))
 
         # non-root node block (k >= 2 guarantees rest is nonempty)
         rows = []
         for u in rest:
-            rec = self.users.get(u)
+            rec = self._user(u)
             if rec is None:
                 self.imputed.update(("nonroot_review_count_log1p_mean", "nonroot_avg_stars_mean",
                                      "nonroot_fans_log1p_mean", "nonroot_elite_years_mean"))
                 rows.append((0.0, self._city_mean_stars(city), 0.0, 0.0))
             else:
-                rows.append((log1p(rec.review_count), self._stars_or_city_mean(
-                    rec.average_stars, city, "nonroot_avg_stars_mean"),
-                    log1p(rec.fans), float(rec.elite_years)))
+                review_count, avg, _, fans, elite = rec
+                rows.append((log1p(review_count), self._stars_or_city_mean(
+                    avg, city, "nonroot_avg_stars_mean"), log1p(fans), float(elite)))
         review_counts, avg_stars, fans, elite = zip(*rows)
         degrees = [log1p(self.graph.degree(u)) for u in rest]
         v[10:18] = (np.mean(degrees), np.max(degrees), np.mean(review_counts),

@@ -15,18 +15,28 @@ file, never fatal. String ids are interned to dense integers in sorted order
 of the raw id strings, so re-ingesting the same files reproduces the exact
 same assignment.
 
-The friendship graph is built once here, as CSR (:mod:`cascademine.social`),
-and stored in the result; later stages read it from the cache.
+A count, a rating or a date that is missing, malformed, negative, out of
+range or not finite (``NaN``, ``Infinity``) is read as absent.
 
-The binary cache written by :func:`save_ingest` is a pickle of
-``{"format": "cascademine.ingest", "version": 3, "result": IngestResult}``;
-:func:`load_ingest` refuses anything else with a DataError.
+Users and businesses are parsed straight into column tables, and the
+friendship graph is built once, as CSR (:mod:`cascademine.social`); together
+they are the :class:`Profiles`. ``ingest`` writes two caches, one per reader:
+
+* ``ingest.pkl`` (:func:`save_ingest`), read by ``build-cascades``: a pickle of
+  ``{"format": "cascademine.ingest", "version": 4, "events_by_city": ...,
+  "user_ids": ..., "business_ids": ..., "drop_counts": ...}``;
+* ``profiles.npz`` (:func:`save_profiles`), read by ``build-cascades`` for the
+  graph and by ``features``: plain arrays, loaded without unpickling.
+
+:func:`load_ingest` and :func:`load_profiles` refuse a damaged file, another
+format or another version with a DataError.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -34,12 +44,28 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 import cascademine.social as social
 from cascademine.errors import DataError
-from cascademine.util import load_cache, save_cache
+from cascademine.util import load_arrays, load_cache, save_arrays, save_cache
 
 CACHE_FORMAT = "cascademine.ingest"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
+PROFILES_FORMAT = "cascademine.profiles"
+PROFILES_VERSION = 1
+
+# One row per interned user. ``listed`` is False for a user known only from a
+# friend list or an event; such a row holds no attributes. ``average_stars`` is
+# NaN and ``yelping_since`` (a day ordinal) 0 when absent.
+USER_DTYPE = np.dtype([("listed", np.bool_), ("review_count", np.int64),
+                       ("average_stars", np.float64), ("yelping_since", np.int32),
+                       ("fans", np.int64), ("elite_years", np.int64)])
+# One row per interned business; ``city`` indexes the sorted city names.
+BUSINESS_DTYPE = np.dtype([("city", np.int32), ("stars", np.float64),
+                           ("review_count", np.int64), ("category_count", np.int64),
+                           ("is_open", np.bool_)])
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class EventKind(IntEnum):
@@ -66,24 +92,15 @@ class Event:
     votes: int  # useful + funny + cool for a review, likes for a tip
 
 
-@dataclass(frozen=True, slots=True)
-class UserRecord:
-    user_id: int
-    review_count: int
-    average_stars: float | None
-    yelping_since: dt.date | None
-    fans: int
-    elite_years: int
+@dataclass
+class Profiles:
+    """The user and business tables and the friendship graph: what feature
+    extraction reads, stored as ``profiles.npz``."""
 
-
-@dataclass(frozen=True, slots=True)
-class BusinessRecord:
-    business_id: int
-    city: str  # normalized, never empty
-    stars: float
-    review_count: int
-    category_count: int
-    is_open: bool
+    users: np.ndarray  # USER_DTYPE, row u is interned user u
+    businesses: np.ndarray  # BUSINESS_DTYPE, row b is interned business b
+    cities: list[str]  # sorted normalized names, never empty strings
+    graph: social.SocialGraph
 
 
 @dataclass(frozen=True)
@@ -109,17 +126,15 @@ class IngestResult:
     ``events_by_city`` maps normalized city name to events sorted by
     (business_id, date, user_id, kind); cities are disjoint and exhaustive
     over retained events. ``user_ids`` / ``business_ids`` map interned id
-    back to the raw string id. ``graph`` is the friendship graph over every
-    interned user id.
+    back to the raw string id. ``profiles`` is None in a result read back
+    by :func:`load_ingest`: they have a cache of their own.
     """
 
     events_by_city: dict[str, list[Event]]
-    users: dict[int, UserRecord]
-    businesses: dict[int, BusinessRecord]
     user_ids: list[str]
     business_ids: list[str]
-    graph: social.SocialGraph
     drop_counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    profiles: Profiles | None = None
 
     @property
     def n_events(self) -> int:
@@ -145,20 +160,28 @@ def _parse_day(value) -> dt.date:
 
 
 def _as_int(value, default: int = 0) -> int:
+    """A non-negative count that fits the tables; ``default`` for anything else."""
     try:
         n = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
         return default
-    return n if n >= 0 else default
+    return n if 0 <= n <= _MAX_COUNT else default
+
+
+def _as_float(value) -> float | None:
+    """A finite float, or None (NaN and infinities are absent values)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int
+        return None
+    return x if math.isfinite(x) else None
 
 
 def _event_stars(value) -> int | None:
-    if value is None:
+    x = _as_float(value)
+    if x is None:
         return None
-    try:
-        s = int(round(float(value)))
-    except (TypeError, ValueError):
-        return None
+    s = int(round(x))
     return s if 1 <= s <= 5 else None
 
 
@@ -199,13 +222,9 @@ def _parse_businesses(path: Path, counts: Counter):
         if not city:
             counts["empty_city"] += 1
             continue
-        try:
-            stars = float(obj.get("stars", 0.0) or 0.0)
-        except (TypeError, ValueError):
-            stars = 0.0
         records[obj["business_id"]] = (
             city,
-            stars,
+            _as_float(obj.get("stars")) or 0.0,
             _as_int(obj.get("review_count")),
             len(_id_list(obj.get("categories"))),
             bool(_as_int(obj.get("is_open"), 0)),
@@ -221,18 +240,17 @@ def _parse_users(path: Path, counts: Counter):
         if obj is None or not isinstance(obj.get("user_id"), str):
             counts["malformed"] += 1
             continue
+        avg = _as_float(obj.get("average_stars"))
         try:
-            avg = float(obj["average_stars"]) if obj.get("average_stars") is not None else None
-        except (TypeError, ValueError):
-            avg = None
-        try:
-            since = _parse_day(obj.get("yelping_since"))
+            since = _parse_day(obj.get("yelping_since")).toordinal()
         except ValueError:
-            since = None
+            since = 0
+        # the friends, then a USER_DTYPE row
         records[obj["user_id"]] = (
             _id_list(obj.get("friends")),
+            True,
             _as_int(obj.get("review_count")),
-            avg,
+            math.nan if avg is None else avg,
             since,
             _as_int(obj.get("fans")),
             len(_id_list(obj.get("elite"))),
@@ -303,29 +321,30 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
 
     # Popping each raw user, and deleting the listings once the graph is built,
     # frees that memory before the events are built: it lowers ingest's peak RSS.
-    users: dict[int, UserRecord] = {}
+    users = np.zeros(len(user_ids), USER_DTYPE)
+    users["average_stars"] = math.nan
     src, dst = array("i"), array("i")  # friend listings: src lists dst
     for raw in sorted(raw_users):
-        friends, review_count, avg, since, fans, elite_years = raw_users.pop(raw)
+        friends, *row = raw_users.pop(raw)
         uid = user_index[raw]
         for f in friends:
             src.append(uid)
             dst.append(user_index[f])
-        users[uid] = UserRecord(uid, review_count, avg, since, fans, elite_years)
+        users[uid] = tuple(row)
     graph = social.build_graph(src, dst, n_nodes=len(user_ids))
     del src, dst
 
-    businesses: dict[int, BusinessRecord] = {}
-    for raw in business_ids:
-        city, stars, review_count, category_count, is_open = raw_businesses[raw]
-        bid = business_index[raw]
-        businesses[bid] = BusinessRecord(bid, city, stars, review_count, category_count, is_open)
+    cities = sorted({city for city, *_ in raw_businesses.values()})
+    city_index = {city: i for i, city in enumerate(cities)}
+    business_city = [raw_businesses[raw][0] for raw in business_ids]
+    businesses = np.array([(city_index[city], *row) for city, *row
+                           in map(raw_businesses.__getitem__, business_ids)], BUSINESS_DTYPE)
 
     events_by_city: dict[str, list[Event]] = {}
     for raw_uid, raw_bid, day, kind, stars, text_len, votes in raw_events:
         bid = business_index[raw_bid]
         event = Event(user_index[raw_uid], bid, day, kind, stars, text_len, votes)
-        events_by_city.setdefault(businesses[bid].city, []).append(event)
+        events_by_city.setdefault(business_city[bid], []).append(event)
 
     for city in events_by_city:
         events_by_city[city].sort(key=lambda e: (e.business_id, e.date, e.user_id, e.kind))
@@ -333,12 +352,10 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
 
     return IngestResult(
         events_by_city=events_by_city,
-        users=users,
-        businesses=businesses,
         user_ids=user_ids,
         business_ids=business_ids,
-        graph=graph,
         drop_counts={name: dict(c) for name, c in counts.items()},
+        profiles=Profiles(users, businesses, cities, graph),
     )
 
 
@@ -356,8 +373,44 @@ def yearly_activity_counts(events: Iterable[Event]) -> list[tuple[int, int, int]
 
 
 def save_ingest(result: IngestResult, path) -> None:
-    save_cache(path, CACHE_FORMAT, CACHE_VERSION, result=result)
+    """Write ``ingest.pkl``: the events and the id maps, not the profiles."""
+    save_cache(path, CACHE_FORMAT, CACHE_VERSION, events_by_city=result.events_by_city,
+               user_ids=result.user_ids, business_ids=result.business_ids,
+               drop_counts=result.drop_counts)
 
 
 def load_ingest(path) -> IngestResult:
-    return load_cache(path, CACHE_FORMAT, CACHE_VERSION, "ingest")["result"]
+    payload = load_cache(path, CACHE_FORMAT, CACHE_VERSION, "ingest")
+    try:
+        return IngestResult(payload["events_by_city"], payload["user_ids"],
+                            payload["business_ids"], payload["drop_counts"])
+    except KeyError as exc:
+        raise DataError(f"damaged ingest cache {path} ({exc!r}); rerun 'ingest'") from exc
+
+
+def save_profiles(profiles: Profiles, path) -> None:
+    """Write ``profiles.npz``, which :func:`load_profiles` reads."""
+    save_arrays(path, PROFILES_FORMAT, PROFILES_VERSION, users=profiles.users,
+                businesses=profiles.businesses, cities=np.array(profiles.cities, dtype=np.str_),
+                indptr=profiles.graph.indptr, indices=profiles.graph.indices)
+
+
+def load_profiles(path) -> Profiles:
+    """Read ``profiles.npz``. A damaged file, another format or version, or
+    arrays that do not fit together raise DataError naming 'ingest'."""
+    arrays = load_arrays(path, PROFILES_FORMAT, PROFILES_VERSION, "ingest")
+    try:
+        users, businesses, cities = arrays["users"], arrays["businesses"], arrays["cities"]
+        indptr, indices = arrays["indptr"], arrays["indices"]
+        fits = (users.dtype == USER_DTYPE and businesses.dtype == BUSINESS_DTYPE
+                and cities.dtype.kind == "U" and indptr.dtype == indices.dtype == np.int32
+                and {a.ndim for a in (users, businesses, cities, indptr, indices)} == {1}
+                and len(indptr) == len(users) + 1 and indptr[0] == 0
+                and indptr[-1] == len(indices) and (np.diff(indptr) >= 0).all()
+                and ((0 <= indices) & (indices < len(users))).all()
+                and ((0 <= businesses["city"]) & (businesses["city"] < len(cities))).all())
+        if not fits:
+            raise ValueError("the arrays do not fit together")
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"damaged profile store {path} ({exc!r}); rerun 'ingest'") from exc
+    return Profiles(users, businesses, cities.tolist(), social.SocialGraph(indptr, indices))

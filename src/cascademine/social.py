@@ -3,7 +3,8 @@
 Adjacency is stored in compressed sparse row form: the neighbours of user
 ``u`` are ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, so a
 neighbour list is one slice and membership is a binary search. The graph is
-immutable once built and is stored once, in the ingest cache.
+immutable once built and is stored once, as the ``indptr`` and ``indices``
+arrays of the profile store ``profiles.npz``.
 """
 
 from __future__ import annotations

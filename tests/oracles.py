@@ -292,51 +292,62 @@ def _lg(x: float) -> float:
     return math.log(1.0 + x)
 
 
-def extract_features(cascade, k: int, users, businesses, graph) -> np.ndarray:
+def extract_features(cascade, k: int, profiles) -> np.ndarray:
     """One-shot FeatureExtractor for a single cascade."""
-    return FeatureExtractor(users, businesses, graph, k).extract(cascade)
+    return FeatureExtractor(profiles, k).extract(cascade)
 
 
-def reference_features(cascade, k: int, users, businesses, graph) -> dict[str, float]:
+def reference_features(cascade, k: int, profiles) -> dict[str, float]:
     """Straightforward per-cascade recomputation of every feature, written
     against the same tables but with its own ordering, lookup, and math."""
     nodes = sorted(cascade_events(cascade), key=lambda n: (n.date, n.user_id))[:k]
     root, others = nodes[0], nodes[1:]
+    graph, users, businesses = profiles.graph, profiles.users, profiles.businesses
     out: dict[str, float] = {}
 
-    city_stars = [b.stars for b in businesses.values() if b.city == cascade.city]
+    def record(table, i):
+        """Row i by field name, None outside the table or for an unlisted user."""
+        if not 0 <= i < len(table) or ("listed" in table.dtype.names
+                                       and not table["listed"][i]):
+            return None
+        return {name: table[name][i].item() for name in table.dtype.names}
+
+    def avg_stars(rec):
+        return None if rec is None or math.isnan(rec["average_stars"]) else rec["average_stars"]
+
+    city_stars = [float(b["stars"]) for b in businesses
+                  if profiles.cities[b["city"]] == cascade.city]
     if not city_stars:
-        city_stars = [b.stars for b in businesses.values()] or [3.0]
+        city_stars = [float(b["stars"]) for b in businesses] or [3.0]
     city_mean = statistics.fmean(city_stars)
 
-    biz = businesses.get(cascade.business_id)
-    out["biz_stars"] = biz.stars if biz else city_mean
-    out["biz_review_count_log1p"] = _lg(biz.review_count) if biz else 0.0
-    out["biz_category_count"] = float(biz.category_count) if biz else 0.0
-    out["biz_is_open"] = float(bool(biz and biz.is_open))
+    biz = record(businesses, cascade.business_id)
+    out["biz_stars"] = biz["stars"] if biz else city_mean
+    out["biz_review_count_log1p"] = _lg(biz["review_count"]) if biz else 0.0
+    out["biz_category_count"] = float(biz["category_count"]) if biz else 0.0
+    out["biz_is_open"] = float(bool(biz and biz["is_open"]))
 
     nbrs_of = lambda u: set(int(x) for x in graph.neighbors(u))
-    ru = users.get(root.user_id)
+    ru = record(users, root.user_id)
     out["root_degree_log1p"] = _lg(len(nbrs_of(root.user_id)))
-    out["root_review_count_log1p"] = _lg(ru.review_count) if ru else 0.0
-    out["root_avg_stars"] = (ru.average_stars if ru and ru.average_stars is not None
-                             else city_mean)
-    if ru and ru.yelping_since is not None:
-        out["root_account_age_days"] = float(max((root.date - ru.yelping_since).days, 0))
+    out["root_review_count_log1p"] = _lg(ru["review_count"]) if ru else 0.0
+    out["root_avg_stars"] = avg_stars(ru) if avg_stars(ru) is not None else city_mean
+    if ru and ru["yelping_since"] != 0:
+        since = dt.date.fromordinal(ru["yelping_since"])
+        out["root_account_age_days"] = float(max((root.date - since).days, 0))
     else:
         out["root_account_age_days"] = 0.0
-    out["root_fans_log1p"] = _lg(ru.fans) if ru else 0.0
-    out["root_elite_years"] = float(ru.elite_years) if ru else 0.0
+    out["root_fans_log1p"] = _lg(ru["fans"]) if ru else 0.0
+    out["root_elite_years"] = float(ru["elite_years"]) if ru else 0.0
 
     degs = [_lg(len(nbrs_of(n.user_id))) for n in others]
     rcs, avgs, fans, elites = [], [], [], []
     for n in others:
-        rec = users.get(n.user_id)
-        rcs.append(_lg(rec.review_count) if rec else 0.0)
-        avgs.append(rec.average_stars if rec and rec.average_stars is not None
-                    else city_mean)
-        fans.append(_lg(rec.fans) if rec else 0.0)
-        elites.append(float(rec.elite_years) if rec else 0.0)
+        rec = record(users, n.user_id)
+        rcs.append(_lg(rec["review_count"]) if rec else 0.0)
+        avgs.append(avg_stars(rec) if avg_stars(rec) is not None else city_mean)
+        fans.append(_lg(rec["fans"]) if rec else 0.0)
+        elites.append(float(rec["elite_years"]) if rec else 0.0)
     root_nbrs = nbrs_of(root.user_id)
     out["nonroot_degree_log1p_mean"] = statistics.fmean(degs)
     out["nonroot_degree_log1p_max"] = max(degs)

@@ -212,11 +212,11 @@ def test_criterion_05_percentile_labeling():
 def test_criterion_06_feature_no_leakage_and_oracle():
     rng = np.random.default_rng(6)
     k = 3
-    users, businesses, graph, cascades = random_world(rng, 700)
+    tables, cascades = random_world(rng, 700)
     eligible = [c for c in cascades if c.size >= k + 1]
     assert len(eligible) >= 500
     eligible = eligible[:500]
-    extractor = FeatureExtractor(users, businesses, graph, k=k)
+    extractor = FeatureExtractor(tables, k=k)
     leaks = 0
     worst = 0.0
     for cascade in eligible:
@@ -224,7 +224,7 @@ def test_criterion_06_feature_no_leakage_and_oracle():
         for mutant in mutate_beyond_prefix(cascade, k, rng):
             if extractor.extract(mutant).tobytes() != base.tobytes():
                 leaks += 1
-        ref = reference_features(cascade, k, users, businesses, graph)
+        ref = reference_features(cascade, k, tables)
         worst = max(worst, max(abs(v - ref[name])
                                for name, v in zip(FEATURE_NAMES, base)))
     report(6, "500 cascades: mutations beyond k leave features bitwise unchanged; "
@@ -376,7 +376,7 @@ def test_criterion_10_optional_full_dataset():
         pytest.skip(f"dataset files not found under {root}")
 
     result = ingest_dataset(paths)
-    by_city = build_cascades(result.events_by_city, result.graph)
+    by_city = build_cascades(result.events_by_city, result.profiles.graph)
     # analysis population: cities with enough cascades to rank topologies
     big = {city: cs for city, cs in by_city.items() if len(cs) >= 100}
     table = census(big, max_rank=1)
@@ -399,7 +399,7 @@ def test_criterion_10_optional_full_dataset():
     labeling = label_cascades(by_city, 5, 90.0, 50)
     from cascademine.features import balance, build_examples, examples_matrix
     balanced = balance(labeling.labeled, 0)
-    extractor = FeatureExtractor(result.users, result.businesses, result.graph, 5)
+    extractor = FeatureExtractor(result.profiles, 5)
     clf_ok = True
     for city in sorted(balanced):
         X, ycls = examples_matrix(build_examples({city: balanced[city]}, extractor))

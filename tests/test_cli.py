@@ -37,18 +37,25 @@ def two_city_dataset(tmp_path_factory):
     return root
 
 
-def rename_cities(data: Path, out: Path, names: dict[str, str]) -> Path:
-    """Copy a synthetic dataset to ``out`` with its business cities renamed."""
+def edit_dataset(data: Path, out: Path, name: str, edit) -> Path:
+    """Copy a synthetic dataset to ``out``, passing every record of file
+    ``name`` through ``edit`` (which changes it in place)."""
     out.mkdir()
-    for name in ("user.json", "review.json", "tip.json"):
-        (out / name).write_bytes((data / name).read_bytes())
-    with open(data / "business.json", encoding="utf-8") as src, \
-            open(out / "business.json", "w", encoding="utf-8") as dst:
+    for other in ("business.json", "user.json", "review.json", "tip.json"):
+        (out / other).write_bytes((data / other).read_bytes())
+    with open(data / name, encoding="utf-8") as src, \
+            open(out / name, "w", encoding="utf-8") as dst:
         for line in src:
             record = json.loads(line)
-            record["city"] = names[record["city"]]
+            edit(record)
             dst.write(json.dumps(record, ensure_ascii=False) + "\n")
     return out
+
+
+def rename_cities(data: Path, out: Path, names: dict[str, str]) -> Path:
+    """Copy a synthetic dataset to ``out`` with its business cities renamed."""
+    return edit_dataset(data, out, "business.json",
+                        lambda record: record.update(city=names[record["city"]]))
 
 
 def pipeline_args(data: Path, cache: Path, *extra: str) -> list[str]:
@@ -229,6 +236,45 @@ class TestExitCodes:
             assert main([stage, "--cache-dir", str(tmp_path)]) == 2, stage
             assert "build-cascades" in capsys.readouterr().err
 
+    def test_cache_without_profile_store_is_missing_stage(self, fixture_dataset, tmp_path,
+                                                          capsys):
+        assert main(["ingest", *pipeline_args(fixture_dataset, tmp_path)]) == 0
+        assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 0
+        (tmp_path / "profiles.npz").unlink()
+        for stage in ("build-cascades", "features"):
+            capsys.readouterr()
+            assert main([stage, "--cache-dir", str(tmp_path)]) == 2, stage
+            assert "profiles.npz" in capsys.readouterr().err
+
+    def test_damaged_profile_store_is_data_error(self, fixture_dataset, tmp_path, capsys):
+        assert main(["ingest", *pipeline_args(fixture_dataset, tmp_path)]) == 0
+        assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 0
+        store = tmp_path / "profiles.npz"
+        good = store.read_bytes()
+        with np.load(store) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        assert arrays["format"].tolist() == "cascademine.profiles"
+        damaged = [
+            good[:len(good) // 2],  # truncated
+            b"not a zip archive\n",
+            {**arrays, "format": np.array("cascademine.cascades")},
+            {**arrays, "version": np.array(0)},
+            {name: a for name, a in arrays.items() if name != "indices"},
+            {**arrays, "indptr": arrays["indptr"][:-1]},  # one user short
+            {**arrays, "users": arrays["users"][["listed", "fans"]]},  # other columns
+            {**arrays, "cities": arrays["cities"][:0]},  # city index out of range
+            {**arrays, "cities": arrays["cities"].astype(object)},  # needs pickle
+        ]
+        for payload in damaged:
+            if isinstance(payload, bytes):
+                store.write_bytes(payload)
+            else:
+                np.savez(store, **payload)
+            for stage in ("build-cascades", "features"):
+                capsys.readouterr()
+                assert main([stage, "--cache-dir", str(tmp_path)]) == 3, stage
+                assert "rerun 'ingest'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_fail_train(self, tmp_path, capsys, bad):
         rng = np.random.default_rng(5)
@@ -255,6 +301,8 @@ class TestExitCodes:
     def test_caches_of_earlier_versions_are_data_errors(self, tmp_path, capsys):
         for name, fmt, version, stage, rerun in (
                 ("ingest.pkl", "cascademine.ingest", 2, "build-cascades", "ingest"),
+                # version 3 pickled the whole IngestResult, profiles included
+                ("ingest.pkl", "cascademine.ingest", 3, "build-cascades", "ingest"),
                 ("features.pkl", "cascademine.features", 1, "train", "features")):
             (tmp_path / name).write_bytes(pickle.dumps({"format": fmt, "version": version}))
             assert main([stage, "--cache-dir", str(tmp_path)]) == 3
@@ -372,6 +420,37 @@ class TestPipeline:
         assert set(labeling["included"]) | {c for c, _ in labeling["excluded"]} == cities
         dots = {p.name.rsplit("_rank", 1)[0] for p in (cache / "dot").iterdir()}
         assert dots == {"montréal", "saint_louis__mo"}
+
+    def test_features_needs_no_event_cache(self, fixture_dataset, tmp_path):
+        kept, dropped = tmp_path / "kept", tmp_path / "dropped"
+        for cache in (kept, dropped):
+            args = pipeline_args(fixture_dataset, cache)
+            assert main(["ingest", *args]) == 0
+            assert main(["build-cascades", *args]) == 0
+        (dropped / "ingest.pkl").unlink()
+        for cache in (kept, dropped):
+            assert main(["features", *pipeline_args(fixture_dataset, cache)]) == 0
+        for name in ("features.csv", "features.pkl", "labeling.json"):
+            assert (dropped / name).read_bytes() == (kept / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name,field,value", [
+        ("review.json", "useful", float("inf")),
+        ("review.json", "stars", float("inf")),
+        ("user.json", "fans", float("inf")),
+        ("user.json", "average_stars", "nan"),
+        ("business.json", "stars", "NaN"),
+    ])
+    def test_non_finite_input_read_as_absent(self, fixture_dataset, tmp_path, name, field,
+                                             value):
+        bad = edit_dataset(fixture_dataset, tmp_path / "bad", name,
+                           lambda record: record.update({field: value}))
+        absent = edit_dataset(fixture_dataset, tmp_path / "absent", name,
+                              lambda record: record.pop(field, None))
+        assert main(["all", *pipeline_args(bad, tmp_path / "bad_cache")]) == 0
+        assert main(["ingest", *pipeline_args(absent, tmp_path / "absent_cache")]) == 0
+        for cache in ("ingest.pkl", "profiles.npz"):
+            assert ((tmp_path / "bad_cache" / cache).read_bytes()
+                    == (tmp_path / "absent_cache" / cache).read_bytes()), cache
 
     def test_full_determinism_two_runs(self, fixture_dataset, tmp_path):
         hashes = []

@@ -10,19 +10,33 @@ from cascademine.errors import ConfigError
 from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureExtractor, LABEL_LONG, LABEL_SHORT,
                                   LabeledCascade, balance, label_cascades, load_examples, save_examples,
                                   build_examples)
-from cascademine.ingest import BusinessRecord, Event, EventKind, UserRecord
+from cascademine.ingest import BUSINESS_DTYPE, USER_DTYPE, Event, EventKind, Profiles
 from conftest import day, edge_array, graph_from_edges, mk_cascade, random_graph
 from oracles import cascade_edges, cascade_events, extract_features, reference_features
 
 
-def user(uid, review_count=5, avg=3.8, since=-400, fans=2, elite=1):
-    since_date = None if since is None else day(since)
-    return UserRecord(uid, review_count, avg, since_date, fans, elite)
+def user(review_count=5, avg=3.8, since=-400, fans=2, elite=1):
+    """A listed user's USER_DTYPE row; None is an absent value."""
+    return (True, review_count, np.nan if avg is None else avg,
+            0 if since is None else day(since).toordinal(), fans, elite)
 
 
-def business(bid, city="testville", stars=4.0, review_count=50, categories=3,
-             is_open=True):
-    return BusinessRecord(bid, city, stars, review_count, categories, is_open)
+def business(city="testville", stars=4.0, review_count=50, categories=3, is_open=True):
+    """A business row, with its city by name."""
+    return (city, stars, review_count, categories, is_open)
+
+
+def profiles(users: dict, businesses: list, graph) -> Profiles:
+    """Tables over ``graph``'s users, listing ``users`` ({id: user(...)}), and
+    over ``businesses`` (business ``b`` is ``businesses[b]``)."""
+    user_table = np.zeros(graph.n_nodes, USER_DTYPE)
+    user_table["average_stars"] = np.nan
+    for uid, row in users.items():
+        user_table[uid] = row
+    cities = sorted({row[0] for row in businesses})
+    business_table = np.array([(cities.index(city), *rest) for city, *rest in businesses],
+                              BUSINESS_DTYPE)
+    return Profiles(user_table, business_table, cities, graph)
 
 
 def cascade_of_size(n, index=0, business_id=0):
@@ -142,19 +156,18 @@ class TestBalance:
 
 
 def small_world():
-    users = {0: user(0), 1: user(1), 2: user(2), 3: user(3, avg=None, since=None)}
-    businesses = {0: business(0), 1: business(1, stars=2.0)}
-    graph = graph_from_edges([(0, 1), (0, 2)], 5)
-    return users, businesses, graph
+    users = {0: user(), 1: user(), 2: user(), 3: user(avg=None, since=None)}
+    businesses = [business(), business(stars=2.0)]
+    return profiles(users, businesses, graph_from_edges([(0, 1), (0, 2)], 5))
 
 
 class TestExtract:
     def test_two_node_example(self):
-        users, businesses, graph = small_world()
+        tables = small_world()
         cascade = mk_cascade(
             [(0, 1, EventKind.REVIEW, 4, 100, 2), (1, 4, EventKind.TIP, None, 30, 0)],
             [(0, 1)])
-        vec = extract_features(cascade, 2, users, businesses, graph)
+        vec = extract_features(cascade, 2, tables)
         named = dict(zip(FEATURE_NAMES, vec))
         assert named["root_stars"] == 4.0
         assert named["root_is_tip"] == 0.0
@@ -168,23 +181,23 @@ class TestExtract:
         assert named["biz_stars"] == 4.0
 
     def test_friendless_root_degree_zero(self):
-        users, businesses, graph = small_world()
+        tables = small_world()
         cascade = mk_cascade([(3, 0), (4, 1)], [(3, 4)])
-        vec = extract_features(cascade, 2, users, businesses, graph)
+        vec = extract_features(cascade, 2, tables)
         named = dict(zip(FEATURE_NAMES, vec))
         assert named["root_degree_log1p"] == 0.0
 
     def test_requires_prefix(self):
-        users, businesses, graph = small_world()
+        tables = small_world()
         cascade = mk_cascade([(0, 0), (1, 1)], [(0, 1)])
         with pytest.raises(ValueError):
-            extract_features(cascade, 3, users, businesses, graph)
+            extract_features(cascade, 3, tables)
 
     def test_imputation_counted_and_finite(self):
-        users, businesses, graph = small_world()
+        tables = small_world()
         # user 3 has no avg_stars/since; user 4 unknown; business 9 unknown
         cascade = mk_cascade([(3, 0), (4, 2)], [(3, 4)], business=9)
-        extractor = FeatureExtractor(users, businesses, graph, k=2)
+        extractor = FeatureExtractor(tables, k=2)
         vec = extractor.extract(cascade)
         assert np.all(np.isfinite(vec))
         assert extractor.imputed["root_avg_stars"] == 1
@@ -193,8 +206,8 @@ class TestExtract:
         assert extractor.imputed["nonroot_avg_stars_mean"] == 1
 
     def test_deterministic_bitwise(self, rng):
-        users, businesses, graph, cascades = random_world(rng, 40)
-        extractor = FeatureExtractor(users, businesses, graph, k=3)
+        tables, cascades = random_world(rng, 40)
+        extractor = FeatureExtractor(tables, k=3)
         for cascade in cascades:
             if cascade.size < 3:
                 continue
@@ -203,23 +216,23 @@ class TestExtract:
             assert v1.tobytes() == v2.tobytes()
 
     def test_matches_reference_implementation(self, rng):
-        users, businesses, graph, cascades = random_world(rng, 120)
-        extractor = FeatureExtractor(users, businesses, graph, k=4)
+        tables, cascades = random_world(rng, 120)
+        extractor = FeatureExtractor(tables, k=4)
         checked = 0
         for cascade in cascades:
             if cascade.size < 4:
                 continue
             vec = extractor.extract(cascade)
-            ref = reference_features(cascade, 4, users, businesses, graph)
+            ref = reference_features(cascade, 4, tables)
             for name, value in zip(FEATURE_NAMES, vec):
                 assert abs(value - ref[name]) < 1e-9, name
             checked += 1
         assert checked >= 30
 
     def test_no_leakage_under_mutation(self, rng):
-        users, businesses, graph, cascades = random_world(rng, 60)
+        tables, cascades = random_world(rng, 60)
         k = 3
-        extractor = FeatureExtractor(users, businesses, graph, k=k)
+        extractor = FeatureExtractor(tables, k=k)
         checked = 0
         for cascade in cascades:
             if cascade.size < k + 1:
@@ -239,21 +252,17 @@ def random_world(rng, n_cascades):
         if rng.random() < 0.15:
             continue  # missing record
         users[u] = user(
-            u,
             review_count=int(rng.integers(0, 300)),
             avg=None if rng.random() < 0.2 else float(np.round(rng.uniform(1, 5), 2)),
             since=None if rng.random() < 0.1 else -int(rng.integers(100, 2000)),
             fans=int(rng.integers(0, 50)),
             elite=int(rng.integers(0, 5)),
         )
-    businesses = {}
-    for b in range(10):
-        if rng.random() < 0.1:
-            continue
-        businesses[b] = business(
-            b, city="testville", stars=float(rng.integers(2, 11)) / 2.0,
-            review_count=int(rng.integers(0, 500)),
-            categories=int(rng.integers(0, 6)), is_open=bool(rng.random() < 0.8))
+    # businesses 8 and 9 have no record
+    businesses = [business(city="testville", stars=float(rng.integers(2, 11)) / 2.0,
+                           review_count=int(rng.integers(0, 500)),
+                           categories=int(rng.integers(0, 6)), is_open=bool(rng.random() < 0.8))
+                  for _ in range(8)]
     graph = random_graph(rng, n_users, 0.08)
 
     cascades = []
@@ -270,7 +279,7 @@ def random_world(rng, n_cascades):
         edges = [(ordered[j][0], ordered[j + 1][0]) for j in range(len(ordered) - 1)]
         cascades.append(mk_cascade(specs, edges, business=int(rng.integers(0, 10)),
                                    index=i))
-    return users, businesses, graph, cascades
+    return profiles(users, businesses, graph), cascades
 
 
 def mutate_beyond_prefix(cascade, k, rng):
@@ -307,8 +316,8 @@ def mutate_beyond_prefix(cascade, k, rng):
 
 class TestIO:
     def test_examples_round_trip(self, tmp_path, rng):
-        users, businesses, graph, cascades = random_world(rng, 30)
-        extractor = FeatureExtractor(users, businesses, graph, k=2)
+        tables, cascades = random_world(rng, 30)
+        extractor = FeatureExtractor(tables, k=2)
         balanced = {"testville": [LabeledCascade(c, i % 2) for i, c in
                                   enumerate(cascades)]}
         examples = build_examples(balanced, extractor)

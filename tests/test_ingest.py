@@ -2,12 +2,13 @@ import datetime as dt
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from cascademine.errors import DataError
 from cascademine.ingest import (CACHE_FORMAT, DatasetPaths, EventKind, ingest_dataset,
-                                load_ingest, normalize_city, save_ingest,
-                                yearly_activity_counts)
+                                load_ingest, load_profiles, normalize_city, save_ingest,
+                                save_profiles, yearly_activity_counts)
 from conftest import mk_event
 
 
@@ -115,9 +116,10 @@ class TestIngest:
         result = ingest_dataset(make_dataset(tmp_path, businesses, USERS, reviews, []))
         assert set(result.events_by_city) == {"alpha", "beta"}
         assert sum(len(v) for v in result.events_by_city.values()) == 3
+        profiles = result.profiles
         for city, events in result.events_by_city.items():
             for event in events:
-                assert result.businesses[event.business_id].city == city
+                assert profiles.cities[profiles.businesses["city"][event.business_id]] == city
 
     def test_interning_independent_of_line_order(self, tmp_path):
         reviews = [{"user_id": u, "business_id": "b1", "date": "2012-01-01", "text": ""}
@@ -131,24 +133,27 @@ class TestIngest:
 
     def test_friends_both_encodings_and_elite(self, tmp_path):
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, [], []))
-        by_raw = {result.user_ids[u.user_id]: u for u in result.users.values()}
+        users, graph = result.profiles.users, result.profiles.graph
+        by_raw = dict(zip(result.user_ids, users))
         index = {raw: i for i, raw in enumerate(result.user_ids)}
         # 'b' lists 'a' and 'c'; 'a' lists 'b' too, so 'a' has one friend
-        assert result.graph.degree(index["a"]) == 1
-        assert result.graph.degree(index["b"]) == 2
-        assert result.graph.are_friends(index["b"], index["c"])
-        assert by_raw["a"].elite_years == 2
-        assert by_raw["b"].elite_years == 0
-        assert by_raw["a"].yelping_since == dt.date(2010, 6, 1)
-        assert by_raw["b"].average_stars is None
+        assert graph.degree(index["a"]) == 1
+        assert graph.degree(index["b"]) == 2
+        assert graph.are_friends(index["b"], index["c"])
+        assert by_raw["a"]["elite_years"] == 2
+        assert by_raw["b"]["elite_years"] == 0
+        assert by_raw["a"]["yelping_since"] == dt.date(2010, 6, 1).toordinal()
+        assert np.isnan(by_raw["b"]["average_stars"])
+        assert by_raw["a"]["listed"] and by_raw["b"]["listed"] and not by_raw["c"]["listed"]
 
     def test_self_friend_removed(self, tmp_path):
         users = [{"user_id": "a", "friends": ["a", "b"], "review_count": 0,
                   "yelping_since": "2010-01-01", "fans": 0, "elite": []}]
         result = ingest_dataset(make_dataset(tmp_path, BIZ, users, [], []))
-        rec = next(iter(result.users.values()))
-        assert rec.user_id not in result.graph.neighbors(rec.user_id).tolist()
-        assert result.graph.degree(rec.user_id) == 1  # 'b' only
+        uid = result.user_ids.index("a")
+        graph = result.profiles.graph
+        assert uid not in graph.neighbors(uid).tolist()
+        assert graph.degree(uid) == 1  # 'b' only
 
     def test_missing_file_fatal(self, tmp_path):
         paths = make_dataset(tmp_path, BIZ, USERS, [], [])
@@ -192,11 +197,19 @@ class TestIngest:
         save_ingest(result, cache)
         loaded = load_ingest(cache)
         assert loaded.events_by_city == result.events_by_city
-        assert loaded.users == result.users
-        assert loaded.businesses == result.businesses
+        assert loaded.user_ids == result.user_ids
+        assert loaded.business_ids == result.business_ids
         assert loaded.drop_counts == result.drop_counts
-        assert loaded.graph.indptr.tolist() == result.graph.indptr.tolist()
-        assert loaded.graph.indices.tolist() == result.graph.indices.tolist()
+        assert loaded.profiles is None  # they are stored on their own
+        store = tmp_path / "profiles.npz"
+        save_profiles(result.profiles, store)
+        profiles = load_profiles(store)
+        for name in ("users", "businesses"):
+            a, b = getattr(profiles, name), getattr(result.profiles, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert profiles.cities == result.profiles.cities == ["springfield"]
+        assert profiles.graph.indptr.tolist() == result.profiles.graph.indptr.tolist()
+        assert profiles.graph.indices.tolist() == result.profiles.graph.indices.tolist()
 
     def test_unreadable_or_old_cache_is_data_error(self, tmp_path):
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, [], []))

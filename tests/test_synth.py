@@ -68,7 +68,7 @@ def test_chain_topology_high_influence_gives_paths(tmp_path):
             src = int(obj["src"][1:])
             dst = int(obj["dst"][1:])
             assert abs(src - dst) == 1
-    by_city = build_cascades(ingested.events_by_city, ingested.graph)
+    by_city = build_cascades(ingested.events_by_city, ingested.profiles.graph)
     table = census(by_city, max_rank=1)
     (rows,) = table.values()
     top = rows[0].signature
