@@ -8,7 +8,7 @@ distribution, and predict long vs short cascades from the first k events.
 from cascademine.cascades import Cascade, build_cascades, cascade_summary
 from cascademine.census import TopologySignature, bucket_purity, is_isomorphic, signature
 from cascademine.features import FEATURE_NAMES, FeatureExtractor, balance, label_cascades
-from cascademine.ingest import (DatasetPaths, Event, EventKind, IngestResult, Profiles,
+from cascademine.ingest import (EVENT_DTYPE, DatasetPaths, EventKind, IngestResult, Profiles,
                                 ingest_dataset, yearly_activity_counts)
 from cascademine.learner import (CrossValReport, GbdtModel, LogRegModel, cross_validate,
                                  feature_importance, train_gbdt, train_logreg)

@@ -8,14 +8,15 @@ components with at least two nodes; users whose activity links to no friend
 are discarded. Within a business, cascades are indexed by their earliest
 (date, user) node.
 
-A cascade's nodes are :data:`NODE_DTYPE` rows, each user's first
-:class:`~cascademine.ingest.Event` at the business (``day`` is the date's
-ordinal, ``stars`` 0 means none), ordered by (date, user id); its edges are a
-sorted ``(m, 2)`` int32 array of (src_user, dst_user). ``build-cascades``
-writes the store ``cascades.npz`` (:func:`save_cascades`): all nodes and all
-edges as one array each, with per-cascade offsets, business and component
-index, and per-city offsets and names. :func:`read_cascades` loads it once and
-slices views out of it, so no stage builds an object per node. The export
+A cascade's nodes are :data:`NODE_DTYPE` rows, each user's first event at the
+business (the :data:`~cascademine.ingest.EVENT_DTYPE` fields but the business:
+``day`` is the date's ordinal, ``stars`` 0 means none), ordered by (date, user
+id); its edges are a sorted ``(m, 2)`` int32 array of (src_user, dst_user).
+``build-cascades`` writes the store ``cascades.npz`` (:func:`save_cascades`):
+all nodes and all edges as one array each, with per-cascade offsets, business
+and component index, and per-city offsets and names. :func:`read_cascades`
+loads it once and slices views out of it, so no stage builds an object per
+node. The export
 ``cascades.jsonl`` (:func:`write_cascades`), read by no stage, has one cascade
 per line:
 
@@ -38,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from cascademine.errors import DataError
-from cascademine.ingest import Event, KIND_NAMES
+from cascademine.ingest import KIND_NAMES
 from cascademine.social import SocialGraph
 from cascademine.util import load_arrays, nearest_rank, save_arrays
 
@@ -86,13 +87,6 @@ class SummaryRow:
     max_size: int
 
 
-def node_array(events: Sequence[Event]) -> np.ndarray:
-    """Pack events into :data:`NODE_DTYPE` rows, in the order given."""
-    return np.fromiter(((e.user_id, e.date.toordinal(), e.kind,
-                         0 if e.stars is None else e.stars, e.text_len, e.votes)
-                        for e in events), NODE_DTYPE, len(events))
-
-
 def _views(ids: Sequence[CascadeId], nodes: np.ndarray, edges: np.ndarray,
            node_at: Sequence[int], edge_at: Sequence[int]) -> list[Cascade]:
     """Cascade ``j`` is ``ids[j]`` over rows ``[at[j], at[j + 1])`` of each array."""
@@ -119,18 +113,19 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             label = up
 
 
-def _city_cascades(city: str, events: Sequence[Event], graph: SocialGraph,
+def _city_cascades(city: str, events: np.ndarray, graph: SocialGraph,
                    window_days: int | None) -> list[Cascade]:
-    rows = node_array(events)
-    business = np.fromiter((e.business_id for e in events), np.int64, len(events))
+    business = events["business_id"].astype(np.int64)
     # span > every user id, so each (business, user) key is distinct
-    span = max(graph.n_nodes, int(rows["user"].max(initial=-1)) + 1)
-    keys, first = np.unique(business * span + rows["user"], return_index=True)
+    span = max(graph.n_nodes, int(events["user_id"].max(initial=-1)) + 1)
+    keys, first = np.unique(business * span + events["user_id"], return_index=True)
     # The nodes are the first events in row order; events are sorted, so that
     # is (business, date, user) order.
     at = np.sort(first)
     node_of_key = np.searchsorted(at, first)
-    rows, business = rows[at], business[at]
+    business = business[at]
+    rows = np.empty(len(at), NODE_DTYPE)
+    rows[:] = events[["user_id", *NODE_DTYPE.names[1:]]][at]  # by position: user_id -> user
     user = rows["user"].astype(np.int64)
 
     # Expand every node v's friend list (none for users outside the graph) and
@@ -171,12 +166,13 @@ def _city_cascades(city: str, events: Sequence[Event], graph: SocialGraph,
                   [*edge_at.tolist(), len(edges)])
 
 
-def build_cascades(events_by_city: Mapping[str, Sequence[Event]], graph: SocialGraph,
+def build_cascades(events_by_city: Mapping[str, np.ndarray], graph: SocialGraph,
                    window_days: int | None = None) -> dict[str, list[Cascade]]:
-    """Extract cascades for every city. Each city's events must be sorted by
-    (business_id, date, user_id): one array pass per city takes each (business,
-    user) pair's first event, looks every such node's friends up among its
-    business's nodes by binary search, and labels the components.
+    """Extract cascades for every city. Each city's events are
+    :data:`~cascademine.ingest.EVENT_DTYPE` rows sorted by (business_id, day,
+    user_id): one array pass per city takes each (business, user) pair's first
+    event, looks every such node's friends up among its business's nodes by
+    binary search, and labels the components.
     """
     if window_days is not None and window_days <= 0:
         raise ValueError("window_days must be positive when given")

@@ -71,12 +71,12 @@ def stage_ingest(cfg: RunConfig) -> None:
     save_ingest(result, cfg.cache_path(INGEST_CACHE))
     save_profiles(result.profiles, cfg.cache_path(PROFILES_CACHE))
     write_csv(cfg.cache_path("yearly.csv"), ("year", "review_count", "tip_count"),
-              yearly_activity_counts(result.all_events()))
+              yearly_activity_counts(result.events))
     for name, counts in sorted(result.drop_counts.items()):
         dropped = {k: v for k, v in counts.items() if k not in ("lines", "retained")}
         print(f"[ingest] {name}: {counts.get('retained', 0)}/{counts.get('lines', 0)} "
               f"lines retained, drops={dropped}")
-    print(f"[ingest] {result.n_events} events across {len(result.events_by_city)} cities")
+    print(f"[ingest] {result.n_events} events across {len(result.cities)} cities")
 
 
 def stage_build_cascades(cfg: RunConfig) -> None:

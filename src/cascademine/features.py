@@ -205,7 +205,7 @@ class FeatureExtractor:
             )
         city = cascade.city
         # nodes are stored in (day, user) order, so the prefix is the first k
-        # rows; Python ints from here on keep the arithmetic of the Event fields
+        # rows; the arithmetic below is on Python ints, not int32 scalars
         users, days, kinds, stars, text_lens, votes = zip(*cascade.nodes[: self.k].tolist())
         stars = [s or None for s in stars]  # 0 marks a node without stars
         root, rest = users[0], users[1:]

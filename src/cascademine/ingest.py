@@ -16,15 +16,16 @@ of the raw id strings, so re-ingesting the same files reproduces the exact
 same assignment.
 
 A count, a rating or a date that is missing, malformed, negative, out of
-range or not finite (``NaN``, ``Infinity``) is read as absent.
+range or not finite (``NaN``, ``Infinity``) is read as absent, and so is an
+event's ``votes`` total that does not fit int32 (it is stored as 0).
 
-Users and businesses are parsed straight into column tables, and the
-friendship graph is built once, as CSR (:mod:`cascademine.social`); together
-they are the :class:`Profiles`. ``ingest`` writes two caches, one per reader:
+Events, users and businesses are parsed straight into column tables, and the
+friendship graph is built once, as CSR (:mod:`cascademine.social`); the last
+three are the :class:`Profiles`. ``ingest`` writes two caches, one per reader:
 
 * ``ingest.pkl`` (:func:`save_ingest`), read by ``build-cascades``: a pickle of
-  ``{"format": "cascademine.ingest", "version": 4, "events_by_city": ...,
-  "user_ids": ..., "business_ids": ..., "drop_counts": ...}``;
+  the :class:`IngestResult` fields but ``profiles`` in the envelope
+  ``{"format": "cascademine.ingest", "version": 5, ...}``;
 * ``profiles.npz`` (:func:`save_profiles`), read by ``build-cascades`` for the
   graph and by ``features``: plain arrays, loaded without unpickling.
 
@@ -42,7 +43,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from cascademine.errors import DataError
 from cascademine.util import load_arrays, load_cache, save_arrays, save_cache
 
 CACHE_FORMAT = "cascademine.ingest"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 PROFILES_FORMAT = "cascademine.profiles"
 PROFILES_VERSION = 1
 
@@ -65,7 +65,15 @@ USER_DTYPE = np.dtype([("listed", np.bool_), ("review_count", np.int64),
 BUSINESS_DTYPE = np.dtype([("city", np.int32), ("stars", np.float64),
                            ("review_count", np.int64), ("category_count", np.int64),
                            ("is_open", np.bool_)])
+# One row per retained review or tip: the fields the pipeline consumes. A
+# cascade node is its user's first event at the cascade's business. ``day`` is
+# the date's ordinal; ``stars`` is 1..5 for a review and 0 for none (always for
+# a tip); ``votes`` is useful + funny + cool for a review, likes for a tip.
+EVENT_DTYPE = np.dtype([("business_id", np.int32), ("user_id", np.int32), ("day", np.int32),
+                        ("kind", np.int8), ("stars", np.int8), ("text_len", np.int32),
+                        ("votes", np.int32)])
 _MAX_COUNT = int(np.iinfo(np.int64).max)
+_MAX_VOTES = int(np.iinfo(np.int32).max)
 
 
 class EventKind(IntEnum):
@@ -74,22 +82,6 @@ class EventKind(IntEnum):
 
 
 KIND_NAMES = {EventKind.REVIEW: "review", EventKind.TIP: "tip"}
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One review or tip, reduced to the fields the pipeline consumes.
-
-    A cascade node is its user's first Event at the cascade's business.
-    """
-
-    user_id: int
-    business_id: int
-    date: dt.date
-    kind: EventKind
-    stars: int | None  # 1..5 for reviews when present; always None for tips
-    text_len: int
-    votes: int  # useful + funny + cool for a review, likes for a tip
 
 
 @dataclass
@@ -123,14 +115,16 @@ class DatasetPaths:
 class IngestResult:
     """Normalized tables keyed by dense interned ids.
 
-    ``events_by_city`` maps normalized city name to events sorted by
-    (business_id, date, user_id, kind); cities are disjoint and exhaustive
-    over retained events. ``user_ids`` / ``business_ids`` map interned id
-    back to the raw string id. ``profiles`` is None in a result read back
-    by :func:`load_ingest`: they have a cache of their own.
+    ``events`` is sorted by (city, business_id, day, user_id, kind), exact ties
+    in file order (reviews before tips); city ``cities[j]`` has its rows
+    ``[city_offsets[j], city_offsets[j + 1])``. ``user_ids`` / ``business_ids``
+    map interned id back to the raw string id. ``profiles`` is None in a result
+    read back by :func:`load_ingest`: they have a cache of their own.
     """
 
-    events_by_city: dict[str, list[Event]]
+    events: np.ndarray  # EVENT_DTYPE, one plain array
+    cities: list[str]  # sorted normalized names of the cities with events
+    city_offsets: np.ndarray
     user_ids: list[str]
     business_ids: list[str]
     drop_counts: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -138,11 +132,14 @@ class IngestResult:
 
     @property
     def n_events(self) -> int:
-        return sum(len(v) for v in self.events_by_city.values())
+        return len(self.events)
 
-    def all_events(self) -> Iterable[Event]:
-        for city in self.events_by_city:
-            yield from self.events_by_city[city]
+    @property
+    def events_by_city(self) -> dict[str, np.recarray]:
+        """Each city's slice of ``events``, as a record view (``e.user_id``)."""
+        at = self.city_offsets.tolist()
+        return {city: self.events[at[j]:at[j + 1]].view(np.recarray)
+                for j, city in enumerate(self.cities)}
 
 
 def normalize_city(raw) -> str:
@@ -175,14 +172,6 @@ def _as_float(value) -> float | None:
     except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int
         return None
     return x if math.isfinite(x) else None
-
-
-def _event_stars(value) -> int | None:
-    x = _as_float(value)
-    if x is None:
-        return None
-    s = int(round(x))
-    return s if 1 <= s <= 5 else None
 
 
 def _id_list(value) -> list[str]:
@@ -259,8 +248,10 @@ def _parse_users(path: Path, counts: Counter):
     return records
 
 
-def _parse_events(path: Path, kind: EventKind, known_businesses, counts: Counter):
-    rows = []
+def _parse_events(path: Path, kind: EventKind, business_index: dict[str, int],
+                  counts: Counter, users: list[str], rows: array) -> None:
+    """Append each retained event's raw user id to ``users`` and its other
+    :data:`EVENT_DTYPE` fields, in order, to ``rows``."""
     for obj in _iter_json_lines(path):
         counts["lines"] += 1
         if obj is None:
@@ -271,22 +262,24 @@ def _parse_events(path: Path, kind: EventKind, known_businesses, counts: Counter
             counts["malformed"] += 1
             continue
         try:
-            day = _parse_day(obj.get("date"))
+            day = _parse_day(obj.get("date")).toordinal()
         except ValueError:
             counts["malformed"] += 1
             continue
-        if bid not in known_businesses:
+        if bid not in business_index:
             counts["unknown_business"] += 1
             continue
-        text = obj.get("text")
-        text_len = len(text) if isinstance(text, str) else 0
         if kind is EventKind.REVIEW:
+            stars = round(_as_float(obj.get("stars")) or 0)
             votes = sum(_as_int(obj.get(name)) for name in ("useful", "funny", "cool"))
-            rows.append((uid, bid, day, kind, _event_stars(obj.get("stars")), text_len, votes))
         else:
-            rows.append((uid, bid, day, kind, None, text_len, _as_int(obj.get("likes"))))
+            stars, votes = 0, _as_int(obj.get("likes"))
+        text = obj.get("text")
+        users.append(uid)
+        rows.extend((business_index[bid], day, kind, stars if 1 <= stars <= 5 else 0,
+                     len(text) if isinstance(text, str) else 0,
+                     votes if votes <= _MAX_VOTES else 0))
         counts["retained"] += 1
-    return rows
 
 
 def ingest_dataset(paths: DatasetPaths) -> IngestResult:
@@ -304,20 +297,22 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     raw_businesses = _parse_businesses(path_map["business"], counts["business"])
     if not raw_businesses:
         raise DataError(f"no valid businesses in {path_map['business']}")
-    raw_users = _parse_users(path_map["user"], counts["user"])
-    raw_events = _parse_events(path_map["review"], EventKind.REVIEW, raw_businesses, counts["review"])
-    raw_events += _parse_events(path_map["tip"], EventKind.TIP, raw_businesses, counts["tip"])
-
     # Interning: sorted raw-id order, so the assignment is a pure function of
     # the input content and not of file ordering.
+    business_ids = sorted(raw_businesses)
+    business_index = {raw: i for i, raw in enumerate(business_ids)}
+    raw_users = _parse_users(path_map["user"], counts["user"])
+    event_users: list[str] = []
+    rows = array("i")  # the EVENT_DTYPE fields but user_id, one event after another
+    for name, kind in (("review", EventKind.REVIEW), ("tip", EventKind.TIP)):
+        _parse_events(path_map[name], kind, business_index, counts[name], event_users, rows)
+
     user_universe = set(raw_users)
     for friends, *_ in raw_users.values():
         user_universe.update(friends)
-    user_universe.update(row[0] for row in raw_events)
+    user_universe.update(event_users)
     user_ids = sorted(user_universe)
     user_index = {raw: i for i, raw in enumerate(user_ids)}
-    business_ids = sorted(raw_businesses)
-    business_index = {raw: i for i, raw in enumerate(business_ids)}
 
     # Popping each raw user, and deleting the listings once the graph is built,
     # frees that memory before the events are built: it lowers ingest's peak RSS.
@@ -336,22 +331,27 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
 
     cities = sorted({city for city, *_ in raw_businesses.values()})
     city_index = {city: i for i, city in enumerate(cities)}
-    business_city = [raw_businesses[raw][0] for raw in business_ids]
     businesses = np.array([(city_index[city], *row) for city, *row
                            in map(raw_businesses.__getitem__, business_ids)], BUSINESS_DTYPE)
 
-    events_by_city: dict[str, list[Event]] = {}
-    for raw_uid, raw_bid, day, kind, stars, text_len, votes in raw_events:
-        bid = business_index[raw_bid]
-        event = Event(user_index[raw_uid], bid, day, kind, stars, text_len, votes)
-        events_by_city.setdefault(business_city[bid], []).append(event)
-
-    for city in events_by_city:
-        events_by_city[city].sort(key=lambda e: (e.business_id, e.date, e.user_id, e.kind))
-    events_by_city = {city: events_by_city[city] for city in sorted(events_by_city)}
+    events = np.empty(len(event_users), EVENT_DTYPE)
+    events["user_id"] = np.fromiter(map(user_index.__getitem__, event_users), np.int32,
+                                    len(event_users))
+    del event_users
+    fields = [name for name in EVENT_DTYPE.names if name != "user_id"]
+    events[fields] = np.frombuffer(rows, [(name, np.int32) for name in fields])  # by position
+    del rows
+    # lexsort is stable, so exact ties keep file order
+    city = businesses["city"][events["business_id"]]
+    order = np.lexsort((events["kind"], events["user_id"], events["day"],
+                        events["business_id"], city))
+    events, city = events[order], city[order]
+    present, city_at = np.unique(city, return_index=True)
 
     return IngestResult(
-        events_by_city=events_by_city,
+        events=events,
+        cities=[cities[i] for i in present.tolist()],
+        city_offsets=np.append(city_at, len(events)),
         user_ids=user_ids,
         business_ids=business_ids,
         drop_counts={name: dict(c) for name, c in counts.items()},
@@ -359,32 +359,35 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     )
 
 
-def yearly_activity_counts(events: Iterable[Event]) -> list[tuple[int, int, int]]:
-    """Tally (year, review_count, tip_count), ascending by year."""
-    reviews: Counter = Counter()
-    tips: Counter = Counter()
-    for event in events:
-        if event.kind is EventKind.REVIEW:
-            reviews[event.date.year] += 1
-        else:
-            tips[event.date.year] += 1
-    years = sorted(set(reviews) | set(tips))
-    return [(year, reviews.get(year, 0), tips.get(year, 0)) for year in years]
+def yearly_activity_counts(events: np.ndarray) -> list[tuple[int, int, int]]:
+    """Tally (year, review_count, tip_count) over events, ascending by year."""
+    years = (np.datetime64("0001-01-01") + (events["day"] - 1)).astype("datetime64[Y]")
+    years, at = np.unique(years.astype(np.int64) + 1970, return_inverse=True)
+    counts = np.bincount(2 * at + events["kind"], minlength=2 * len(years)).reshape(-1, 2)
+    return [(year, *row) for year, row in zip(years.tolist(), counts.tolist())]
 
 
 def save_ingest(result: IngestResult, path) -> None:
     """Write ``ingest.pkl``: the events and the id maps, not the profiles."""
-    save_cache(path, CACHE_FORMAT, CACHE_VERSION, events_by_city=result.events_by_city,
+    save_cache(path, CACHE_FORMAT, CACHE_VERSION, events=result.events,
+               cities=result.cities, city_offsets=result.city_offsets,
                user_ids=result.user_ids, business_ids=result.business_ids,
                drop_counts=result.drop_counts)
 
 
 def load_ingest(path) -> IngestResult:
+    """Read ``ingest.pkl``. A damaged file, another format or version, or city
+    offsets that do not fit the events table raise DataError naming 'ingest'."""
     payload = load_cache(path, CACHE_FORMAT, CACHE_VERSION, "ingest")
     try:
-        return IngestResult(payload["events_by_city"], payload["user_ids"],
-                            payload["business_ids"], payload["drop_counts"])
-    except KeyError as exc:
+        events, cities, at = payload["events"], payload["cities"], payload["city_offsets"]
+        if not (events.dtype == EVENT_DTYPE and at.dtype.kind == "i"
+                and events.ndim == at.ndim == 1 and len(at) == len(cities) + 1
+                and at[0] == 0 and at[-1] == len(events) and (np.diff(at) >= 0).all()):
+            raise ValueError("the city offsets do not fit the events table")
+        return IngestResult(events, cities, at, payload["user_ids"], payload["business_ids"],
+                            payload["drop_counts"])
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DataError(f"damaged ingest cache {path} ({exc!r}); rerun 'ingest'") from exc
 
 

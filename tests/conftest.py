@@ -11,8 +11,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from cascademine.cascades import Cascade, node_array
-from cascademine.ingest import Event, EventKind
+from cascademine.cascades import NODE_DTYPE, Cascade
+from cascademine.ingest import EVENT_DTYPE, EventKind
 from cascademine.social import SocialGraph, build_graph
 
 BASE_DAY = dt.date(2012, 1, 1)
@@ -23,10 +23,20 @@ def day(offset: int) -> dt.date:
 
 
 def mk_event(user: int, business: int, offset: int, kind: EventKind = EventKind.REVIEW,
-             stars: int | None = 4, text_len: int = 20, votes: int = 0) -> Event:
+             stars: int | None = 4, text_len: int = 20, votes: int = 0) -> np.record:
+    """One EVENT_DTYPE row, read by field name or attribute (``e.user_id``)."""
     if kind is EventKind.TIP:
         stars = None
-    return Event(user, business, day(offset), kind, stars, text_len, votes)
+    row = (business, user, day(offset).toordinal(), kind, stars or 0, text_len, votes)
+    return np.rec.array([row], dtype=EVENT_DTYPE)[0]
+
+
+def event_table(events) -> np.recarray:
+    """EVENT_DTYPE rows sorted as ingest sorts a city's events: by (business,
+    day, user, kind), exact ties in the order given."""
+    table = np.array(list(events), dtype=EVENT_DTYPE)
+    order = np.lexsort([table[name] for name in ("kind", "user_id", "day", "business_id")])
+    return table[order].view(np.recarray)
 
 
 def graph_from_edges(edges, n_nodes: int) -> SocialGraph:
@@ -45,9 +55,10 @@ def mk_cascade(node_specs, edges, city: str = "testville", business: int = 0,
         stars = spec[3] if len(spec) > 3 else (4 if kind is EventKind.REVIEW else None)
         text_len = spec[4] if len(spec) > 4 else 25
         votes = spec[5] if len(spec) > 5 else 1
-        nodes.append(Event(user, business, day(offset), kind, stars, text_len, votes))
-    nodes.sort(key=lambda n: (n.date, n.user_id))
-    return Cascade((city, business, index), node_array(nodes), edge_array(sorted(edges)))
+        nodes.append((user, day(offset).toordinal(), kind, stars or 0, text_len, votes))
+    nodes.sort(key=lambda n: (n[1], n[0]))
+    return Cascade((city, business, index), np.array(nodes, NODE_DTYPE),
+                   edge_array(sorted(edges)))
 
 
 def edge_array(edges) -> np.ndarray:
@@ -55,7 +66,7 @@ def edge_array(edges) -> np.ndarray:
 
 
 def random_events(rng: np.random.Generator, n_users: int, n_businesses: int,
-                  n_events: int, span_days: int = 60) -> list[Event]:
+                  n_events: int, span_days: int = 60) -> np.recarray:
     """Random events with possible same-day collisions, sorted as ingest does."""
     events = []
     for _ in range(n_events):
@@ -71,8 +82,7 @@ def random_events(rng: np.random.Generator, n_users: int, n_businesses: int,
             votes=int(rng.integers(0, 3))
             + (int(rng.integers(0, 3)) if kind is EventKind.TIP else 0),
         ))
-    events.sort(key=lambda e: (e.business_id, e.date, e.user_id, e.kind))
-    return events
+    return event_table(events)
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int, p: float) -> SocialGraph:

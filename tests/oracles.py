@@ -18,12 +18,12 @@ import json
 import math
 import statistics
 from collections import Counter, deque
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import zeta
 
 from cascademine.features import FeatureExtractor
-from cascademine.ingest import Event, EventKind
 from cascademine.learner import MAX_LEAF_VALUE, GbdtModel, Tree, sigmoid
 
 BASE_DAY = dt.date(2012, 1, 1)
@@ -37,12 +37,11 @@ def day(offset: int) -> dt.date:
 # brute-force cascade construction
 
 
-def brute_force_business(first_date: dict[int, dt.date], friend_pairs: set,
-                         window_days=None):
+def brute_force_business(first_date: dict[int, int], friend_pairs: set, window_days=None):
     """Edges and components for one business from every ordered user pair.
 
-    ``first_date`` maps participant user id to their first event date;
-    ``friend_pairs`` is a set of frozensets {u, v}. Returns (edge set,
+    ``first_date`` maps participant user id to the day number of their first
+    event; ``friend_pairs`` is a set of frozensets {u, v}. Returns (edge set,
     set of frozenset node components with >= 2 members).
     """
     users = sorted(first_date)
@@ -54,7 +53,7 @@ def brute_force_business(first_date: dict[int, dt.date], friend_pairs: set,
             du, dv = first_date[u], first_date[v]
             if du > dv:
                 continue
-            if window_days is not None and (dv - du).days > window_days:
+            if window_days is not None and dv - du > window_days:
                 continue
             edges.add((u, v))
 
@@ -87,14 +86,33 @@ def graph_edges(graph) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# cascades as Events: the columnar store's nodes unpacked, and the JSONL export
+# cascade nodes as plain records: the columnar store's rows unpacked, and the
+# JSONL export parsed
 
 
-def cascade_events(cascade) -> tuple[Event, ...]:
-    """A cascade's node rows as the Events they stand for (stars 0 is None)."""
-    return tuple(Event(int(n["user"]), cascade.business_id, dt.date.fromordinal(int(n["day"])),
-                       EventKind(int(n["kind"])), int(n["stars"]) or None,
-                       int(n["text_len"]), int(n["votes"])) for n in cascade.nodes)
+class Node(NamedTuple):
+    """One review (kind 0) or tip (kind 1); ``stars`` is None when absent."""
+
+    user_id: int
+    business_id: int
+    date: dt.date
+    kind: int
+    stars: int | None
+    text_len: int
+    votes: int
+
+
+def event_node(e) -> Node:
+    """The Node of one events-table row (fields ``user_id``, ``day``, ...)."""
+    return Node(int(e["user_id"]), int(e["business_id"]), dt.date.fromordinal(int(e["day"])),
+                int(e["kind"]), int(e["stars"]) or None, int(e["text_len"]), int(e["votes"]))
+
+
+def cascade_events(cascade) -> tuple[Node, ...]:
+    """A cascade's node rows as the Nodes they stand for (stars 0 is None)."""
+    return tuple(Node(int(n["user"]), cascade.business_id, dt.date.fromordinal(int(n["day"])),
+                      int(n["kind"]), int(n["stars"]) or None, int(n["text_len"]),
+                      int(n["votes"])) for n in cascade.nodes)
 
 
 def cascade_edges(cascade) -> tuple[tuple[int, int], ...]:
@@ -102,22 +120,22 @@ def cascade_edges(cascade) -> tuple[tuple[int, int], ...]:
 
 
 def as_plain(cascades_by_city) -> dict:
-    """{city: [(cascade_id, Events, edges), ...]}, the form read_cascades_jsonl returns."""
+    """{city: [(cascade_id, Nodes, edges), ...]}, the form read_cascades_jsonl returns."""
     return {city: [(c.cascade_id, cascade_events(c), cascade_edges(c)) for c in cascades]
             for city, cascades in cascades_by_city.items()}
 
 
 def read_cascades_jsonl(path) -> dict:
     """Parse the ``cascades.jsonl`` export into the form of :func:`as_plain`."""
-    kinds = {"review": EventKind.REVIEW, "tip": EventKind.TIP}
+    kinds = {"review": 0, "tip": 1}
     out: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             obj = json.loads(line)
             city, business_id, index = obj["cascade_id"]
             assert (obj["city"], obj["business_id"]) == (city, business_id)
-            nodes = tuple(Event(n["user"], business_id, dt.date.fromisoformat(n["date"]),
-                                kinds[n["kind"]], n["stars"], n["text_len"], n["votes"])
+            nodes = tuple(Node(n["user"], business_id, dt.date.fromisoformat(n["date"]),
+                               kinds[n["kind"]], n["stars"], n["text_len"], n["votes"])
                           for n in obj["nodes"])
             edges = tuple((u, v) for u, v in obj["edges"])
             out.setdefault(city, []).append(((city, business_id, index), nodes, edges))

@@ -53,8 +53,8 @@ def test_criterion_01_cascade_oracle_equivalence():
         by_business_first = {}
         for e in events:
             d = by_business_first.setdefault(e.business_id, {})
-            if e.user_id not in d or e.date < d[e.user_id]:
-                d[e.user_id] = e.date
+            if e.user_id not in d or e.day < d[e.user_id]:
+                d[e.user_id] = e.day
         cascades = build_cascades({"t": events}, graph, window)["t"]
         got_edges, got_comps = {}, {}
         for c in cascades:

@@ -7,14 +7,13 @@ from cascademine.cascades import (_components, build_cascades, cascade_summary, 
                                   save_cascades, write_cascades)
 from cascademine.ingest import EventKind
 from cascademine.util import nearest_rank
-from conftest import day, graph_from_edges, mk_event, random_events, random_graph
-from oracles import (as_plain, brute_force_business, cascade_edges, cascade_events, graph_edges,
-                     percentile_by_counting, read_cascades_jsonl)
+from conftest import day, event_table, graph_from_edges, mk_event, random_events, random_graph
+from oracles import (as_plain, brute_force_business, cascade_edges, cascade_events, event_node,
+                     graph_edges, percentile_by_counting, read_cascades_jsonl)
 
 
 def build_one_city(events, graph, window_days=None):
-    events = sorted(events, key=lambda e: (e.business_id, e.date, e.user_id, e.kind))
-    return build_cascades({"testville": events}, graph, window_days)["testville"]
+    return build_cascades({"testville": event_table(events)}, graph, window_days)["testville"]
 
 
 class TestBuildCascades:
@@ -109,8 +108,8 @@ class TestBuildCascades:
             for e in events:
                 by_business.setdefault(e.business_id, {})
                 d = by_business[e.business_id]
-                if e.user_id not in d or e.date < d[e.user_id]:
-                    d[e.user_id] = e.date
+                if e.user_id not in d or e.day < d[e.user_id]:
+                    d[e.user_id] = e.day
             cascades = build_one_city(events, graph, window)
             got_edges = {}
             got_components = {}
@@ -149,7 +148,7 @@ class TestBuildCascades:
             first_dates = {}
             for e in events:
                 d = first_dates.setdefault(e.business_id, {})
-                d[e.user_id] = min(e.date, d.get(e.user_id, e.date))
+                d[e.user_id] = min(e.day, d.get(e.user_id, e.day))
             for business, first_date in first_dates.items():
                 assert max(graph.degree(u) for u in first_date) > 5 * len(first_date)
                 got = [c for c in cascades if c.business_id == business]
@@ -186,13 +185,13 @@ class TestBuildCascades:
         for business in sorted({b for b, _ in first}):
             nodes = {u: e for (b, u), e in first.items() if b == business}
             want_edges, want_comps = brute_force_business(
-                {u: e.date for u, e in nodes.items()}, friend_pairs, window)
+                {u: e.day for u, e in nodes.items()}, friend_pairs, window)
             def when(u):
-                return nodes[u].date, u
+                return nodes[u].day, u
             ordered = sorted((sorted(comp, key=when) for comp in want_comps),
                              key=lambda comp: when(comp[0]))
             for index, comp in enumerate(ordered):
-                want.append((("testville", business, index), tuple(nodes[u] for u in comp),
+                want.append((("testville", business, index), tuple(event_node(nodes[u]) for u in comp),
                              tuple(sorted(e for e in want_edges if e[0] in comp))))
         assert any(u in hubs for _, nodes, _ in want for u in (n.user_id for n in nodes))
 
@@ -294,8 +293,7 @@ class TestStore:
     def test_round_trip_and_determinism(self, tmp_path, rng):
         graph = random_graph(rng, 40, 0.12)
         events = random_events(rng, 40, 8, 180)
-        by_city = build_cascades({"a town": sorted(
-            events, key=lambda e: (e.business_id, e.date, e.user_id, e.kind))}, graph)
+        by_city = build_cascades({"a town": events}, graph)
         p1, p2 = tmp_path / "c1.npz", tmp_path / "c2.npz"
         save_cascades(by_city, p1)
         loaded = read_cascades(p1)
@@ -334,8 +332,7 @@ class TestStore:
     def test_node_and_edge_ordering(self, tmp_path):
         graph = graph_from_edges([(0, 1), (1, 2), (0, 2)], 3)
         events = [mk_event(2, 0, 1), mk_event(1, 0, 2), mk_event(0, 0, 3)]
-        by_city = build_cascades({"t": sorted(
-            events, key=lambda e: (e.business_id, e.date, e.user_id, e.kind))}, graph)
+        by_city = build_cascades({"t": event_table(events)}, graph)
         (cascade,) = by_city["t"]
         assert [n.user_id for n in cascade_events(cascade)] == [2, 1, 0]  # date order
         assert list(cascade_edges(cascade)) == sorted(cascade_edges(cascade))

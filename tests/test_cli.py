@@ -275,6 +275,29 @@ class TestExitCodes:
                 assert main([stage, "--cache-dir", str(tmp_path)]) == 3, stage
                 assert "rerun 'ingest'" in capsys.readouterr().err
 
+    def test_damaged_events_table_is_data_error(self, fixture_dataset, tmp_path, capsys):
+        assert main(["ingest", *pipeline_args(fixture_dataset, tmp_path)]) == 0
+        cache = tmp_path / "ingest.pkl"
+        payload = pickle.loads(cache.read_bytes())
+        events, at = payload["events"], payload["city_offsets"]
+        assert payload["version"] == 5 and len(at) == 2
+        damaged = [
+            {"events": events[["user_id", "day"]]},  # other columns
+            {"events": events.astype([(name, np.int64) for name in events.dtype.names])},
+            {"events": events[:-1]},  # the offsets end past the table
+            {"city_offsets": np.array([0, len(events) - 1])},  # ... or before its end
+            {"city_offsets": np.array([0, len(events), len(events) - 1]),
+             "cities": ["city00", "city01"]},  # decreasing
+            {"cities": ["city00", "city01"]},  # one name more than the offsets
+            {"cities": []},
+            {"city_offsets": at.astype(np.float64)},
+        ]
+        for change in damaged:
+            cache.write_bytes(pickle.dumps({**payload, **change}))
+            capsys.readouterr()
+            assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 3, change
+            assert "rerun 'ingest'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_fail_train(self, tmp_path, capsys, bad):
         rng = np.random.default_rng(5)
@@ -303,6 +326,8 @@ class TestExitCodes:
                 ("ingest.pkl", "cascademine.ingest", 2, "build-cascades", "ingest"),
                 # version 3 pickled the whole IngestResult, profiles included
                 ("ingest.pkl", "cascademine.ingest", 3, "build-cascades", "ingest"),
+                # version 4 pickled one object per event, by city
+                ("ingest.pkl", "cascademine.ingest", 4, "build-cascades", "ingest"),
                 ("features.pkl", "cascademine.features", 1, "train", "features")):
             (tmp_path / name).write_bytes(pickle.dumps({"format": fmt, "version": version}))
             assert main([stage, "--cache-dir", str(tmp_path)]) == 3
@@ -451,6 +476,21 @@ class TestPipeline:
         for cache in ("ingest.pkl", "profiles.npz"):
             assert ((tmp_path / "bad_cache" / cache).read_bytes()
                     == (tmp_path / "absent_cache" / cache).read_bytes()), cache
+
+    @pytest.mark.parametrize("votes", [
+        {"useful": 3_000_000_000},
+        {"useful": 1_000_000_000, "funny": 1_000_000_000, "cool": 1_000_000_000},
+    ])
+    def test_vote_total_beyond_int32_read_as_absent(self, fixture_dataset, tmp_path, votes):
+        data = edit_dataset(fixture_dataset, tmp_path / "data", "review.json",
+                            lambda record: record.update(votes))
+        cache = tmp_path / "cache"
+        assert main(["all", *pipeline_args(data, cache)]) == 0
+        with np.load(cache / "cascades.npz") as npz:
+            nodes = npz["nodes"]
+        reviews = nodes[nodes["kind"] == 0]
+        assert len(reviews) and (reviews["votes"] == 0).all()
+        assert (nodes["votes"] > 0).any()  # tips keep their likes
 
     def test_full_determinism_two_runs(self, fixture_dataset, tmp_path):
         hashes = []

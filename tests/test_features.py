@@ -1,18 +1,16 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 
-from cascademine.cascades import Cascade, node_array
+from cascademine.cascades import NODE_DTYPE, Cascade
 from cascademine.cli import main
 from cascademine.config import build_config
 from cascademine.errors import ConfigError
 from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureExtractor, LABEL_LONG, LABEL_SHORT,
                                   LabeledCascade, balance, label_cascades, load_examples, save_examples,
                                   build_examples)
-from cascademine.ingest import BUSINESS_DTYPE, USER_DTYPE, Event, EventKind, Profiles
+from cascademine.ingest import BUSINESS_DTYPE, USER_DTYPE, EventKind, Profiles
 from conftest import day, edge_array, graph_from_edges, mk_cascade, random_graph
-from oracles import cascade_edges, cascade_events, extract_features, reference_features
+from oracles import cascade_edges, extract_features, reference_features
 
 
 def user(review_count=5, avg=3.8, since=-400, fans=2, elite=1):
@@ -284,34 +282,35 @@ def random_world(rng, n_cascades):
 
 def mutate_beyond_prefix(cascade, k, rng):
     """Mutations that only touch nodes after position k or later edges."""
-    nodes = sorted(cascade_events(cascade), key=lambda n: (n.date, n.user_id))
+    nodes = cascade.nodes  # NODE_DTYPE rows in (day, user) order
     prefix, suffix = nodes[:k], nodes[k:]
-    last_day = max(n.date for n in nodes)
+    last_day = int(nodes["day"].max())
     big_user = 10_000 + int(rng.integers(0, 1000))
-    bid = cascade.business_id
 
     # 1: change payloads and push dates later on suffix nodes
-    mutated = [Event(n.user_id, bid, n.date + dt.timedelta(days=3), EventKind.TIP,
-                     None, n.text_len + 7, n.votes + 5) for n in suffix]
-    yield Cascade(cascade.cascade_id, node_array(prefix + mutated), cascade.edges)
+    mutated = suffix.copy()
+    mutated["day"] += 3
+    mutated["kind"] = EventKind.TIP
+    mutated["stars"] = 0
+    mutated["text_len"] += 7
+    mutated["votes"] += 5
+    yield Cascade(cascade.cascade_id, np.concatenate([prefix, mutated]), cascade.edges)
 
     # 2: append brand-new later nodes and edges among them
-    extra = [Event(big_user + j, bid, last_day + dt.timedelta(days=j + 1),
-                   EventKind.REVIEW, 5, 10, 0) for j in range(3)]
-    new_edges = edge_array(list(cascade_edges(cascade)) + [(extra[0].user_id, extra[1].user_id),
-                                                           (extra[1].user_id, extra[2].user_id)])
-    yield Cascade(cascade.cascade_id, node_array(nodes + extra), new_edges)
+    extra = np.array([(big_user + j, last_day + j + 1, EventKind.REVIEW, 5, 10, 0)
+                      for j in range(3)], NODE_DTYPE)
+    new_edges = edge_array(list(cascade_edges(cascade)) + [(big_user, big_user + 1),
+                                                           (big_user + 1, big_user + 2)])
+    yield Cascade(cascade.cascade_id, np.concatenate([nodes, extra]), new_edges)
 
     # 3: relabel a suffix node's user id upward (stays after the prefix)
-    if suffix:
-        target = suffix[0]
-        relabeled = Event(big_user, bid, target.date, target.kind, target.stars,
-                          target.text_len, target.votes)
-        rest = [relabeled if n is target else n for n in suffix]
-        edges = edge_array((big_user if u == target.user_id else u,
-                            big_user if v == target.user_id else v)
+    if len(suffix):
+        target = int(suffix["user"][0])
+        relabeled = nodes.copy()
+        relabeled["user"][k] = big_user
+        edges = edge_array((big_user if u == target else u, big_user if v == target else v)
                            for u, v in cascade_edges(cascade))
-        yield Cascade(cascade.cascade_id, node_array(prefix + rest), edges)
+        yield Cascade(cascade.cascade_id, relabeled, edges)
 
 
 class TestIO:

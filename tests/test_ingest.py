@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cascademine.errors import DataError
-from cascademine.ingest import (CACHE_FORMAT, DatasetPaths, EventKind, ingest_dataset,
-                                load_ingest, load_profiles, normalize_city, save_ingest,
-                                save_profiles, yearly_activity_counts)
-from conftest import mk_event
+from cascademine.ingest import (CACHE_FORMAT, EVENT_DTYPE, DatasetPaths, EventKind,
+                                ingest_dataset, load_ingest, load_profiles, normalize_city,
+                                save_ingest, save_profiles, yearly_activity_counts)
+from conftest import event_table, mk_event
 
 
 def write_lines(path, objs):
@@ -42,30 +42,30 @@ class TestIngest:
         reviews = [{"review_id": "r1", "user_id": "a", "business_id": "b1", "stars": 4,
                     "date": "2012-01-05", "text": "ok", "useful": 1, "funny": 0, "cool": 0}]
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
-        (event,) = list(result.all_events())
-        assert event.kind is EventKind.REVIEW
-        assert event.stars == 4
-        assert event.text_len == 2
-        assert event.votes == 1
-        assert event.date == dt.date(2012, 1, 5)
-        assert result.business_ids[event.business_id] == "b1"
-        assert result.user_ids[event.user_id] == "a"
+        (event,) = result.events
+        assert event["kind"] == EventKind.REVIEW
+        assert event["stars"] == 4
+        assert event["text_len"] == 2
+        assert event["votes"] == 1
+        assert event["day"] == dt.date(2012, 1, 5).toordinal()
+        assert result.business_ids[event["business_id"]] == "b1"
+        assert result.user_ids[event["user_id"]] == "a"
 
     def test_votes_sum_review_counts(self, tmp_path):
         reviews = [{"user_id": "a", "business_id": "b1", "date": "2012-01-05",
                     "text": "ok", "useful": 1, "funny": 2, "cool": 4, "likes": 8}]
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
-        (event,) = list(result.all_events())
-        assert event.votes == 7  # a review has no likes
+        (event,) = result.events
+        assert event["votes"] == 7  # a review has no likes
 
     def test_tip_has_no_stars(self, tmp_path):
         tips = [{"user_id": "a", "business_id": "b1", "date": "2012-02-01",
                  "text": "nice", "likes": 3}]
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, [], tips))
-        (event,) = list(result.all_events())
-        assert event.kind is EventKind.TIP
-        assert event.stars is None
-        assert event.votes == 3
+        (event,) = result.events
+        assert event["kind"] == EventKind.TIP
+        assert event["stars"] == 0  # none
+        assert event["votes"] == 3
 
     def test_malformed_lines_counted(self, tmp_path):
         reviews = [
@@ -171,24 +171,34 @@ class TestIngest:
         reviews = [{"user_id": "a", "business_id": "b1", "date": "2012-01-01",
                     "stars": 11, "text": "x"}]
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
-        (event,) = list(result.all_events())
-        assert event.stars is None
+        (event,) = result.events
+        assert event["stars"] == 0  # none
 
     def test_datetime_date_parsed_to_day(self, tmp_path):
         reviews = [{"user_id": "a", "business_id": "b1",
                     "date": "2014-07-09 13:44:00", "text": "x"}]
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
-        (event,) = list(result.all_events())
-        assert event.date == dt.date(2014, 7, 9)
+        (event,) = result.events
+        assert event["day"] == dt.date(2014, 7, 9).toordinal()
 
     def test_events_sorted(self, tmp_path):
-        reviews = [{"user_id": u, "business_id": "b1", "date": d, "text": ""}
-                   for u, d in (("c", "2012-01-05"), ("a", "2012-01-05"),
-                                ("b", "2012-01-01"))]
-        result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
-        events = result.events_by_city["springfield"]
-        keys = [(e.business_id, e.date, e.user_id, e.kind) for e in events]
+        businesses = BIZ + [{"business_id": "b0", "city": "Zeta", "stars": 3.0}]
+        reviews = [{"user_id": u, "business_id": b, "date": d, "text": text}
+                   for u, b, d, text in (("c", "b1", "2012-01-05", "1"),
+                                         ("b", "b0", "2011-01-01", "2"),
+                                         ("a", "b1", "2012-01-05", "3"),
+                                         ("b", "b1", "2012-01-01", "4"),
+                                         ("a", "b1", "2012-01-05", "55"))]
+        tips = [{"user_id": "a", "business_id": "b1", "date": "2012-01-05", "text": "666"}]
+        result = ingest_dataset(make_dataset(tmp_path, businesses, USERS, reviews, tips))
+        assert result.cities == ["springfield", "zeta"]
+        assert result.city_offsets.tolist() == [0, 5, 6]
+        springfield = result.events_by_city["springfield"]
+        keys = [(e.business_id, e.day, e.user_id, e.kind) for e in springfield]
         assert keys == sorted(keys)
+        # (business, day, user, kind) ties keep file order
+        assert springfield["text_len"].tolist() == [1, 1, 2, 3, 1]
+        assert result.events_by_city["zeta"]["text_len"].tolist() == [1]
 
     def test_cache_round_trip(self, tmp_path):
         reviews = [{"user_id": "a", "business_id": "b1", "date": "2012-01-01", "text": "x"}]
@@ -196,7 +206,12 @@ class TestIngest:
         cache = tmp_path / "ingest.pkl"
         save_ingest(result, cache)
         loaded = load_ingest(cache)
-        assert loaded.events_by_city == result.events_by_city
+        assert loaded.events.dtype == EVENT_DTYPE
+        assert loaded.events.tobytes() == result.events.tobytes()
+        assert loaded.cities == result.cities == ["springfield"]
+        assert loaded.city_offsets.tolist() == result.city_offsets.tolist() == [0, 1]
+        assert {city: e.tolist() for city, e in loaded.events_by_city.items()} == {
+            city: e.tolist() for city, e in result.events_by_city.items()}
         assert loaded.user_ids == result.user_ids
         assert loaded.business_ids == result.business_ids
         assert loaded.drop_counts == result.drop_counts
@@ -244,12 +259,12 @@ class TestNormalizeCity:
 
 class TestYearlyCounts:
     def test_simple_tally(self):
-        events = [mk_event(0, 0, 0), mk_event(1, 0, 10),
-                  mk_event(2, 0, 20, kind=EventKind.TIP)]
+        events = event_table([mk_event(0, 0, 0), mk_event(1, 0, 10),
+                              mk_event(2, 0, 20, kind=EventKind.TIP)])
         assert yearly_activity_counts(events) == [(2012, 2, 1)]
 
     def test_empty(self):
-        assert yearly_activity_counts([]) == []
+        assert yearly_activity_counts(event_table([])) == []
 
     def test_synthetic_totals(self, rng):
         events = []
@@ -260,7 +275,7 @@ class TestYearlyCounts:
                     rng.integers(0, 365))
                 kind = EventKind.REVIEW if rng.random() < 0.5 else EventKind.TIP
                 events.append(mk_event(0, 0, offset, kind=kind))
-        table = yearly_activity_counts(events)
+        table = yearly_activity_counts(event_table(events))
         assert [row[0] for row in table] == sorted(per_year)
         assert sum(r + t for _, r, t in table) == 1000
         for year, r, t in table:
