@@ -5,8 +5,9 @@ percentile threshold (default the 90th). Features are computed from the first
 k nodes in (date, user) order only, never from anything later, grouped into
 five blocks: business attributes, root-user attributes, non-root-user
 aggregates, the root event, and non-root event aggregates. Count-like inputs
-go through log1p before aggregation; star-valued gaps are imputed with the
-city's mean business star rating, everything else with zero, and every
+go through log1p before aggregation; star-valued gaps (a business or user
+without a rating, a review without stars) are imputed with the mean star
+rating of the city's rated businesses, everything else with zero, and every
 imputed value increments a per-feature counter.
 """
 
@@ -174,15 +175,15 @@ class FeatureExtractor:
         if cached is not None:
             return cached
         businesses, cities = self.profiles.businesses, self.profiles.cities
-        all_stars = businesses["stars"].tolist()
-        stars = [s for s, c in zip(all_stars, businesses["city"].tolist())
-                 if cities[c] == city] or all_stars
+        rated = [(s, c) for s, c in zip(businesses["stars"].tolist(),
+                                        businesses["city"].tolist()) if not isnan(s)]
+        stars = [s for s, c in rated if cities[c] == city] or [s for s, _ in rated]
         value = float(np.mean(stars)) if stars else FALLBACK_STARS
         self._city_stars[city] = value
         return value
 
     def _stars_or_city_mean(self, value, city: str, feature: str) -> float:
-        if value is None:
+        if value is None or isnan(value):
             self.imputed[feature] += 1
             return self._city_mean_stars(city)
         return float(value)
@@ -220,7 +221,8 @@ class FeatureExtractor:
         else:
             _, biz_stars, review_count, category_count, is_open = (
                 businesses[cascade.business_id].tolist())
-            v[0:4] = (biz_stars, log1p(review_count), float(category_count), float(is_open))
+            v[0:4] = (self._stars_or_city_mean(biz_stars, city, "biz_stars"),
+                      log1p(review_count), float(category_count), float(is_open))
 
         # root node block
         root_user = self._user(root)

@@ -11,13 +11,18 @@ Yelp dataset dumps):
 Different dataset rounds encode ``friends``/``elite``/``categories`` either as
 JSON arrays or as comma-separated strings and dates with or without a time
 part; both forms are accepted. Malformed lines are skipped and counted per
-file, never fatal. String ids are interned to dense integers in sorted order
-of the raw id strings, so re-ingesting the same files reproduces the exact
-same assignment.
+file, never fatal. String ids become dense integers in sorted order of the raw
+id strings, so re-ingesting the same files, in any line order, reproduces the
+exact same assignment. A user id is interned on first sight (in a user line, a
+friend list or an event) to a provisional integer, and the ids are renumbered
+once, after the last file. An id that only a replaced duplicate user line
+names gets none.
 
 A count, a rating or a date that is missing, malformed, negative, out of
-range or not finite (``NaN``, ``Infinity``) is read as absent, and so is an
-event's ``votes`` total that does not fit int32 (it is stored as 0).
+range (a rating outside 1..5) or not finite (``NaN``, ``Infinity``) is read as
+absent: a business's ``stars`` and a user's ``average_stars`` are then NaN,
+a review's ``stars`` (rounded to whole stars first) 0. So is an event's
+``votes`` total that does not fit int32 (it is stored as 0).
 
 Events, users and businesses are parsed straight into column tables, and the
 friendship graph is built once, as CSR (:mod:`cascademine.social`); the last
@@ -53,7 +58,7 @@ from cascademine.util import load_arrays, load_cache, save_arrays, save_cache
 CACHE_FORMAT = "cascademine.ingest"
 CACHE_VERSION = 5
 PROFILES_FORMAT = "cascademine.profiles"
-PROFILES_VERSION = 1
+PROFILES_VERSION = 2
 
 # One row per interned user. ``listed`` is False for a user known only from a
 # friend list or an event; such a row holds no attributes. ``average_stars`` is
@@ -61,7 +66,8 @@ PROFILES_VERSION = 1
 USER_DTYPE = np.dtype([("listed", np.bool_), ("review_count", np.int64),
                        ("average_stars", np.float64), ("yelping_since", np.int32),
                        ("fans", np.int64), ("elite_years", np.int64)])
-# One row per interned business; ``city`` indexes the sorted city names.
+# One row per interned business; ``city`` indexes the sorted city names and
+# ``stars`` is NaN when absent.
 BUSINESS_DTYPE = np.dtype([("city", np.int32), ("stars", np.float64),
                            ("review_count", np.int64), ("category_count", np.int64),
                            ("is_open", np.bool_)])
@@ -174,6 +180,12 @@ def _as_float(value) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _as_rating(value) -> float:
+    """A rating on the 1..5 scale, or NaN for an absent or out-of-range one."""
+    x = _as_float(value)
+    return x if x is not None and 1 <= x <= 5 else math.nan
+
+
 def _id_list(value) -> list[str]:
     # friends / elite fields: JSON array in some rounds, comma string in others
     if isinstance(value, list):
@@ -213,7 +225,7 @@ def _parse_businesses(path: Path, counts: Counter):
             continue
         records[obj["business_id"]] = (
             city,
-            _as_float(obj.get("stars")) or 0.0,
+            _as_rating(obj.get("stars")),
             _as_int(obj.get("review_count")),
             len(_id_list(obj.get("categories"))),
             bool(_as_int(obj.get("is_open"), 0)),
@@ -222,36 +234,34 @@ def _parse_businesses(path: Path, counts: Counter):
     return records
 
 
-def _parse_users(path: Path, counts: Counter):
+def _parse_users(path: Path, counts: Counter, seen: dict[str, int]):
+    """Map each listed user's provisional id (interned in ``seen``) to its
+    friends' provisional ids and its :data:`USER_DTYPE` row. A later line for
+    the same user replaces the earlier one."""
     records = {}
     for obj in _iter_json_lines(path):
         counts["lines"] += 1
         if obj is None or not isinstance(obj.get("user_id"), str):
             counts["malformed"] += 1
             continue
-        avg = _as_float(obj.get("average_stars"))
+        uid = seen.setdefault(obj["user_id"], len(seen))
         try:
             since = _parse_day(obj.get("yelping_since")).toordinal()
         except ValueError:
             since = 0
-        # the friends, then a USER_DTYPE row
-        records[obj["user_id"]] = (
-            _id_list(obj.get("friends")),
-            True,
-            _as_int(obj.get("review_count")),
-            math.nan if avg is None else avg,
-            since,
-            _as_int(obj.get("fans")),
-            len(_id_list(obj.get("elite"))),
+        records[uid] = (
+            array("i", [seen.setdefault(f, len(seen)) for f in _id_list(obj.get("friends"))]),
+            (True, _as_int(obj.get("review_count")), _as_rating(obj.get("average_stars")), since,
+             _as_int(obj.get("fans")), len(_id_list(obj.get("elite")))),
         )
         counts["retained"] += 1
     return records
 
 
 def _parse_events(path: Path, kind: EventKind, business_index: dict[str, int],
-                  counts: Counter, users: list[str], rows: array) -> None:
-    """Append each retained event's raw user id to ``users`` and its other
-    :data:`EVENT_DTYPE` fields, in order, to ``rows``."""
+                  counts: Counter, seen: dict[str, int], rows: array) -> None:
+    """Append each retained event's :data:`EVENT_DTYPE` fields, in order, to
+    ``rows``, its user id as the provisional id interned in ``seen``."""
     for obj in _iter_json_lines(path):
         counts["lines"] += 1
         if obj is None:
@@ -275,9 +285,8 @@ def _parse_events(path: Path, kind: EventKind, business_index: dict[str, int],
         else:
             stars, votes = 0, _as_int(obj.get("likes"))
         text = obj.get("text")
-        users.append(uid)
-        rows.extend((business_index[bid], day, kind, stars if 1 <= stars <= 5 else 0,
-                     len(text) if isinstance(text, str) else 0,
+        rows.extend((business_index[bid], seen.setdefault(uid, len(seen)), day, kind,
+                     stars if 1 <= stars <= 5 else 0, len(text) if isinstance(text, str) else 0,
                      votes if votes <= _MAX_VOTES else 0))
         counts["retained"] += 1
 
@@ -301,46 +310,43 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     # the input content and not of file ordering.
     business_ids = sorted(raw_businesses)
     business_index = {raw: i for i, raw in enumerate(business_ids)}
-    raw_users = _parse_users(path_map["user"], counts["user"])
-    event_users: list[str] = []
-    rows = array("i")  # the EVENT_DTYPE fields but user_id, one event after another
+    seen: dict[str, int] = {}  # raw user id -> provisional id, in order of first sight
+    listings = _parse_users(path_map["user"], counts["user"], seen)
+    rows = array("i")  # the EVENT_DTYPE fields, one event after another
     for name, kind in (("review", EventKind.REVIEW), ("tip", EventKind.TIP)):
-        _parse_events(path_map[name], kind, business_index, counts[name], event_users, rows)
+        _parse_events(path_map[name], kind, business_index, counts[name], seen, rows)
+    events = np.frombuffer(rows, [(name, np.int32) for name in EVENT_DTYPE.names]
+                           ).astype(EVENT_DTYPE)  # by position
+    del rows
 
-    user_universe = set(raw_users)
-    for friends, *_ in raw_users.values():
-        user_universe.update(friends)
-    user_universe.update(event_users)
-    user_ids = sorted(user_universe)
-    user_index = {raw: i for i, raw in enumerate(user_ids)}
+    # Final ids: the raw ids that a kept listing, its friends or an event names
+    # (not one named only on a superseded duplicate user line), in sorted order.
+    listed = np.fromiter(listings, np.int32, len(listings))
+    src = np.repeat(listed, [len(friends) for friends, _ in listings.values()])
+    dst = np.frombuffer(b"".join(friends for friends, _ in listings.values()), np.int32)
+    used = np.zeros(len(seen), np.bool_)
+    used[listed] = used[dst] = used[events["user_id"]] = True
+    raw = list(seen)
+    del seen
+    kept = sorted(np.flatnonzero(used).tolist(), key=raw.__getitem__)
+    user_ids = [raw[i] for i in kept]
+    final = np.full(len(used), -1, np.int32)  # provisional id -> final id
+    final[kept] = np.arange(len(kept), dtype=np.int32)
 
-    # Popping each raw user, and deleting the listings once the graph is built,
-    # frees that memory before the events are built: it lowers ingest's peak RSS.
     users = np.zeros(len(user_ids), USER_DTYPE)
     users["average_stars"] = math.nan
-    src, dst = array("i"), array("i")  # friend listings: src lists dst
-    for raw in sorted(raw_users):
-        friends, *row = raw_users.pop(raw)
-        uid = user_index[raw]
-        for f in friends:
-            src.append(uid)
-            dst.append(user_index[f])
-        users[uid] = tuple(row)
+    users[final[listed]] = [row for _, row in listings.values()]
+    del listings
+    src, dst = final[src], final[dst]  # drops the provisional ids before the build
     graph = social.build_graph(src, dst, n_nodes=len(user_ids))
     del src, dst
+    events["user_id"] = final[events["user_id"]]
 
     cities = sorted({city for city, *_ in raw_businesses.values()})
     city_index = {city: i for i, city in enumerate(cities)}
     businesses = np.array([(city_index[city], *row) for city, *row
                            in map(raw_businesses.__getitem__, business_ids)], BUSINESS_DTYPE)
 
-    events = np.empty(len(event_users), EVENT_DTYPE)
-    events["user_id"] = np.fromiter(map(user_index.__getitem__, event_users), np.int32,
-                                    len(event_users))
-    del event_users
-    fields = [name for name in EVENT_DTYPE.names if name != "user_id"]
-    events[fields] = np.frombuffer(rows, [(name, np.int32) for name in fields])  # by position
-    del rows
     # lexsort is stable, so exact ties keep file order
     city = businesses["city"][events["business_id"]]
     order = np.lexsort((events["kind"], events["user_id"], events["day"],

@@ -333,14 +333,15 @@ def reference_features(cascade, k: int, profiles) -> dict[str, float]:
     def avg_stars(rec):
         return None if rec is None or math.isnan(rec["average_stars"]) else rec["average_stars"]
 
-    city_stars = [float(b["stars"]) for b in businesses
+    rated = [b for b in businesses if not math.isnan(b["stars"])]
+    city_stars = [float(b["stars"]) for b in rated
                   if profiles.cities[b["city"]] == cascade.city]
     if not city_stars:
-        city_stars = [float(b["stars"]) for b in businesses] or [3.0]
+        city_stars = [float(b["stars"]) for b in rated] or [3.0]
     city_mean = statistics.fmean(city_stars)
 
     biz = record(businesses, cascade.business_id)
-    out["biz_stars"] = biz["stars"] if biz else city_mean
+    out["biz_stars"] = city_mean if biz is None or math.isnan(biz["stars"]) else biz["stars"]
     out["biz_review_count_log1p"] = _lg(biz["review_count"]) if biz else 0.0
     out["biz_category_count"] = float(biz["category_count"]) if biz else 0.0
     out["biz_is_open"] = float(bool(biz and biz["is_open"]))

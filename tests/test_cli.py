@@ -12,7 +12,7 @@ from cascademine.cli import main
 from cascademine.config import RunConfig, build_config, load_config_file
 from cascademine.errors import ConfigError
 from cascademine.features import FEATURE_NAMES, N_FEATURES, LabeledExample, save_examples
-from cascademine.util import load_cache
+from cascademine.util import load_cache, save_arrays
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +333,11 @@ class TestExitCodes:
             assert main([stage, "--cache-dir", str(tmp_path)]) == 3
             err = capsys.readouterr().err
             assert f"version {version} " in err and f"rerun '{rerun}'" in err
+        # version 1 of the profile store kept a business without stars as 0.0
+        save_arrays(tmp_path / "profiles.npz", "cascademine.profiles", 1)
+        assert main(["features", "--cache-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "version 1 " in err and "rerun 'ingest'" in err
 
 
 class TestPipeline:

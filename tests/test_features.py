@@ -203,6 +203,18 @@ class TestExtract:
         assert extractor.imputed["biz_stars"] == 1
         assert extractor.imputed["nonroot_avg_stars_mean"] == 1
 
+    def test_unrated_business_imputed_with_rated_city_mean(self):
+        businesses = [business(stars=np.nan), business(stars=2.0), business(stars=5.0),
+                      business(stars=np.nan), business(city="elsewhere", stars=1.0)]
+        tables = profiles({0: user(), 1: user()}, businesses, graph_from_edges([(0, 1)], 2))
+        extractor = FeatureExtractor(tables, k=2)
+        vec = extractor.extract(mk_cascade([(0, 0), (1, 1, EventKind.TIP)], [(0, 1)]))
+        named = dict(zip(FEATURE_NAMES, vec))
+        assert named["biz_stars"] == 3.5  # testville's rated businesses only
+        assert named["nonroot_stars_mean"] == 3.5
+        assert extractor.imputed["biz_stars"] == 1
+        assert np.all(np.isfinite(vec))
+
     def test_deterministic_bitwise(self, rng):
         tables, cascades = random_world(rng, 40)
         extractor = FeatureExtractor(tables, k=3)
@@ -261,6 +273,7 @@ def random_world(rng, n_cascades):
                            review_count=int(rng.integers(0, 500)),
                            categories=int(rng.integers(0, 6)), is_open=bool(rng.random() < 0.8))
                   for _ in range(8)]
+    businesses[0] = business(stars=np.nan)  # unrated
     graph = random_graph(rng, n_users, 0.08)
 
     cascades = []

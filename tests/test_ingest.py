@@ -122,14 +122,48 @@ class TestIngest:
                 assert profiles.cities[profiles.businesses["city"][event.business_id]] == city
 
     def test_interning_independent_of_line_order(self, tmp_path):
-        reviews = [{"user_id": u, "business_id": "b1", "date": "2012-01-01", "text": ""}
+        users = USERS + [{"user_id": "q", "friends": ["z", "c", "a"], "review_count": 7,
+                          "average_stars": 3.5}]
+        reviews = [{"user_id": u, "business_id": "b1", "date": "2012-01-01", "text": u * 3}
                    for u in ("z", "m", "a")]
-        r1 = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
-        d2 = tmp_path / "again"
-        d2.mkdir()
-        r2 = ingest_dataset(make_dataset(d2, BIZ, USERS, reviews[::-1], []))
-        assert r1.user_ids == r2.user_ids
-        assert r1.business_ids == r2.business_ids
+        tips = [{"user_id": "q", "business_id": "b1", "date": "2012-01-02", "text": ""}]
+
+        def friends_reversed(user):
+            friends = user["friends"]
+            return {**user, "friends": friends[::-1] if isinstance(friends, list)
+                    else ",".join(friends.split(",")[::-1])}
+
+        inputs = [(users, reviews), (users, reviews[::-1]), (users[::-1], reviews),
+                  ([friends_reversed(u) for u in users], reviews),
+                  ([friends_reversed(u) for u in users[::-1]], reviews[::-1])]
+        results = []
+        for i, (user_lines, review_lines) in enumerate(inputs):
+            (tmp_path / str(i)).mkdir()
+            results.append(ingest_dataset(
+                make_dataset(tmp_path / str(i), BIZ, user_lines, review_lines, tips)))
+        first = results[0]
+        assert first.user_ids == ["a", "b", "c", "m", "q", "z"]
+        for other in results[1:]:
+            assert other.user_ids == first.user_ids
+            assert other.business_ids == first.business_ids
+            assert other.events.tobytes() == first.events.tobytes()
+            a, b = other.profiles, first.profiles
+            assert a.users.tobytes() == b.users.tobytes()
+            assert a.businesses.tobytes() == b.businesses.tobytes()
+            assert a.cities == b.cities
+            assert a.graph.indptr.tolist() == b.graph.indptr.tolist()
+            assert a.graph.indices.tolist() == b.graph.indices.tolist()
+
+    def test_duplicate_user_line_replaces_earlier(self, tmp_path):
+        users = [{"user_id": "a", "friends": ["x"], "fans": 1},
+                 {"user_id": "a", "friends": ["y"], "fans": 2}]
+        result = ingest_dataset(make_dataset(tmp_path, BIZ, users, [], []))
+        # 'x' is named only on the superseded line, so it gets no id
+        assert result.user_ids == ["a", "y"]
+        graph = result.profiles.graph
+        assert graph.degree(0) == 1 and graph.are_friends(0, 1)
+        assert result.profiles.users["fans"].tolist() == [2, 0]
+        assert result.drop_counts["user"]["retained"] == 2
 
     def test_friends_both_encodings_and_elite(self, tmp_path):
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, [], []))
@@ -170,9 +204,23 @@ class TestIngest:
     def test_out_of_range_stars_stored_absent(self, tmp_path):
         reviews = [{"user_id": "a", "business_id": "b1", "date": "2012-01-01",
                     "stars": 11, "text": "x"}]
-        result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
+        businesses = BIZ + [{"business_id": f"b{i}", "city": "Springfield", **stars}
+                            for i, stars in enumerate(
+                                ({"stars": 7.5}, {}, {"stars": "x"}, {"stars": 0.5},
+                                 {"stars": float("nan")}, {"stars": 1}, {"stars": "5"}), 2)]
+        users = [{**USERS[0], "average_stars": 9.0}, {**USERS[1], "average_stars": -1},
+                 {"user_id": "c", "average_stars": float("inf")},
+                 {"user_id": "d", "average_stars": "1.0"}, {"user_id": "e", "average_stars": 5}]
+        result = ingest_dataset(make_dataset(tmp_path, businesses, users, reviews, []))
         (event,) = result.events
         assert event["stars"] == 0  # none
+        # absent, malformed, not finite or outside 1..5: NaN
+        stars = dict(zip(result.business_ids, result.profiles.businesses["stars"].tolist()))
+        assert [stars[f"b{i}"] for i in (1, 7, 8)] == [4.5, 1.0, 5.0]
+        assert all(np.isnan(stars[f"b{i}"]) for i in range(2, 7))
+        average = dict(zip(result.user_ids, result.profiles.users["average_stars"].tolist()))
+        assert (average["d"], average["e"]) == (1.0, 5.0)
+        assert all(np.isnan(average[u]) for u in "abc")
 
     def test_datetime_date_parsed_to_day(self, tmp_path):
         reviews = [{"user_id": "a", "business_id": "b1",
