@@ -56,21 +56,26 @@ def build_graph(src, dst, n_nodes: int) -> SocialGraph:
     Self-loops and duplicate listings are dropped. Every id in ``[0, n_nodes)``
     is a node, listed or not; an id outside that range raises ValueError.
     """
-    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    # Integer id arrays keep their width (ingest passes int32): only the keys
+    # below are int64, so no widened copy of the listings is made.
+    src, dst = (ids if isinstance(ids, np.ndarray) else np.asarray(ids, dtype=np.int64)
+                for ids in (src, dst))
     lo = min(src.min(initial=0), dst.min(initial=0))
     hi = max(src.max(initial=-1), dst.max(initial=-1))
     if lo < 0 or hi >= n_nodes:
         raise ValueError(f"user id {lo if lo < 0 else hi} out of range for n_nodes={n_nodes}")
     keep = src != dst
-    src, dst = src[keep], dst[keep]
     # One row * n_nodes + col key per direction; sorted keys list each row's
     # neighbours in ascending order, and equal keys are duplicate listings.
-    n = len(src)
+    n = int(np.count_nonzero(keep))
     keys = np.empty(2 * n, dtype=np.int64)
     for half, row, col in ((keys[:n], src, dst), (keys[n:], dst, src)):
-        np.multiply(row, n_nodes, out=half)
-        half += col
+        half[:] = row[keep]
+        half *= n_nodes
+        half += col[keep]
+    del src, dst, row, col, keep
     keys.sort()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
     indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
-    return SocialGraph(indptr.astype(np.int32), (keys % n_nodes).astype(np.int32))
+    keys %= n_nodes
+    return SocialGraph(indptr.astype(np.int32), keys.astype(np.int32))

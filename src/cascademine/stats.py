@@ -10,6 +10,10 @@ over a grid with parabolic refinement, and xmin is the candidate whose fitted
 tail CDF is closest to the empirical one in Kolmogorov-Smirnov distance. The
 exponent is exposed as alpha > 1; report it negated to compare against slopes
 quoted on the pmf scale.
+
+The Hurwitz zeta is summed in numpy by Euler-Maclaurin, the method and
+coefficients of Cephes' ``zeta.c`` (which ``scipy.special.zeta`` wraps), so
+the runtime needs no scipy.
 """
 
 from __future__ import annotations
@@ -18,11 +22,46 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from cascademine.cascades import Cascade
 
 ALPHA_GRID = np.arange(1.05, 4.0 + 1e-9, 0.005)
+
+# (2k)! / B_2k for k = 1..12: the Euler-Maclaurin tail coefficients of Cephes' zeta.c.
+_ZETA_TAIL = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+
+
+def zeta(s, q) -> np.ndarray:
+    """Hurwitz zeta sum_{i>=0} (q + i)^-s for s > 1 and q > 0, broadcasting s and q.
+
+    Ten direct terms, then the Euler-Maclaurin remainder at w = q + 9: the
+    integral w^(1-s)/(s-1), minus half the last direct term, plus twelve
+    Bernoulli terms. Agrees with ``scipy.special.zeta`` to about 1e-15
+    relative for s in [1.001, 30] and q >= 1.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    w = np.asarray(q, dtype=np.float64)
+    total = w ** -s
+    for _ in range(9):
+        w = w + 1.0
+        b = w ** -s
+        total = total + b
+    total = total + b * w / (s - 1.0) - 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coef in _ZETA_TAIL:
+        a = a * (s + k)
+        b = b / w
+        total = total + a * b / coef
+        k += 1.0
+        a = a * (s + k)
+        b = b / w
+        k += 1.0
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,17 +93,12 @@ def size_distribution(cascades_by_city: Mapping[str, Sequence[Cascade]]
     return out
 
 
-def _loglik_alpha(values: np.ndarray, counts: np.ndarray, xmin: int,
-                  grid: np.ndarray) -> float:
-    """Maximize the discrete power-law log-likelihood over alpha for one xmin.
+def _vertex_alpha(ll: np.ndarray, grid: np.ndarray) -> float:
+    """Maximize one xmin's log-likelihood profile ``ll`` over ``grid``.
 
     Grid argmax plus one parabolic vertex step, which lands within ~1e-4 of
     the true optimum for these smooth profiles.
     """
-    mask = values >= xmin
-    n = counts[mask].sum()
-    s = float(np.sum(counts[mask] * np.log(values[mask])))
-    ll = -grid * s - n * np.log(zeta(grid, xmin))
     i = int(np.argmax(ll))
     if not 0 < i < len(grid) - 1:
         return float(grid[i])
@@ -77,24 +111,20 @@ def _loglik_alpha(values: np.ndarray, counts: np.ndarray, xmin: int,
     return min(max(alpha, float(grid[i - 1])), float(grid[i + 1]))
 
 
-def _ks_distance(values: np.ndarray, counts: np.ndarray, xmin: int, alpha: float) -> float:
+def _ks_distance(v: np.ndarray, c: np.ndarray, z: np.ndarray) -> float:
     """Exact sup over integer support of |empirical tail CDF - fitted CDF|.
 
+    ``v`` and ``c`` are the tail's observed values and counts; ``z`` holds
+    zeta(alpha, q) at q = xmin, then at each v_j + 1, then at each v_{j+1}.
     The empirical CDF steps only at observed values, and the fitted CDF is
     increasing, so the sup is attained either at an observed value v_j or just
     before the next one (v_{j+1} - 1).
     """
-    mask = values >= xmin
-    v = values[mask].astype(np.float64)
-    c = counts[mask].astype(np.float64)
-    n = c.sum()
-    emp = np.cumsum(c) / n
-    z0 = zeta(alpha, xmin)
-    fit_at = 1.0 - zeta(alpha, v + 1.0) / z0
+    emp = np.cumsum(c) / c.sum()
+    fit_at = 1.0 - z[1:len(v) + 1] / z[0]
     d = np.max(np.abs(emp - fit_at))
     if len(v) > 1:
-        before_next = v[1:] - 1.0
-        fit_before = 1.0 - zeta(alpha, before_next + 1.0) / z0
+        fit_before = 1.0 - z[len(v) + 1:] / z[0]
         d = max(d, float(np.max(np.abs(emp[:-1] - fit_before))))
     return float(d)
 
@@ -126,10 +156,25 @@ def fit_power_law(sizes: Sequence[int], min_tail: int = 10,
             "at least two distinct sizes >= 2"
         )
 
+    tails = [values >= xmin for xmin, _ in candidates]
+    # The log-likelihood over the grid for every candidate, from one zeta
+    # call: L(alpha) = -alpha * sum(log x_i) - n * log zeta(alpha, xmin).
+    xmins, n = (np.array(col, dtype=np.float64)[:, None] for col in zip(*candidates))
+    weighted = counts * np.log(values)
+    log_sum = np.array([[weighted[tail].sum()] for tail in tails])
+    ll = -grid * log_sum - n * np.log(zeta(grid, xmins))
+    alphas = [_vertex_alpha(row, grid) for row in ll]
+
+    # The KS points of every candidate, from one more zeta call: numpy's fixed
+    # cost per call would outweigh the work of a call per candidate.
+    v = [values[tail].astype(np.float64) for tail in tails]
+    points = [np.concatenate(([xmin], vj + 1.0, vj[1:])) for (xmin, _), vj in zip(candidates, v)]
+    lengths = [len(p) for p in points]
+    z = np.split(zeta(np.repeat(alphas, lengths), np.concatenate(points)), np.cumsum(lengths)[:-1])
+
     best = None
-    for xmin, n_tail in candidates:
-        alpha = _loglik_alpha(values, counts, xmin, grid)
-        d = _ks_distance(values, counts, xmin, alpha)
+    for (xmin, n_tail), alpha, tail, vj, zj in zip(candidates, alphas, tails, v, z):
+        d = _ks_distance(vj, counts[tail].astype(np.float64), zj)
         if best is None or d < best[0]:
             best = (d, xmin, alpha, n_tail)
     d, xmin, alpha, n_tail = best

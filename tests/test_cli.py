@@ -2,12 +2,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cascademine
 from cascademine.cli import main
 from cascademine.config import RunConfig, build_config, load_config_file
 from cascademine.errors import ConfigError
@@ -541,3 +545,13 @@ class TestSmallCities:
         assert {line.split(",")[0] for line in accuracy} == {"bigcity"}
         importance = (tmp_path / "importance.csv").read_text().splitlines()[1:]
         assert {line.split(",")[0] for line in importance} == {"bigcity", "smallcity"}
+
+
+def test_runtime_import_loads_no_scipy():
+    # scipy is a test-only dependency: no stage may import it at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(cascademine.__file__).parents[1]))
+    code = ("import cascademine.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.special
 
+from cascademine import stats
 from cascademine.stats import (ccdf_tail_slope, export_dot,
                                fit_power_law, longest_cascades, size_distribution)
 from conftest import graph_from_edges, mk_cascade, random_events, random_graph
@@ -53,7 +55,46 @@ class TestSizeDistribution:
         assert abs(slope - (-1.0)) < 0.15
 
 
+class TestZeta:
+    # Relative tolerance against scipy.special.zeta (Cephes), which sums the
+    # same Euler-Maclaurin series; the largest difference seen is 6e-16.
+    RTOL = 1e-14
+    S = np.concatenate((np.geomspace(1.001, 1.1, 40), np.linspace(1.1, 30.0, 120)))
+    Q = np.unique(np.concatenate((np.arange(1.0, 101.0), np.geomspace(1.0, 1e6, 200),
+                                  np.round(np.geomspace(1.0, 1e6, 200)))))
+
+    def test_broadcast_grid_matches_scipy(self):
+        got = stats.zeta(self.S[:, None], self.Q[None, :])
+        assert got.shape == (len(self.S), len(self.Q))
+        np.testing.assert_allclose(got, scipy.special.zeta(self.S[:, None], self.Q[None, :]),
+                                   rtol=self.RTOL, atol=0.0)
+
+    def test_vectors_match_scipy(self):
+        for s, q in ((self.S, 3.0), (2.5, self.Q), (self.S, np.linspace(1.0, 1e6, len(self.S)))):
+            got = stats.zeta(s, q)
+            assert got.shape == np.broadcast(s, q).shape
+            np.testing.assert_allclose(got, scipy.special.zeta(s, q), rtol=self.RTOL, atol=0.0)
+
+    def test_scalars_match_scipy(self):
+        for s, q in ((1.001, 1.0), (2.0, 1.0), (3.7, 17.0), (30.0, 1e6), (1.05, 2)):
+            got = stats.zeta(s, q)
+            assert np.ndim(got) == 0
+            assert abs(got / scipy.special.zeta(s, q) - 1.0) <= self.RTOL
+        assert abs(stats.zeta(2.0, 1.0) - np.pi ** 2 / 6) <= 1e-15
+
+
 class TestFitPowerLaw:
+    @pytest.mark.parametrize("seed, n", [(0, 100_000), (1, 100_000), (999, 20_000)])
+    def test_same_fit_as_through_scipy_zeta(self, seed, n, monkeypatch):
+        # criterion 04's samples: same xmin and tail, alpha and KS to 1e-12
+        sizes = sampler().sample(n, np.random.default_rng(seed))
+        fit = fit_power_law(sizes)
+        monkeypatch.setattr(stats, "zeta", scipy.special.zeta)
+        ref = fit_power_law(sizes)
+        assert (fit.xmin, fit.n_tail) == (ref.xmin, ref.n_tail)
+        assert fit.alpha == pytest.approx(ref.alpha, rel=1e-12, abs=0.0)
+        assert fit.ks_statistic == pytest.approx(ref.ks_statistic, rel=1e-12, abs=0.0)
+
     def test_recovers_alpha_two(self):
         rng = np.random.default_rng(1)
         sizes = sampler().sample(100_000, rng)
