@@ -11,14 +11,14 @@ are discarded. Within a business, cascades are indexed by their earliest
 A cascade's nodes are :data:`NODE_DTYPE` rows, each user's first event at the
 business (the :data:`~cascademine.ingest.EVENT_DTYPE` fields but the business:
 ``day`` is the date's ordinal, ``stars`` 0 means none), ordered by (date, user
-id); its edges are a sorted ``(m, 2)`` int32 array of (src_user, dst_user).
-``build-cascades`` writes the store ``cascades.npz`` (:func:`save_cascades`):
-all nodes and all edges as one array each, with per-cascade offsets, business
-and component index, and per-city offsets and names. :func:`read_cascades`
-loads it once and slices views out of it, so no stage builds an object per
-node. The export
+id); its edges are an ``(m, 2)`` int32 array of (src, dst) positions in those
+nodes, ordered by (src user, dst user). ``build-cascades`` writes the store
+``cascades.npz`` (:func:`save_cascades`): all nodes and all edges as one array
+each, with per-cascade offsets, business and component index, and per-city
+offsets and names. :func:`read_cascades` loads and checks it once and slices
+views out of it, so no stage builds an object per node. The export
 ``cascades.jsonl`` (:func:`write_cascades`), read by no stage, has one cascade
-per line:
+per line, its edges as user ids:
 
   {"cascade_id": [city, business_id, index], "city": ..., "business_id": ...,
    "nodes": [{"user": u, "date": "YYYY-MM-DD", "kind": "review"|"tip",
@@ -47,7 +47,7 @@ CascadeId = tuple[str, int, int]
 NODE_DTYPE = np.dtype([("user", np.int32), ("day", np.int32), ("kind", np.int8),
                        ("stars", np.int8), ("text_len", np.int32), ("votes", np.int32)])
 STORE_FORMAT = "cascademine.cascades"
-STORE_VERSION = 1
+STORE_VERSION = 2  # 1 kept edges as user ids
 # Friend lookups per array step. A hub's friend list is looked up at every business it
 # acts at; pipebench's heavy_tail data makes 1.8 M lookups, 59 MB more RSS in one step.
 LOOKUP_CHUNK = 1 << 16
@@ -57,7 +57,7 @@ LOOKUP_CHUNK = 1 << 16
 class Cascade:
     cascade_id: CascadeId  # (city, business_id, component index)
     nodes: np.ndarray  # NODE_DTYPE rows: each user's first event, sorted by (day, user)
-    edges: np.ndarray  # (m, 2) int32 directed (src_user, dst_user), lexicographic
+    edges: np.ndarray  # (m, 2) int32 (src, dst) positions in nodes, by (src user, dst user)
 
     @property
     def city(self) -> str:
@@ -70,12 +70,6 @@ class Cascade:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    def local_edges(self) -> list[tuple[int, int]]:
-        """The edges as (src, dst) positions in ``nodes``."""
-        position = {user: i for i, user in enumerate(self.nodes["user"].tolist())}.__getitem__
-        src, dst = self.edges.T.tolist()
-        return list(zip(map(position, src), map(position, dst)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,17 +145,20 @@ def _city_cascades(city: str, events: np.ndarray, graph: SocialGraph,
         return []
 
     # A component's label is its earliest node, so labels ascend in cascade
-    # order: by business, then by earliest (date, user). Users linked to no
-    # friend are singletons and drop out.
+    # order (by business, then earliest (date, user)) and each leads its
+    # component's nodes. Users linked to no friend are singletons and drop out.
     label = _components(len(rows), src, dst)
     nodes = np.unique(np.concatenate([src, dst]))
     nodes = nodes[np.argsort(label[nodes], kind="stable")]
     roots, node_at = np.unique(label[nodes], return_index=True)
+    rank = np.zeros_like(label)
+    rank[nodes] = np.arange(len(nodes))
+    position = rank - rank[label]  # of each node in its cascade
     edge_order = np.lexsort((user[dst], user[src], label[src]))
     edge_at = np.searchsorted(label[src][edge_order], roots)
     index = np.arange(len(roots)) - np.searchsorted(business[roots], business[roots])
     ids = [(city, b, i) for b, i in zip(business[roots].tolist(), index.tolist())]
-    edges = np.stack([user[src], user[dst]], axis=1)[edge_order].astype(np.int32)
+    edges = np.stack([position[src], position[dst]], axis=1)[edge_order].astype(np.int32)
     return _views(ids, rows[nodes], edges, [*node_at.tolist(), len(nodes)],
                   [*edge_at.tolist(), len(edges)])
 
@@ -202,7 +199,7 @@ def _cascade_to_json(cascade: Cascade) -> str:
              "votes": votes}
             for user, day, kind, stars, text_len, votes in cascade.nodes.tolist()
         ],
-        "edges": cascade.edges.tolist(),
+        "edges": cascade.nodes["user"][cascade.edges].tolist(),
     }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -245,8 +242,9 @@ def read_cascades(path) -> dict[str, list[Cascade]]:
     views into its two arrays.
 
     A damaged store, one of another format or version, or one with a missing
-    or malformed array raises DataError naming 'build-cascades' as the stage
-    to rerun.
+    or malformed array, an offset array that does not start at 0 or that
+    decreases, or an edge position outside its cascade raises DataError naming
+    'build-cascades' as the stage to rerun.
     """
     arrays = load_arrays(path, STORE_FORMAT, STORE_VERSION, "build-cascades")
     try:
@@ -260,8 +258,13 @@ def read_cascades(path) -> dict[str, list[Cascade]]:
                        strict=True))
         if (nodes.dtype != NODE_DTYPE or edges.dtype != np.int32 or edges.shape[1:] != (2,)
                 or [len(node_at), len(edge_at), node_at[-1], edge_at[-1]]
-                != [len(ids) + 1, len(ids) + 1, len(nodes), len(edges)]):
+                != [len(ids) + 1, len(ids) + 1, len(nodes), len(edges)]
+                or any(at[0] != 0 or (np.diff(at) < 0).any()
+                       for at in (node_at, edge_at, city_at))):
             raise ValueError("the arrays do not fit together")
+        size = np.repeat(np.diff(node_at), np.diff(edge_at))[:, None]
+        if ((edges < 0) | (edges >= size)).any():
+            raise ValueError("an edge position lies outside its cascade")
         cascades = _views(ids, nodes, edges, node_at, edge_at)
         return {city: cascades[city_at[j]:city_at[j + 1]]
                 for j, city in enumerate(cities.tolist())}

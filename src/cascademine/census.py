@@ -54,7 +54,7 @@ class PurityRow:
     purity: float | None  # None when the representative exceeds the node cap
 
 
-def digraph_signature(n: int, edges: Sequence[tuple[int, int]]) -> TopologySignature:
+def digraph_signature(n: int, edges: Sequence[Sequence[int]]) -> TopologySignature:
     """Signature of a directed graph on nodes 0..n-1."""
     indeg = [0] * n
     outdeg = [0] * n
@@ -65,10 +65,10 @@ def digraph_signature(n: int, edges: Sequence[tuple[int, int]]) -> TopologySigna
 
 
 def signature(cascade: Cascade) -> TopologySignature:
-    return digraph_signature(cascade.size, cascade.local_edges())
+    return digraph_signature(cascade.size, cascade.edges.tolist())
 
 
-def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> tuple[list[set], list[set]]:
+def _adjacency(n: int, edges: Sequence[Sequence[int]]) -> tuple[list[set], list[set]]:
     """Successor and predecessor sets of nodes 0..n-1."""
     succ, pred = [set() for _ in range(n)], [set() for _ in range(n)]
     for u, v in edges:
@@ -77,20 +77,21 @@ def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> tuple[list[set], lis
     return succ, pred
 
 
-def digraph_isomorphic(n_a: int, edges_a: Sequence[tuple[int, int]],
-                       n_b: int, edges_b: Sequence[tuple[int, int]]) -> bool:
+def digraph_isomorphic(n_a: int, edges_a: Sequence[Sequence[int]],
+                       n_b: int, edges_b: Sequence[Sequence[int]]) -> bool:
     """Exact directed-graph isomorphism by backtracking.
 
     Candidate targets are restricted to nodes with identical (in, out) degree
     pairs and every partial mapping is checked for edge agreement in both
     directions, which prunes hard enough for the small graphs seen here.
     """
-    if n_a != n_b or len(set(edges_a)) != len(set(edges_b)):
+    if n_a != n_b:
         return False
     (succ_a, pred_a), (succ_b, pred_b) = _adjacency(n_a, edges_a), _adjacency(n_b, edges_b)
 
     profile_a = [(len(pred_a[i]), len(succ_a[i])) for i in range(n_a)]
     profile_b = [(len(pred_b[i]), len(succ_b[i])) for i in range(n_b)]
+    # equal profiles also mean equal counts of distinct edges
     if sorted(profile_a) != sorted(profile_b):
         return False
 
@@ -140,7 +141,7 @@ def is_isomorphic(a: Cascade, b: Cascade, node_cap: int = DEFAULT_NODE_CAP) -> b
     """Exact isomorphism for cascades up to node_cap nodes; None when larger."""
     if a.size > node_cap or b.size > node_cap:
         return None
-    return digraph_isomorphic(a.size, a.local_edges(), b.size, b.local_edges())
+    return digraph_isomorphic(a.size, a.edges.tolist(), b.size, b.edges.tolist())
 
 
 def _buckets(cascades: Sequence[Cascade]) -> list[tuple[TopologySignature, list[Cascade]]]:

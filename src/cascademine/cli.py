@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import cascademine.cascades as casc
@@ -18,7 +19,7 @@ import cascademine.census as census_mod
 import cascademine.features as feat
 import cascademine.learner as learn
 import cascademine.stats as stats_mod
-from cascademine.config import RunConfig, build_config
+from cascademine.config import RunConfig, build_config, parse_value
 from cascademine.errors import ConfigError, DataError, MissingStageError
 from cascademine.ingest import (DatasetPaths, ingest_dataset, load_ingest, load_profiles,
                                 save_ingest, save_profiles, yearly_activity_counts)
@@ -337,29 +338,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CONFIG_FLAGS = [
-    # (flag, dest, type, help)
-    ("--business", "business_path", str, "business JSON-lines file"),
-    ("--user", "user_path", str, "user JSON-lines file"),
-    ("--review", "review_path", str, "review JSON-lines file"),
-    ("--tip", "tip_path", str, "tip JSON-lines file"),
-    ("--cache-dir", "cache_dir", str, "directory for stage outputs"),
-    ("--window-days", "window_days", int, "max influence window in days (default: unlimited)"),
-    ("--census-max-rank", "census_max_rank", int, "topology ranks per city"),
-    ("--node-cap", "node_cap", int, "max nodes for exact isomorphism checks"),
-    ("--purity-samples", "purity_samples", int, "bucket members checked per signature"),
-    ("--top-k", "top_k_longest", int, "longest cascades kept per city"),
-    ("--k", "k", int, "prefix size in nodes for features"),
-    ("--percentile", "percentile", float, "long/short threshold percentile"),
-    ("--min-big-cascades", "min_big_cascades", int, "city floor on long-cascade count"),
-    ("--n-trees", "n_trees", int, "boosting rounds"),
-    ("--max-depth", "max_depth", int, "tree depth limit"),
-    ("--learning-rate", "learning_rate", float, "boosting shrinkage"),
-    ("--min-leaf", "min_leaf", int, "minimum samples per leaf"),
-    ("--l1", "l1", float, "elastic-net L1 penalty"),
-    ("--l2", "l2", float, "elastic-net L2 penalty"),
-    ("--logreg-epochs", "logreg_epochs", int, "proximal gradient iterations"),
-    ("--folds", "folds", int, "cross-validation folds"),
-    ("--seed", "seed", int, "global seed, substreamed per stage"),
+    # (flag, dest, help); each parses as its RunConfig field does in a config file
+    ("--business", "business_path", "business JSON-lines file"),
+    ("--user", "user_path", "user JSON-lines file"),
+    ("--review", "review_path", "review JSON-lines file"),
+    ("--tip", "tip_path", "tip JSON-lines file"),
+    ("--cache-dir", "cache_dir", "directory for stage outputs"),
+    ("--window-days", "window_days", "max influence window in days (default: unlimited)"),
+    ("--census-max-rank", "census_max_rank", "topology ranks per city"),
+    ("--node-cap", "node_cap", "max nodes for exact isomorphism checks"),
+    ("--purity-samples", "purity_samples", "bucket members checked per signature"),
+    ("--top-k", "top_k_longest", "longest cascades kept per city"),
+    ("--k", "k", "prefix size in nodes for features"),
+    ("--percentile", "percentile", "long/short threshold percentile"),
+    ("--min-big-cascades", "min_big_cascades", "city floor on long-cascade count"),
+    ("--n-trees", "n_trees", "boosting rounds"),
+    ("--max-depth", "max_depth", "tree depth limit"),
+    ("--learning-rate", "learning_rate", "boosting shrinkage"),
+    ("--min-leaf", "min_leaf", "minimum samples per leaf"),
+    ("--l1", "l1", "elastic-net L1 penalty"),
+    ("--l2", "l2", "elastic-net L2 penalty"),
+    ("--logreg-epochs", "logreg_epochs", "proximal gradient iterations"),
+    ("--folds", "folds", "cross-validation folds"),
+    ("--seed", "seed", "global seed, substreamed per stage"),
 ]
 
 _DEFAULTS = RunConfig()
@@ -375,13 +376,14 @@ def _build_parser() -> _Parser:
     for name in stage_names:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", help="key=value config file; flags override it")
-        for flag, dest, ftype, helptext in _CONFIG_FLAGS:
-            # flags default to None so that the config file can fill them in;
-            # the help shows RunConfig's default instead
+        for flag, dest, helptext in _CONFIG_FLAGS:
+            # an absent flag sets nothing, so that the config file can fill it
+            # in; the help shows RunConfig's default instead
             default = getattr(_DEFAULTS, dest)
             if default is not None:
                 helptext = f"{helptext} (default: {default})"
-            p.add_argument(flag, dest=dest, type=ftype, default=None, help=helptext)
+            p.add_argument(flag, dest=dest, type=partial(parse_value, dest),
+                           default=argparse.SUPPRESS, help=helptext)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset in Yelp format")
     p.add_argument("--out-dir", required=True, help="output directory for the files")
@@ -419,7 +421,8 @@ def run(argv=None) -> None:
               f"influence edges -> {args.out_dir}")
         return
 
-    overrides = {dest: getattr(args, dest) for _, dest, _, _ in _CONFIG_FLAGS}
+    overrides = {dest: getattr(args, dest) for _, dest, _ in _CONFIG_FLAGS
+                 if hasattr(args, dest)}
     cfg = build_config(args.config, overrides)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
     if args.command == "all":

@@ -78,7 +78,8 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """A config file's or a flag's text for field ``key``, typed as the field is."""
     ftype = _FIELD_TYPES[key]
     raw = raw.strip()
     if raw.lower() in ("none", ""):
@@ -115,17 +116,16 @@ def load_config_file(path) -> dict:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = parse_value(key, raw)
     return values
 
 
 def build_config(file_path=None, overrides: dict | None = None) -> RunConfig:
-    """Merge defaults, config file, and flag overrides (flags win)."""
+    """Merge defaults, config file, and flag overrides (flags win, ``None`` too)."""
     values = {}
     if file_path is not None:
         values.update(load_config_file(file_path))
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update(overrides or {})
     try:
         cfg = RunConfig(**values)
     except TypeError as exc:

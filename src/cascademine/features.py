@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from cascademine.cascades import Cascade, CascadeId
+from cascademine.errors import DataError
 from cascademine.ingest import EventKind, Profiles
 from cascademine.util import load_cache, nearest_rank, save_cache, substream_seed
 
@@ -305,8 +306,17 @@ def save_examples(examples: Sequence[LabeledExample], path) -> None:
 
 
 def load_examples(path) -> list[LabeledExample]:
+    """The examples :func:`save_examples` wrote. A missing key, other feature
+    names or a vector of another length raises DataError naming 'features'."""
     payload = load_cache(path, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION, "features")
-    return [
-        LabeledExample(tuple(cid), np.asarray(vec, dtype=np.float64), label)
-        for cid, vec, label in payload["examples"]
-    ]
+    try:
+        if payload["feature_names"] != list(FEATURE_NAMES):
+            raise ValueError("the feature names differ from this version's")
+        examples = [LabeledExample(tuple(cid), np.asarray(vec, dtype=np.float64), label)
+                    for cid, vec, label in payload["examples"]]
+        if any(e.features.shape != (N_FEATURES,) for e in examples):
+            raise ValueError(f"a feature vector is not {N_FEATURES} long")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"damaged features cache {path} ({exc!r}); "
+                        "rerun 'features'") from exc
+    return examples

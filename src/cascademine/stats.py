@@ -71,11 +71,6 @@ class PowerLawFit:
     ks_statistic: float
     n_tail: int  # observations >= xmin
 
-    @property
-    def slope(self) -> float:
-        """Exponent with the sign convention of a pmf log-log slope."""
-        return -self.alpha
-
 
 def size_distribution(cascades_by_city: Mapping[str, Sequence[Cascade]]
                       ) -> dict[str, list[tuple[int, int, float]]]:
@@ -216,5 +211,5 @@ def longest_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
 def export_dot(cascade: Cascade) -> str:
     """Graphviz DOT text with nodes anonymized to their temporal order index."""
     lines = ["digraph cascade {", *(f"  n{i};" for i in range(cascade.size)),
-             *(f"  n{u} -> n{v};" for u, v in sorted(cascade.local_edges())), "}"]
+             *(f"  n{u} -> n{v};" for u, v in sorted(cascade.edges.tolist())), "}"]
     return "\n".join(lines) + "\n"

@@ -47,7 +47,8 @@ def graph_from_edges(edges, n_nodes: int) -> SocialGraph:
 
 def mk_cascade(node_specs, edges, city: str = "testville", business: int = 0,
                index: int = 0) -> Cascade:
-    """Cascade from (user, day_offset[, kind, stars, text_len, votes]) tuples."""
+    """Cascade from (user, day_offset[, kind, stars, text_len, votes]) tuples
+    and (src_user, dst_user) edges."""
     nodes = []
     for spec in node_specs:
         user, offset = spec[0], spec[1]
@@ -57,8 +58,9 @@ def mk_cascade(node_specs, edges, city: str = "testville", business: int = 0,
         votes = spec[5] if len(spec) > 5 else 1
         nodes.append((user, day(offset).toordinal(), kind, stars or 0, text_len, votes))
     nodes.sort(key=lambda n: (n[1], n[0]))
+    position = {n[0]: i for i, n in enumerate(nodes)}
     return Cascade((city, business, index), np.array(nodes, NODE_DTYPE),
-                   edge_array(sorted(edges)))
+                   edge_array((position[u], position[v]) for u, v in sorted(edges)))
 
 
 def edge_array(edges) -> np.ndarray:

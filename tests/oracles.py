@@ -116,7 +116,9 @@ def cascade_events(cascade) -> tuple[Node, ...]:
 
 
 def cascade_edges(cascade) -> tuple[tuple[int, int], ...]:
-    return tuple((int(u), int(v)) for u, v in cascade.edges)
+    """The edges as (src_user, dst_user) pairs."""
+    users = cascade.nodes["user"].tolist()
+    return tuple((users[u], users[v]) for u, v in cascade.edges.tolist())
 
 
 def as_plain(cascades_by_city) -> dict:

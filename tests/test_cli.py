@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 
 import cascademine
+import cascademine.cli as cli
 from cascademine.cli import main
 from cascademine.config import RunConfig, build_config, load_config_file
 from cascademine.errors import ConfigError
-from cascademine.features import FEATURE_NAMES, N_FEATURES, LabeledExample, save_examples
-from cascademine.util import load_cache, save_arrays
+from cascademine.features import (FEATURE_NAMES, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION,
+                                  N_FEATURES, LabeledExample, save_examples)
+from cascademine.util import load_cache, save_arrays, save_cache
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +124,22 @@ class TestConfigFile:
     def test_example_config_is_valid(self):
         example = Path(__file__).parents[1] / "scripts" / "yelp.cfg.example"
         values = load_config_file(example)
+        assert set(values) == {field.name for field in dataclasses.fields(RunConfig)}
         assert values["window_days"] is None
         cfg = build_config(example)
         assert (cfg.k, cfg.min_big_cascades, cfg.cache_dir) == (5, 50, "yelp_cache")
+
+    def test_flags_parse_as_file_values(self, tmp_path, monkeypatch):
+        # "none" on the command line resets a file's window to unlimited
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("window_days = 7\nk = 4\n")
+        seen = []
+        monkeypatch.setitem(cli.STAGE_BY_NAME, "census", seen.append)
+        for flags, window_days in (([], 7), (["--window-days", "none"], None),
+                                   (["--window-days", "3"], 3)):
+            assert main(["census", "--config", str(cfg_file), "--cache-dir", str(tmp_path),
+                         *flags]) == 0
+            assert (seen[-1].window_days, seen[-1].k) == (window_days, 4)
 
     def test_validation_bounds(self):
         with pytest.raises(ConfigError):
@@ -227,6 +243,40 @@ class TestExitCodes:
             assert main(["census", "--cache-dir", str(tmp_path)]) == 3
             assert "rerun 'build-cascades'" in capsys.readouterr().err
 
+    def test_cascade_store_offsets_and_positions_are_checked(self, fixture_dataset,
+                                                             tmp_path, capsys):
+        assert main(["ingest", *pipeline_args(fixture_dataset, tmp_path)]) == 0
+        assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 0
+        store = tmp_path / "cascades.npz"
+        with np.load(store) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        assert arrays["version"].tolist() == 2
+
+        def changed(name, index, value):
+            array = arrays[name].copy()
+            array[index] = value
+            return {**arrays, name: array}
+
+        # the reason names the check that must catch each damage
+        node_at, edge_at = arrays["node_offsets"], arrays["edge_offsets"]
+        offsets, positions = "do not fit together", "outside its cascade"
+        damaged = [
+            (changed("node_offsets", [1, 2], node_at[[2, 1]]), offsets),  # decreasing
+            (changed("edge_offsets", [1, 2], edge_at[[2, 1]]), offsets),
+            (changed("node_offsets", 0, 1), offsets),  # a first offset other than 0
+            (changed("edge_offsets", 0, 1), offsets),
+            (changed("edges", (0, 1), node_at[1]), positions),  # the first cascade's size
+            (changed("edges", (0, 0), -1), positions),
+            ({**arrays, "version": np.array(1)}, "version 1 "),  # edges were user ids
+        ]
+        for payload, reason in damaged:
+            np.savez(store, **payload)
+            for stage in ("census", "purity", "export-dot"):
+                capsys.readouterr()
+                assert main([stage, "--cache-dir", str(tmp_path)]) == 3, (stage, reason)
+                err = capsys.readouterr().err
+                assert reason in err and "rerun 'build-cascades'" in err
+
     def test_cache_without_cascade_store_is_missing_stage(self, fixture_dataset, tmp_path,
                                                           capsys):
         # a cache dir from before the store: cascades.jsonl alone
@@ -301,6 +351,30 @@ class TestExitCodes:
             capsys.readouterr()
             assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 3, change
             assert "rerun 'ingest'" in capsys.readouterr().err
+
+    def test_damaged_features_cache_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        names = list(FEATURE_NAMES)
+        examples = [(("acity", 0, i), (rng.normal(size=N_FEATURES) + i % 2).tolist(), i % 2)
+                    for i in range(20)]
+        narrow = [(cid, vec[:3], label) for cid, vec, label in examples]
+        cache = tmp_path / "features.pkl"
+        save_cache(cache, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION,
+                   feature_names=names, examples=examples)
+        assert main(["train", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 0
+        damaged = [
+            {"feature_names": names},  # no examples
+            {"examples": examples},  # no feature names
+            {"feature_names": names[::-1], "examples": examples},
+            {"feature_names": names[:3], "examples": narrow},
+            {"feature_names": names, "examples": narrow},  # 3-wide vectors
+        ]
+        for payload in damaged:
+            save_cache(cache, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION, **payload)
+            for stage in ("train", "evaluate"):
+                capsys.readouterr()
+                assert main([stage, "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
+                assert "rerun 'features'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_fail_train(self, tmp_path, capsys, bad):

@@ -10,7 +10,7 @@ from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureExtractor, L
                                   build_examples)
 from cascademine.ingest import BUSINESS_DTYPE, USER_DTYPE, EventKind, Profiles
 from conftest import day, edge_array, graph_from_edges, mk_cascade, random_graph
-from oracles import cascade_edges, extract_features, reference_features
+from oracles import extract_features, reference_features
 
 
 def user(review_count=5, avg=3.8, since=-400, fans=2, elite=1):
@@ -310,20 +310,18 @@ def mutate_beyond_prefix(cascade, k, rng):
     yield Cascade(cascade.cascade_id, np.concatenate([prefix, mutated]), cascade.edges)
 
     # 2: append brand-new later nodes and edges among them
+    n = len(nodes)
     extra = np.array([(big_user + j, last_day + j + 1, EventKind.REVIEW, 5, 10, 0)
                       for j in range(3)], NODE_DTYPE)
-    new_edges = edge_array(list(cascade_edges(cascade)) + [(big_user, big_user + 1),
-                                                           (big_user + 1, big_user + 2)])
+    new_edges = np.concatenate([cascade.edges, edge_array([(n, n + 1), (n + 1, n + 2)])])
     yield Cascade(cascade.cascade_id, np.concatenate([nodes, extra]), new_edges)
 
-    # 3: relabel a suffix node's user id upward (stays after the prefix)
+    # 3: relabel a suffix node's user id upward (stays after the prefix); the
+    # edges, positions in the nodes, stay as they are
     if len(suffix):
-        target = int(suffix["user"][0])
         relabeled = nodes.copy()
         relabeled["user"][k] = big_user
-        edges = edge_array((big_user if u == target else u, big_user if v == target else v)
-                           for u, v in cascade_edges(cascade))
-        yield Cascade(cascade.cascade_id, relabeled, edges)
+        yield Cascade(cascade.cascade_id, relabeled, cascade.edges)
 
 
 class TestIO:
