@@ -5,7 +5,7 @@ build per-business influence cascades, census their topologies, fit the size
 distribution, and predict long vs short cascades from the first k events.
 """
 
-from cascademine.cascades import Cascade, build_cascades, cascade_summary
+from cascademine.cascades import Cascade, CityCascades, build_cascades, cascade_summary
 from cascademine.census import TopologySignature, bucket_purity, is_isomorphic, signature
 from cascademine.features import FEATURE_NAMES, FeatureExtractor, balance, label_cascades
 from cascademine.ingest import (EVENT_DTYPE, DatasetPaths, EventKind, IngestResult, Profiles,

@@ -12,13 +12,18 @@ A cascade's nodes are :data:`NODE_DTYPE` rows, each user's first event at the
 business (the :data:`~cascademine.ingest.EVENT_DTYPE` fields but the business:
 ``day`` is the date's ordinal, ``stars`` 0 means none), ordered by (date, user
 id); its edges are an ``(m, 2)`` int32 array of (src, dst) positions in those
-nodes, ordered by (src user, dst user). ``build-cascades`` writes the store
-``cascades.npz`` (:func:`save_cascades`): all nodes and all edges as one array
-each, with per-cascade offsets, business and component index, and per-city
-offsets and names. :func:`read_cascades` loads and checks it once and slices
-views out of it, so no stage builds an object per node. The export
-``cascades.jsonl`` (:func:`write_cascades`), read by no stage, has one cascade
-per line, its edges as user ids:
+nodes, ordered by (src user, dst user). A city's cascades are one
+:class:`CityCascades`: its node and edge arrays, per-cascade offsets into
+them, business and component index, in cascade_id order. Indexing or
+iterating it makes a :class:`Cascade` view on access. The analysis stages
+compute from its arrays (sizes are offset differences), so no stage builds an
+object per cascade: ``purity``, ``export-dot`` and ``features`` make views of
+the cascades they check, draw or may extract.
+``build-cascades`` writes the store ``cascades.npz`` (:func:`save_cascades`):
+every city's arrays one after another, with per-city offsets and names.
+:func:`read_cascades` loads and checks it once and gives each city its slices
+of it. The export ``cascades.jsonl`` (:func:`write_cascades`), read by no
+stage, has one cascade per line, its edges as user ids:
 
   {"cascade_id": [city, business_id, index], "city": ..., "business_id": ...,
    "nodes": [{"user": u, "date": "YYYY-MM-DD", "kind": "review"|"tip",
@@ -34,7 +39,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -81,11 +86,58 @@ class SummaryRow:
     max_size: int
 
 
-def _views(ids: Sequence[CascadeId], nodes: np.ndarray, edges: np.ndarray,
-           node_at: Sequence[int], edge_at: Sequence[int]) -> list[Cascade]:
-    """Cascade ``j`` is ``ids[j]`` over rows ``[at[j], at[j + 1])`` of each array."""
-    return [Cascade(cid, nodes[node_at[j]:node_at[j + 1]], edges[edge_at[j]:edge_at[j + 1]])
-            for j, cid in enumerate(ids)]
+@dataclass(frozen=True, slots=True, eq=False)
+class CityCascades(Sequence[Cascade]):
+    """One city's cascades in cascade_id order, as the store holds them.
+    Indexing or iterating makes the :class:`Cascade` views on access."""
+
+    city: str
+    nodes: np.ndarray  # NODE_DTYPE: cascade j's are rows node_offsets[j]..node_offsets[j + 1]
+    edges: np.ndarray  # (m, 2) int32: cascade j's are rows edge_offsets[j]..edge_offsets[j + 1]
+    node_offsets: np.ndarray  # from 0 to len(nodes)
+    edge_offsets: np.ndarray  # from 0 to len(edges)
+    business: np.ndarray  # cascade j's id is (city, business[j], component[j])
+    component: np.ndarray
+
+    @classmethod
+    def of(cls, cascades: Iterable[Cascade]) -> CityCascades:
+        """``cascades`` (all of one city) in cascade_id order, or itself if
+        it is a CityCascades already."""
+        if isinstance(cascades, CityCascades):
+            return cascades
+        flat = sorted(cascades, key=lambda c: c.cascade_id)
+        cities = {c.city for c in flat}
+        if len(cities) > 1:
+            raise ValueError(f"cascades of more than one city: {sorted(cities)}")
+        return cls(cities.pop() if cities else "",
+                   np.concatenate([np.empty(0, NODE_DTYPE), *(c.nodes for c in flat)]),
+                   np.concatenate([np.empty((0, 2), np.int32), *(c.edges for c in flat)]),
+                   np.cumsum([0] + [c.size for c in flat]),
+                   np.cumsum([0] + [len(c.edges) for c in flat]),
+                   np.array([c.business_id for c in flat], np.int64),
+                   np.array([c.cascade_id[2] for c in flat], np.int64))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.node_offsets)
+
+    def __len__(self) -> int:
+        return len(self.business)
+
+    # Each view's id gets a city string of its own, as a per-line parse gives:
+    # pickles of cascade ids then keep their bytes.
+
+    def __getitem__(self, j: int) -> Cascade:
+        j = range(len(self))[j]  # IndexError past either end
+        (n0, n1), (e0, e1) = self.node_offsets[j:j + 2], self.edge_offsets[j:j + 2]
+        return Cascade((str(np.str_(self.city)), int(self.business[j]), int(self.component[j])),
+                       self.nodes[n0:n1], self.edges[e0:e1])
+
+    def __iter__(self) -> Iterator[Cascade]:
+        node_at, edge_at = self.node_offsets.tolist(), self.edge_offsets.tolist()
+        for j, (b, c) in enumerate(zip(self.business.tolist(), self.component.tolist())):
+            yield Cascade((str(np.str_(self.city)), b, c), self.nodes[node_at[j]:node_at[j + 1]],
+                          self.edges[edge_at[j]:edge_at[j + 1]])
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -108,7 +160,7 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def _city_cascades(city: str, events: np.ndarray, graph: SocialGraph,
-                   window_days: int | None) -> list[Cascade]:
+                   window_days: int | None) -> CityCascades:
     business = events["business_id"].astype(np.int64)
     # span > every user id, so each (business, user) key is distinct
     span = max(graph.n_nodes, int(events["user_id"].max(initial=-1)) + 1)
@@ -141,8 +193,6 @@ def _city_cascades(city: str, events: np.ndarray, graph: SocialGraph,
         src.append(u[keep])
         dst.append(v[keep])
     src, dst = np.concatenate(src), np.concatenate(dst)
-    if not len(src):
-        return []
 
     # A component's label is its earliest node, so labels ascend in cascade
     # order (by business, then earliest (date, user)) and each leads its
@@ -157,14 +207,13 @@ def _city_cascades(city: str, events: np.ndarray, graph: SocialGraph,
     edge_order = np.lexsort((user[dst], user[src], label[src]))
     edge_at = np.searchsorted(label[src][edge_order], roots)
     index = np.arange(len(roots)) - np.searchsorted(business[roots], business[roots])
-    ids = [(city, b, i) for b, i in zip(business[roots].tolist(), index.tolist())]
     edges = np.stack([position[src], position[dst]], axis=1)[edge_order].astype(np.int32)
-    return _views(ids, rows[nodes], edges, [*node_at.tolist(), len(nodes)],
-                  [*edge_at.tolist(), len(edges)])
+    return CityCascades(city, rows[nodes], edges, np.append(node_at, len(nodes)),
+                        np.append(edge_at, len(edges)), business[roots], index)
 
 
 def build_cascades(events_by_city: Mapping[str, np.ndarray], graph: SocialGraph,
-                   window_days: int | None = None) -> dict[str, list[Cascade]]:
+                   window_days: int | None = None) -> dict[str, CityCascades]:
     """Extract cascades for every city. Each city's events are
     :data:`~cascademine.ingest.EVENT_DTYPE` rows sorted by (business_id, day,
     user_id): one array pass per city takes each (business, user) pair's first
@@ -181,7 +230,7 @@ def cascade_summary(cascades_by_city: Mapping[str, Sequence[Cascade]]) -> list[S
     """Per-city cascade counts and nearest-rank size percentiles."""
     rows = []
     for city in sorted(cascades_by_city):
-        sizes = sorted(c.size for c in cascades_by_city[city])
+        sizes = np.sort(CityCascades.of(cascades_by_city[city]).sizes).tolist()
         rows.append(SummaryRow(city, len(sizes), nearest_rank(sizes, 50),
                                nearest_rank(sizes, 90), sizes[-1])
                     if sizes else SummaryRow(city, 0, 0, 0, 0))
@@ -205,10 +254,11 @@ def _cascade_to_json(cascade: Cascade) -> str:
 
 
 def _store_order(cascades_by_city: Mapping[str, Sequence[Cascade]]
-                 ) -> list[tuple[str, list[Cascade]]]:
+                 ) -> list[tuple[str, CityCascades]]:
     """Cities with cascades, sorted, each with its cascades in cascade_id order."""
-    return [(city, sorted(cascades_by_city[city], key=lambda c: c.cascade_id))
-            for city in sorted(cascades_by_city) if cascades_by_city[city]]
+    by_city = [(city, CityCascades.of(cascades_by_city[city]))
+               for city in sorted(cascades_by_city)]
+    return [(city, cascades) for city, cascades in by_city if len(cascades)]
 
 
 def write_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> None:
@@ -221,53 +271,78 @@ def write_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> N
 
 
 def save_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> None:
-    """Write the columnar store that :func:`read_cascades` loads."""
+    """Write the columnar store that :func:`read_cascades` loads: each city's
+    arrays one after another."""
     by_city = _store_order(cascades_by_city)
-    flat = [c for _, cascades in by_city for c in cascades]
+    cities = [c for _, c in by_city]
+
+    def joined(name: str, empty: np.ndarray) -> np.ndarray:
+        return np.concatenate([empty, *(getattr(c, name) for c in cities)]).astype(
+            empty.dtype, copy=False)
+
+    def offsets(name: str) -> np.ndarray:
+        return np.cumsum(np.concatenate([[0], *(np.diff(getattr(c, name)) for c in cities)]),
+                         dtype=np.int64)
+
     save_arrays(
         path, STORE_FORMAT, STORE_VERSION,
-        nodes=np.frombuffer(b"".join([c.nodes.tobytes() for c in flat]), NODE_DTYPE),
-        edges=np.concatenate([np.empty((0, 2), np.int32), *(c.edges for c in flat)]),
-        node_offsets=np.cumsum([0] + [len(c.nodes) for c in flat], dtype=np.int64),
-        edge_offsets=np.cumsum([0] + [len(c.edges) for c in flat], dtype=np.int64),
-        business=np.array([c.business_id for c in flat], dtype=np.int32),
-        component=np.array([c.cascade_id[2] for c in flat], dtype=np.int32),
-        city_offsets=np.cumsum([0] + [len(cs) for _, cs in by_city], dtype=np.int64),
+        nodes=joined("nodes", np.empty(0, NODE_DTYPE)),
+        edges=joined("edges", np.empty((0, 2), np.int32)),
+        node_offsets=offsets("node_offsets"),
+        edge_offsets=offsets("edge_offsets"),
+        business=joined("business", np.empty(0, np.int32)),
+        component=joined("component", np.empty(0, np.int32)),
+        city_offsets=np.cumsum([0] + [len(c) for c in cities], dtype=np.int64),
         cities=np.array([city for city, _ in by_city], dtype=np.str_),
     )
 
 
-def read_cascades(path) -> dict[str, list[Cascade]]:
-    """Load the store that :func:`save_cascades` wrote; nodes and edges are
-    views into its two arrays.
+def read_cascades(path) -> dict[str, CityCascades]:
+    """Load the store that :func:`save_cascades` wrote; each city's arrays
+    are views into the store's.
 
     A damaged store, one of another format or version, or one with a missing
-    or malformed array, an offset array that does not start at 0 or that
-    decreases, or an edge position outside its cascade raises DataError naming
-    'build-cascades' as the stage to rerun.
+    or malformed array (``cities`` not 1-D unicode, an offset, business or
+    component array not 1-D signed integer), arrays whose lengths or offsets
+    do not fit together (an offset array that does not start at 0 or that
+    decreases), cities or cascades out of order, or an edge position outside
+    its cascade raises DataError naming 'build-cascades' as the stage to rerun.
     """
     arrays = load_arrays(path, STORE_FORMAT, STORE_VERSION, "build-cascades")
     try:
         nodes, edges, cities = arrays["nodes"], arrays["edges"], arrays["cities"]
-        node_at, edge_at, city_at = (arrays[f"{name}_offsets"].tolist()
-                                     for name in ("node", "edge", "city"))
-        # one name string per cascade, as a per-line parse gives: pickles of
-        # cascade ids then keep their bytes
-        names = np.repeat(cities, np.diff(city_at)).tolist()
-        ids = list(zip(names, arrays["business"].tolist(), arrays["component"].tolist(),
-                       strict=True))
-        if (nodes.dtype != NODE_DTYPE or edges.dtype != np.int32 or edges.shape[1:] != (2,)
-                or [len(node_at), len(edge_at), node_at[-1], edge_at[-1]]
-                != [len(ids) + 1, len(ids) + 1, len(nodes), len(edges)]
+        node_at, edge_at, city_at, business, component = (
+            arrays[name] for name in ("node_offsets", "edge_offsets", "city_offsets",
+                                      "business", "component"))
+        if (nodes.dtype != NODE_DTYPE or nodes.ndim != 1 or edges.dtype != np.int32
+                or edges.shape[1:] != (2,) or cities.dtype.kind != "U" or cities.ndim != 1
+                or any(a.dtype.kind != "i" or a.ndim != 1
+                       for a in (node_at, edge_at, city_at, business, component))):
+            raise ValueError("an array has the wrong type or shape")
+        n = len(business)
+        if ([len(node_at), len(edge_at), len(component), len(city_at)]
+                != [n + 1, n + 1, n, len(cities) + 1]
+                or [node_at[-1], edge_at[-1], city_at[-1]] != [len(nodes), len(edges), n]
                 or any(at[0] != 0 or (np.diff(at) < 0).any()
                        for at in (node_at, edge_at, city_at))):
             raise ValueError("the arrays do not fit together")
+        # within a city, each cascade's (business, component) exceeds the last's
+        first = np.zeros(n + 1, bool)
+        first[city_at] = True
+        db, dc = (np.diff(a.astype(np.int64)) for a in (business, component))
+        if (not ((db > 0) | (db == 0) & (dc > 0) | first[1:-1]).all()
+                or (cities[1:] <= cities[:-1]).any()):
+            raise ValueError("the cities or cascades are not in order")
         size = np.repeat(np.diff(node_at), np.diff(edge_at))[:, None]
         if ((edges < 0) | (edges >= size)).any():
             raise ValueError("an edge position lies outside its cascade")
-        cascades = _views(ids, nodes, edges, node_at, edge_at)
-        return {city: cascades[city_at[j]:city_at[j + 1]]
-                for j, city in enumerate(cities.tolist())}
+        by_city = {}
+        for city, lo, hi in zip(cities.tolist(), city_at.tolist(), city_at[1:].tolist()):
+            n0, n1, e0, e1 = node_at[lo], node_at[hi], edge_at[lo], edge_at[hi]
+            by_city[city] = CityCascades(city, nodes[n0:n1], edges[e0:e1],
+                                         node_at[lo:hi + 1] - n0, edge_at[lo:hi + 1] - e0,
+                                         business[lo:hi], component[lo:hi])
+        return by_city
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise DataError(f"damaged cascade store {path} ({exc!r}); "
                         "rerun 'build-cascades'") from exc

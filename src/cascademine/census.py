@@ -6,6 +6,13 @@ invariant, so isomorphic cascades always land in the same bucket, but the
 converse fails for some shapes from four nodes up; ``bucket_purity`` measures
 that collision rate with an exact backtracking isomorphism check, which is
 affordable because frequent cascade topologies are tiny.
+
+Signatures come from degree counts over a city's whole edge array: one
+``np.bincount`` each for in- and out-degrees, each sorted within every
+cascade by one ``np.sort``, then cascades group by their degree bytes (the
+edge count is the in-degrees' sum). Only the distinct signatures become
+:class:`TopologySignature` objects, and only the cascades an isomorphism
+check compares become :class:`Cascade` views.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from cascademine.cascades import Cascade, CascadeId
+import numpy as np
+
+from cascademine.cascades import Cascade, CascadeId, CityCascades
 
 DEFAULT_NODE_CAP = 10
 
@@ -144,17 +153,27 @@ def is_isomorphic(a: Cascade, b: Cascade, node_cap: int = DEFAULT_NODE_CAP) -> b
     return digraph_isomorphic(a.size, a.edges.tolist(), b.size, b.edges.tolist())
 
 
-def _buckets(cascades: Sequence[Cascade]) -> list[tuple[TopologySignature, list[Cascade]]]:
-    """Signature buckets, members in cascade_id order, ranked by descending
-    member count with ties broken on the serialized signature."""
-    buckets: dict[str, tuple[TopologySignature, list[Cascade]]] = {}
-    for cascade in sorted(cascades, key=lambda c: c.cascade_id):
-        sig = signature(cascade)
-        key = sig.serialize()
-        if key not in buckets:
-            buckets[key] = (sig, [])
-        buckets[key][1].append(cascade)
-    return [buckets[key] for key in sorted(buckets, key=lambda k: (-len(buckets[k][1]), k))]
+def _buckets(cascades: CityCascades) -> list[tuple[TopologySignature, list[int]]]:
+    """Signature buckets as member indices in cascade_id order, ranked by
+    descending member count with ties broken on the serialized signature."""
+    rows, at = len(cascades.nodes), cascades.node_offsets
+    sizes, n_edges = np.diff(at), np.diff(cascades.edge_offsets)
+    ends = cascades.edges + np.repeat(at[:-1], n_edges)[:, None]  # node rows of the city
+    # every node's in- and out-degree, sorted within its cascade (degrees <= rows)
+    key = np.repeat(np.arange(len(sizes)), sizes) * (rows + 1)
+    indeg, outdeg = (np.sort(np.bincount(ends[:, col], minlength=rows) + key) - key
+                     for col in (1, 0))
+    ins, outs, bounds = indeg.tobytes(), outdeg.tobytes(), (at * indeg.itemsize).tolist()
+    groups: dict[tuple[bytes, bytes], list[int]] = {}
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        groups.setdefault((ins[lo:hi], outs[lo:hi]), []).append(j)
+    buckets = []
+    for (in_bytes, out_bytes), members in groups.items():
+        in_seq, out_seq = (np.frombuffer(b, indeg.dtype).tolist() for b in (in_bytes, out_bytes))
+        sig = TopologySignature(len(in_seq), sum(in_seq), tuple(in_seq), tuple(out_seq))
+        buckets.append((-len(members), sig.serialize(), sig, members))
+    buckets.sort(key=lambda b: b[:2])
+    return [(sig, members) for _, _, sig, members in buckets]
 
 
 def census(cascades_by_city: Mapping[str, Sequence[Cascade]],
@@ -165,9 +184,9 @@ def census(cascades_by_city: Mapping[str, Sequence[Cascade]],
         raise ValueError("max_rank must be positive")
     out: dict[str, list[CensusRow]] = {}
     for city in sorted(cascades_by_city):
-        cascades = cascades_by_city[city]
+        cascades = CityCascades.of(cascades_by_city[city])
         out[city] = [
-            CensusRow(city, rank, sig, members[0].cascade_id, len(members),
+            CensusRow(city, rank, sig, cascades[members[0]].cascade_id, len(members),
                       len(members) / len(cascades))
             for rank, (sig, members) in enumerate(_buckets(cascades)[:max_rank], start=1)
         ]
@@ -182,16 +201,18 @@ def bucket_purity(cascades: Sequence[Cascade], node_cap: int = DEFAULT_NODE_CAP,
     cascade_id order) are tested. Buckets whose representative exceeds
     node_cap get purity None.
     """
+    cascades = CityCascades.of(cascades)
     rows = []
     for sig, members in _buckets(cascades):
-        rep = members[0]
-        if rep.size > node_cap:
-            rows.append(PurityRow(rep.city, sig, len(members), 0, None))
+        if sig.n > node_cap:
+            rows.append(PurityRow(cascades.city, sig, len(members), 0, None))
             continue
         sample = members[1:1 + max_members]
         if not sample:
-            rows.append(PurityRow(rep.city, sig, len(members), 0, 1.0))
+            rows.append(PurityRow(cascades.city, sig, len(members), 0, 1.0))
             continue
-        hits = sum(1 for c in sample if is_isomorphic(rep, c, node_cap))
-        rows.append(PurityRow(rep.city, sig, len(members), len(sample), hits / len(sample)))
+        rep = cascades[members[0]]
+        hits = sum(1 for j in sample if is_isomorphic(rep, cascades[j], node_cap))
+        rows.append(PurityRow(cascades.city, sig, len(members), len(sample),
+                              hits / len(sample)))
     return rows

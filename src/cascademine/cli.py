@@ -139,7 +139,7 @@ def stage_fit(cfg: RunConfig) -> None:
               [(city, *row) for city in sorted(dist) for row in dist[city]])
     fits = {}
     for city in sorted(by_city):
-        sizes = [c.size for c in by_city[city]]
+        sizes = by_city[city].sizes
         try:
             fits[city] = stats_mod.fit_power_law(sizes)
         except ValueError as exc:

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cascademine.cascades import Cascade, CascadeId
+from cascademine.cascades import Cascade, CascadeId, CityCascades
 from cascademine.errors import DataError
 from cascademine.ingest import EventKind, Profiles
 from cascademine.util import load_cache, nearest_rank, save_cache, substream_seed
@@ -106,18 +106,15 @@ def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], k: int,
     thresholds: dict[str, int] = {}
     excluded: list[tuple[str, int]] = []
     for city in sorted(cascades_by_city):
-        cascades = cascades_by_city[city]
-        if not cascades:
+        cascades = CityCascades.of(cascades_by_city[city])
+        if not len(cascades):
             excluded.append((city, 0))
             continue
-        sizes = sorted(c.size for c in cascades)
-        threshold = int(nearest_rank(sizes, percentile))
+        sizes = cascades.sizes.tolist()
+        threshold = int(nearest_rank(sorted(sizes), percentile))
         thresholds[city] = threshold
-        rows = [
-            LabeledCascade(c, LABEL_LONG if c.size > threshold else LABEL_SHORT)
-            for c in sorted(cascades, key=lambda c: c.cascade_id)
-            if c.size >= k
-        ]
+        rows = [LabeledCascade(cascades[j], LABEL_LONG if size > threshold else LABEL_SHORT)
+                for j, size in enumerate(sizes) if size >= k]
         n_long = sum(1 for r in rows if r.label == LABEL_LONG)
         if n_long < min_big_cascades or n_long == len(rows):
             excluded.append((city, n_long))

@@ -79,23 +79,27 @@ class LogRegModel:
 
 
 def logistic_smooth_objective(w: np.ndarray, b: float, Xs: np.ndarray, y: np.ndarray,
-                              l2: float) -> float:
-    """Differentiable part of the objective: mean log-loss + (l2/2)||w||^2."""
-    raw = Xs @ w + b
+                              l2: float, raw: np.ndarray | None = None) -> float:
+    """Differentiable part of the objective: mean log-loss + (l2/2)||w||^2.
+    ``raw``, when the caller has it, is the scores ``Xs @ w + b``."""
+    if raw is None:
+        raw = Xs @ w + b
     return log_loss(raw, y) + 0.5 * l2 * float(w @ w)
 
 
 def logistic_smooth_grad(w: np.ndarray, b: float, Xs: np.ndarray, y: np.ndarray,
-                         l2: float) -> tuple[np.ndarray, float]:
-    """Analytic gradient of logistic_smooth_objective in (w, b)."""
+                         l2: float, raw: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Analytic gradient of logistic_smooth_objective in (w, b); ``raw`` as there."""
     n = len(y)
-    residual = sigmoid(Xs @ w + b) - y
+    if raw is None:
+        raw = Xs @ w + b
+    residual = sigmoid(raw) - y
     return Xs.T @ residual / n + l2 * w, float(residual.mean())
 
 
 def elastic_net_objective(w: np.ndarray, b: float, Xs: np.ndarray, y: np.ndarray,
-                          l1: float, l2: float) -> float:
-    return logistic_smooth_objective(w, b, Xs, y, l2) + l1 * float(np.abs(w).sum())
+                          l1: float, l2: float, raw: np.ndarray | None = None) -> float:
+    return logistic_smooth_objective(w, b, Xs, y, l2, raw) + l1 * float(np.abs(w).sum())
 
 
 def _soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
@@ -127,13 +131,15 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l1: float = 0.0, l2: float = 0.0,
 
     w = np.zeros(d)
     b = 0.0
+    raw = Xs @ w + b  # the scores of (w, b), for its objective and the next gradient
     prev = np.inf
     n_iter = 0
     for n_iter in range(1, epochs + 1):
-        grad_w, grad_b = logistic_smooth_grad(w, b, Xs, y, l2)
+        grad_w, grad_b = logistic_smooth_grad(w, b, Xs, y, l2, raw)
         w = _soft_threshold(w - step * grad_w, step * l1)
         b -= step * grad_b
-        obj = elastic_net_objective(w, b, Xs, y, l1, l2)
+        raw = Xs @ w + b
+        obj = elastic_net_objective(w, b, Xs, y, l1, l2, raw)
         if abs(prev - obj) < LOGREG_TOL:
             break
         prev = obj

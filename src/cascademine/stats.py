@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cascademine.cascades import Cascade
+from cascademine.cascades import Cascade, CityCascades
 
 ALPHA_GRID = np.arange(1.05, 4.0 + 1e-9, 0.005)
 
@@ -77,7 +77,7 @@ def size_distribution(cascades_by_city: Mapping[str, Sequence[Cascade]]
     """Per-city histogram rows (size, count, P(X >= size)), ascending size."""
     out: dict[str, list[tuple[int, int, float]]] = {}
     for city in sorted(cascades_by_city):
-        sizes = np.sort(np.array([c.size for c in cascades_by_city[city]], dtype=np.int64))
+        sizes = np.sort(CityCascades.of(cascades_by_city[city]).sizes)
         if sizes.size == 0:
             out[city] = []
             continue
@@ -203,8 +203,9 @@ def longest_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
         raise ValueError("top_k must be positive")
     out = {}
     for city in sorted(cascades_by_city):
-        ranked = sorted(cascades_by_city[city], key=lambda c: (-c.size, c.cascade_id))
-        out[city] = ranked[:top_k]
+        cascades = CityCascades.of(cascades_by_city[city])
+        ranked = np.argsort(-cascades.sizes, kind="stable")[:top_k]  # ties in cascade_id order
+        out[city] = [cascades[j] for j in ranked.tolist()]
     return out
 
 

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import datetime as dt
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from cascademine.cascades import NODE_DTYPE, Cascade
+from cascademine.cascades import NODE_DTYPE, Cascade, read_cascades, save_cascades
 from cascademine.ingest import EVENT_DTYPE, EventKind
 from cascademine.social import SocialGraph, build_graph
 
@@ -96,3 +98,46 @@ def random_graph(rng: np.random.Generator, n_nodes: int, p: float) -> SocialGrap
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@st.composite
+def small_stores(draw) -> dict[str, list[Cascade]]:
+    """Up to three cities of 0 to 10 cascades with 2 to 12 nodes each. Each
+    cascade is one of a few drawn shapes (a random tree, some of its edges
+    reciprocated, a few extra edges), its nodes in a random order, so that
+    signatures repeat, isomorphic cascades differ in their positions, and
+    some signature collisions of the census can occur."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 12))
+        edges = set()
+        for v in range(1, n):
+            u = draw(st.integers(0, v - 1))
+            edges.add((u, v))
+            if draw(st.booleans()):
+                edges.add((v, u))  # a same-day reciprocal pair
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3))
+        shapes.append((n, edges | {(u, v) for u, v in extra if u != v}))
+    by_city, k = {}, 0
+    for city in draw(st.lists(st.sampled_from(["a town", "b", "Montréal"]), unique=True,
+                              max_size=3)):
+        by_city[city], components = [], {}
+        for _ in range(draw(st.integers(0, 10))):
+            n, edges = shapes[draw(st.integers(0, len(shapes) - 1))]
+            perm = draw(st.permutations(range(n)))
+            users = [100 * k + p for p in range(n)]  # nodes in user order
+            business = draw(st.integers(0, 3))
+            index = components[business] = components.get(business, -1) + 1
+            by_city[city].append(mk_cascade(
+                [(u, 0) for u in users], [(users[perm[u]], users[perm[v]]) for u, v in edges],
+                city=city, business=business, index=index))
+            k += 1
+    return by_city
+
+
+def stored(by_city: dict) -> dict:
+    """``by_city`` written to a cascade store and read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_cascades(by_city, Path(tmp) / "cascades.npz")
+        return read_cascades(Path(tmp) / "cascades.npz")

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the library's code paths: brute-force
 pair enumeration instead of friend-list lookups, BFS components instead of
 hook-and-compress labels, a JSON parse of the cascade export instead of the
-columnar store, exact inverse-CDF sampling against tabulated zeta mass, a
-from-first-principles feature recomputation, the Mann-Whitney pair count
-for AUC, and a GBDT grower that argsorts every feature again at every node
-instead of filtering presorted orders. The library's test-only helpers live
+columnar store, signature buckets from degrees counted edge by edge in each
+cascade instead of the census's pass over a city's arrays, exact inverse-CDF
+sampling against tabulated zeta mass, a from-first-principles feature
+recomputation, the Mann-Whitney pair count for AUC, and a GBDT grower that
+argsorts every feature again at every node instead of filtering presorted
+orders. The library's test-only helpers live
 here too: the graph's edge list, a one-shot feature extractor, the
 continuous power-law exponent and staged GBDT scores.
 """
@@ -125,6 +127,23 @@ def as_plain(cascades_by_city) -> dict:
     """{city: [(cascade_id, Nodes, edges), ...]}, the form read_cascades_jsonl returns."""
     return {city: [(c.cascade_id, cascade_events(c), cascade_edges(c)) for c in cascades]
             for city, cascades in cascades_by_city.items()}
+
+
+def reference_buckets(cascades) -> list[tuple[str, list]]:
+    """(serialized signature, members) buckets by the per-cascade path: each
+    cascade's in- and out-degrees counted edge by edge, the signature
+    serialized as 'n|m|in,...|out,...', cascades in cascade_id order, buckets
+    ranked by descending member count, then serialized signature."""
+    buckets: dict[str, list] = {}
+    for cascade in sorted(cascades, key=lambda c: c.cascade_id):
+        indeg, outdeg = [0] * cascade.size, [0] * cascade.size
+        for u, v in cascade.edges.tolist():
+            outdeg[u] += 1
+            indeg[v] += 1
+        key = "|".join([str(cascade.size), str(len(cascade.edges)),
+                        ",".join(map(str, sorted(indeg))), ",".join(map(str, sorted(outdeg)))])
+        buckets.setdefault(key, []).append(cascade)
+    return sorted(buckets.items(), key=lambda item: (-len(item[1]), item[0]))
 
 
 def read_cascades_jsonl(path) -> dict:

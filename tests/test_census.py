@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from cascademine.census import (bucket_purity, census, digraph_isomorphic,
+from cascademine.census import (CensusRow, PurityRow, bucket_purity, census, digraph_isomorphic,
                                 digraph_signature, is_isomorphic, signature)
-from conftest import mk_cascade
-from oracles import all_digraphs, realizable_cascade_graphs, weakly_connected
+from conftest import mk_cascade, small_stores, stored
+from oracles import (all_digraphs, realizable_cascade_graphs, reference_buckets,
+                     weakly_connected)
 
 
 def relabel(n, edges, perm):
@@ -235,3 +237,31 @@ class TestBucketPurity:
         (row,) = bucket_purity([big], node_cap=10)
         assert row.purity is None
         assert row.checked == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_stores())
+def test_census_and_purity_match_per_cascade_buckets(by_city):
+    node_cap, max_members = 8, 3
+    for cascades_by_city in (by_city, stored(by_city)):
+        table = census(cascades_by_city, max_rank=3)
+        for city, cascades in cascades_by_city.items():
+            buckets = reference_buckets(list(cascades))
+            assert [(r.rank, r.signature.serialize(), r.representative, r.count, r.share)
+                    for r in table[city]] == [
+                (rank, key, members[0].cascade_id, len(members), len(members) / len(cascades))
+                for rank, (key, members) in enumerate(buckets[:3], start=1)]
+            assert all(isinstance(r, CensusRow) for r in table[city])
+            want = []
+            for key, members in buckets:
+                rep, sample = members[0], members[1:1 + max_members]
+                if rep.size > node_cap:
+                    want.append((key, len(members), 0, None))
+                else:
+                    hits = sum(bool(is_isomorphic(rep, c, node_cap)) for c in sample)
+                    want.append((key, len(members), len(sample),
+                                 hits / len(sample) if sample else 1.0))
+            rows = bucket_purity(cascades, node_cap, max_members)
+            assert all(isinstance(r, PurityRow) and r.city == city for r in rows)
+            assert [(r.signature.serialize(), r.bucket_size, r.checked, r.purity)
+                    for r in rows] == want

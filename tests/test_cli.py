@@ -259,7 +259,9 @@ class TestExitCodes:
 
         # the reason names the check that must catch each damage
         node_at, edge_at = arrays["node_offsets"], arrays["edge_offsets"]
+        business, n = arrays["business"], len(arrays["business"])
         offsets, positions = "do not fit together", "outside its cascade"
+        types, order = "wrong type or shape", "not in order"
         damaged = [
             (changed("node_offsets", [1, 2], node_at[[2, 1]]), offsets),  # decreasing
             (changed("edge_offsets", [1, 2], edge_at[[2, 1]]), offsets),
@@ -268,10 +270,18 @@ class TestExitCodes:
             (changed("edges", (0, 1), node_at[1]), positions),  # the first cascade's size
             (changed("edges", (0, 0), -1), positions),
             ({**arrays, "version": np.array(1)}, "version 1 "),  # edges were user ids
+            # ids like 28.5 or 0:28:0, or a traceback, at the stages that build ids
+            ({**arrays, "cities": np.arange(len(arrays["cities"]))}, types),
+            ({**arrays, "business": business + 0.5}, types),
+            ({**arrays, "component": arrays["component"][:, None]}, types),
+            (changed("business", 1, business[0] - 1), order),  # below its predecessor's
+            ({**arrays, "cities": np.repeat(arrays["cities"], 2),  # one city twice
+              "city_offsets": np.array([0, 1, n])}, order),
         ]
         for payload, reason in damaged:
             np.savez(store, **payload)
-            for stage in ("census", "purity", "export-dot"):
+            for stage in ("summary", "census", "purity", "fit", "longest", "export-dot",
+                          "features"):
                 capsys.readouterr()
                 assert main([stage, "--cache-dir", str(tmp_path)]) == 3, (stage, reason)
                 err = capsys.readouterr().err

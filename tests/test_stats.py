@@ -5,8 +5,13 @@ import scipy.special
 from cascademine import stats
 from cascademine.stats import (ccdf_tail_slope, export_dot,
                                fit_power_law, longest_cascades, size_distribution)
-from conftest import graph_from_edges, mk_cascade, random_events, random_graph
-from cascademine.cascades import build_cascades
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (graph_from_edges, mk_cascade, random_events, random_graph, small_stores,
+                      stored)
+from cascademine.cascades import SummaryRow, build_cascades, cascade_summary
+from cascademine.util import nearest_rank
 from oracles import DiscretePowerLawSampler, alpha_mle_approx
 
 _SAMPLER = None
@@ -185,3 +190,22 @@ class TestExportDot:
         text = export_dot(cascade)
         assert "12345" not in text and "99999" not in text
         assert text == export_dot(cascade)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_stores(), st.integers(1, 4))
+def test_size_stages_match_per_cascade_sizes(by_city, top_k):
+    for cascades_by_city in (by_city, stored(by_city)):
+        sizes = {city: sorted(c.size for c in cascades)
+                 for city, cascades in sorted(cascades_by_city.items())}
+        assert cascade_summary(cascades_by_city) == [
+            SummaryRow(city, len(s), nearest_rank(s, 50), nearest_rank(s, 90), s[-1])
+            if s else SummaryRow(city, 0, 0, 0, 0) for city, s in sizes.items()]
+        assert size_distribution(cascades_by_city) == {
+            city: [(v, s.count(v), sum(x >= v for x in s) / len(s)) for v in sorted(set(s))]
+            for city, s in sizes.items()}
+        top = longest_cascades(cascades_by_city, top_k)
+        for city, cascades in cascades_by_city.items():
+            want = sorted(cascades, key=lambda c: (-c.size, c.cascade_id))[:top_k]
+            assert [(c.cascade_id, c.size) for c in top[city]] == [
+                (c.cascade_id, c.size) for c in want]
