@@ -36,10 +36,9 @@ def main() -> int:
     events_by_city, graph = load_events_and_graph(cache_dir)
     print(f"{'window':>8} {'cascades':>9} {'edges':>8} {'p50':>5} {'p90':>5} {'max':>5}")
     for window in WINDOWS:
-        by_city = build_cascades(events_by_city, graph, window)
-        cascades = [c for cs in by_city.values() for c in cs]
-        sizes = sorted(c.size for c in cascades)
-        n_edges = sum(len(c.edges) for c in cascades)
+        stores = build_cascades(events_by_city, graph, window).values()
+        sizes = sorted(size for store in stores for size in store.sizes.tolist())
+        n_edges = sum(len(store.edges) for store in stores)
         label = "inf" if window is None else str(window)
         if sizes:
             print(f"{label:>8} {len(sizes):>9} {n_edges:>8} "

@@ -15,10 +15,11 @@ id); its edges are an ``(m, 2)`` int32 array of (src, dst) positions in those
 nodes, ordered by (src user, dst user). A city's cascades are one
 :class:`CityCascades`: its node and edge arrays, per-cascade offsets into
 them, business and component index, in cascade_id order. Indexing or
-iterating it makes a :class:`Cascade` view on access. The analysis stages
-compute from its arrays (sizes are offset differences), so no stage builds an
-object per cascade: ``purity``, ``export-dot`` and ``features`` make views of
-the cascades they check, draw or may extract.
+iterating it makes a :class:`Cascade` view on access. Every analysis function
+takes CityCascades and computes from their arrays (sizes are offset
+differences), so no stage builds an object per cascade: ``purity``,
+``export-dot`` and ``features`` make views only of the cascades they check,
+draw or extract.
 ``build-cascades`` writes the store ``cascades.npz`` (:func:`save_cascades`):
 every city's arrays one after another, with per-city offsets and names.
 :func:`read_cascades` loads and checks it once and gives each city its slices
@@ -39,7 +40,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -87,9 +88,10 @@ class SummaryRow:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class CityCascades(Sequence[Cascade]):
-    """One city's cascades in cascade_id order, as the store holds them.
-    Indexing or iterating makes the :class:`Cascade` views on access."""
+class CityCascades:
+    """One city's cascades in cascade_id order, as the store holds them and every
+    analysis function takes them. Indexing or iterating makes a :class:`Cascade`
+    view on access; ``features`` views only the cascades it extracts."""
 
     city: str
     nodes: np.ndarray  # NODE_DTYPE: cascade j's are rows node_offsets[j]..node_offsets[j + 1]
@@ -98,24 +100,6 @@ class CityCascades(Sequence[Cascade]):
     edge_offsets: np.ndarray  # from 0 to len(edges)
     business: np.ndarray  # cascade j's id is (city, business[j], component[j])
     component: np.ndarray
-
-    @classmethod
-    def of(cls, cascades: Iterable[Cascade]) -> CityCascades:
-        """``cascades`` (all of one city) in cascade_id order, or itself if
-        it is a CityCascades already."""
-        if isinstance(cascades, CityCascades):
-            return cascades
-        flat = sorted(cascades, key=lambda c: c.cascade_id)
-        cities = {c.city for c in flat}
-        if len(cities) > 1:
-            raise ValueError(f"cascades of more than one city: {sorted(cities)}")
-        return cls(cities.pop() if cities else "",
-                   np.concatenate([np.empty(0, NODE_DTYPE), *(c.nodes for c in flat)]),
-                   np.concatenate([np.empty((0, 2), np.int32), *(c.edges for c in flat)]),
-                   np.cumsum([0] + [c.size for c in flat]),
-                   np.cumsum([0] + [len(c.edges) for c in flat]),
-                   np.array([c.business_id for c in flat], np.int64),
-                   np.array([c.cascade_id[2] for c in flat], np.int64))
 
     @property
     def sizes(self) -> np.ndarray:
@@ -226,11 +210,11 @@ def build_cascades(events_by_city: Mapping[str, np.ndarray], graph: SocialGraph,
             for city in sorted(events_by_city)}
 
 
-def cascade_summary(cascades_by_city: Mapping[str, Sequence[Cascade]]) -> list[SummaryRow]:
+def cascade_summary(cascades_by_city: Mapping[str, CityCascades]) -> list[SummaryRow]:
     """Per-city cascade counts and nearest-rank size percentiles."""
     rows = []
     for city in sorted(cascades_by_city):
-        sizes = np.sort(CityCascades.of(cascades_by_city[city]).sizes).tolist()
+        sizes = np.sort(cascades_by_city[city].sizes).tolist()
         rows.append(SummaryRow(city, len(sizes), nearest_rank(sizes, 50),
                                nearest_rank(sizes, 90), sizes[-1])
                     if sizes else SummaryRow(city, 0, 0, 0, 0))
@@ -253,28 +237,25 @@ def _cascade_to_json(cascade: Cascade) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _store_order(cascades_by_city: Mapping[str, Sequence[Cascade]]
-                 ) -> list[tuple[str, CityCascades]]:
-    """Cities with cascades, sorted, each with its cascades in cascade_id order."""
-    by_city = [(city, CityCascades.of(cascades_by_city[city]))
-               for city in sorted(cascades_by_city)]
-    return [(city, cascades) for city, cascades in by_city if len(cascades)]
+def _store_order(cascades_by_city: Mapping[str, CityCascades]) -> list[CityCascades]:
+    """The cities with cascades, sorted."""
+    return [cascades_by_city[city] for city in sorted(cascades_by_city)
+            if len(cascades_by_city[city])]
 
 
-def write_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> None:
+def write_cascades(cascades_by_city: Mapping[str, CityCascades], path) -> None:
     """The JSON lines export, one cascade per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for _, cascades in _store_order(cascades_by_city):
+        for cascades in _store_order(cascades_by_city):
             for cascade in cascades:
                 fh.write(_cascade_to_json(cascade))
                 fh.write("\n")
 
 
-def save_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> None:
+def save_cascades(cascades_by_city: Mapping[str, CityCascades], path) -> None:
     """Write the columnar store that :func:`read_cascades` loads: each city's
     arrays one after another."""
-    by_city = _store_order(cascades_by_city)
-    cities = [c for _, c in by_city]
+    cities = _store_order(cascades_by_city)
 
     def joined(name: str, empty: np.ndarray) -> np.ndarray:
         return np.concatenate([empty, *(getattr(c, name) for c in cities)]).astype(
@@ -293,7 +274,7 @@ def save_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], path) -> No
         business=joined("business", np.empty(0, np.int32)),
         component=joined("component", np.empty(0, np.int32)),
         city_offsets=np.cumsum([0] + [len(c) for c in cities], dtype=np.int64),
-        cities=np.array([city for city, _ in by_city], dtype=np.str_),
+        cities=np.array([c.city for c in cities], dtype=np.str_),
     )
 
 

@@ -176,7 +176,7 @@ def _buckets(cascades: CityCascades) -> list[tuple[TopologySignature, list[int]]
     return [(sig, members) for _, _, sig, members in buckets]
 
 
-def census(cascades_by_city: Mapping[str, Sequence[Cascade]],
+def census(cascades_by_city: Mapping[str, CityCascades],
            max_rank: int = 10) -> dict[str, list[CensusRow]]:
     """Rank topologies per city by frequency; ties break on the serialized
     signature so output order is deterministic."""
@@ -184,7 +184,7 @@ def census(cascades_by_city: Mapping[str, Sequence[Cascade]],
         raise ValueError("max_rank must be positive")
     out: dict[str, list[CensusRow]] = {}
     for city in sorted(cascades_by_city):
-        cascades = CityCascades.of(cascades_by_city[city])
+        cascades = cascades_by_city[city]
         out[city] = [
             CensusRow(city, rank, sig, cascades[members[0]].cascade_id, len(members),
                       len(members) / len(cascades))
@@ -193,7 +193,7 @@ def census(cascades_by_city: Mapping[str, Sequence[Cascade]],
     return out
 
 
-def bucket_purity(cascades: Sequence[Cascade], node_cap: int = DEFAULT_NODE_CAP,
+def bucket_purity(cascades: CityCascades, node_cap: int = DEFAULT_NODE_CAP,
                   max_members: int = 50) -> list[PurityRow]:
     """Fraction of each signature bucket exactly isomorphic to its representative.
 
@@ -201,7 +201,6 @@ def bucket_purity(cascades: Sequence[Cascade], node_cap: int = DEFAULT_NODE_CAP,
     cascade_id order) are tested. Buckets whose representative exceeds
     node_cap get purity None.
     """
-    cascades = CityCascades.of(cascades)
     rows = []
     for sig, members in _buckets(cascades):
         if sig.n > node_cap:

@@ -68,7 +68,6 @@ def _signature_fields(s) -> tuple:
 def stage_ingest(cfg: RunConfig) -> None:
     paths = _dataset_paths(cfg)
     result = ingest_dataset(paths)
-    Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
     save_ingest(result, cfg.cache_path(INGEST_CACHE))
     save_profiles(result.profiles, cfg.cache_path(PROFILES_CACHE))
     write_csv(cfg.cache_path("yearly.csv"), ("year", "review_count", "tip_count"),
@@ -195,7 +194,7 @@ def stage_features(cfg: RunConfig) -> None:
     labeling = feat.label_cascades(by_city, cfg.k, cfg.percentile, cfg.min_big_cascades)
     balanced = feat.balance(labeling.labeled, cfg.seed)
     extractor = feat.FeatureExtractor(profiles, cfg.k)
-    examples = feat.build_examples(balanced, extractor)
+    examples = feat.build_examples(by_city, balanced, extractor)
     write_csv(cfg.cache_path("features.csv"),
               ("cascade_id", "city", "label", *feat.FEATURE_NAMES),
               [(_cascade_id_field(e.cascade_id), e.city, feat.LABEL_NAMES[e.label],
@@ -424,7 +423,10 @@ def run(argv=None) -> None:
     overrides = {dest: getattr(args, dest) for _, dest, _ in _CONFIG_FLAGS
                  if hasattr(args, dest)}
     cfg = build_config(args.config, overrides)
-    Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cache_dir {cfg.cache_dir!r} is not a directory ({exc})") from exc
     if args.command == "all":
         stage_all(cfg)
     else:

@@ -9,6 +9,10 @@ go through log1p before aggregation; star-valued gaps (a business or user
 without a rating, a review without stars) are imputed with the mean star
 rating of the city's rated businesses, everything else with zero, and every
 imputed value increments a per-feature counter.
+
+Labels travel as arrays: ``LabelingResult.labeled`` holds one (cascade index,
+label) array pair per city, over its :class:`CityCascades`, and only
+:func:`build_examples` makes views, of the cascades it extracts.
 """
 
 from __future__ import annotations
@@ -73,12 +77,6 @@ FALLBACK_STARS = 3.0  # midpoint of the 1..5 scale, used only with no businesses
 
 
 @dataclass(frozen=True, slots=True)
-class LabeledCascade:
-    cascade: Cascade
-    label: int  # LABEL_LONG or LABEL_SHORT
-
-
-@dataclass(frozen=True, slots=True)
 class LabeledExample:
     cascade_id: CascadeId  # (city, business_id, component index)
     features: np.ndarray  # length N_FEATURES, float64
@@ -91,63 +89,57 @@ class LabeledExample:
 
 @dataclass
 class LabelingResult:
-    labeled: dict[str, list[LabeledCascade]]  # included cities only
+    labeled: dict[str, tuple[np.ndarray, np.ndarray]]  # included: (cascade index, label)
     thresholds: dict[str, int]  # percentile threshold per city (all cities)
     excluded: list[tuple[str, int]]  # (city, number of Long cascades found)
 
 
-def label_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]], k: int,
+def label_cascades(cascades_by_city: Mapping[str, CityCascades], k: int,
                    percentile: float, min_big_cascades: int) -> LabelingResult:
     """Label eligible cascades (size >= k) Long when larger than the city's
     ``percentile`` size threshold; drop cities with fewer than
     ``min_big_cascades`` Long cascades, or no Short cascade to balance
     against, reporting them with their Long count instead."""
-    labeled: dict[str, list[LabeledCascade]] = {}
+    labeled: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     thresholds: dict[str, int] = {}
     excluded: list[tuple[str, int]] = []
     for city in sorted(cascades_by_city):
-        cascades = CityCascades.of(cascades_by_city[city])
-        if not len(cascades):
+        sizes = cascades_by_city[city].sizes
+        if not len(sizes):
             excluded.append((city, 0))
             continue
-        sizes = cascades.sizes.tolist()
-        threshold = int(nearest_rank(sorted(sizes), percentile))
+        threshold = int(nearest_rank(np.sort(sizes).tolist(), percentile))
         thresholds[city] = threshold
-        rows = [LabeledCascade(cascades[j], LABEL_LONG if size > threshold else LABEL_SHORT)
-                for j, size in enumerate(sizes) if size >= k]
-        n_long = sum(1 for r in rows if r.label == LABEL_LONG)
-        if n_long < min_big_cascades or n_long == len(rows):
+        index = np.flatnonzero(sizes >= k)
+        label = np.where(sizes[index] > threshold, LABEL_LONG, LABEL_SHORT)
+        n_long = int((label == LABEL_LONG).sum())
+        if n_long < min_big_cascades or n_long == len(index):
             excluded.append((city, n_long))
         else:
-            labeled[city] = rows
+            labeled[city] = (index, label)
     return LabelingResult(labeled=labeled, thresholds=thresholds, excluded=excluded)
 
 
-def balance(labeled_by_city: Mapping[str, Sequence[LabeledCascade]],
-            seed: int) -> dict[str, list[LabeledCascade]]:
+def balance(labeled_by_city: Mapping[str, tuple[np.ndarray, np.ndarray]],
+            seed: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Downsample the majority class uniformly without replacement to the
-    minority count per city; the minority class is kept whole. Deterministic
-    given ``seed``, from which each city draws its own substream."""
-    out: dict[str, list[LabeledCascade]] = {}
+    minority count per city; the minority class is kept whole. Each city's
+    (cascade index, label) pair comes back Long cascades first, each class in
+    index order. Deterministic given ``seed``, from which each city draws its
+    own substream."""
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for city in sorted(labeled_by_city):
-        rows = sorted(labeled_by_city[city], key=lambda r: r.cascade.cascade_id)
-        longs = [r for r in rows if r.label == LABEL_LONG]
-        shorts = [r for r in rows if r.label == LABEL_SHORT]
+        index, label = labeled_by_city[city]
+        longs, shorts = (np.sort(index[label == y]) for y in (LABEL_LONG, LABEL_SHORT))
         n = min(len(longs), len(shorts))
         rng = np.random.default_rng(substream_seed(seed, "balance", city))
         if len(shorts) > n:
-            shorts = _uniform_subset(shorts, n, rng)
+            shorts = shorts[np.sort(rng.choice(len(shorts), size=n, replace=False))]
         elif len(longs) > n:
-            longs = _uniform_subset(longs, n, rng)
-        out[city] = longs + shorts
+            longs = longs[np.sort(rng.choice(len(longs), size=n, replace=False))]
+        out[city] = (np.concatenate([longs, shorts]),
+                     np.repeat([LABEL_LONG, LABEL_SHORT], [len(longs), len(shorts)]))
     return out
-
-
-def _uniform_subset(rows: list[LabeledCascade], n: int,
-                    rng: np.random.Generator) -> list[LabeledCascade]:
-    """n rows drawn uniformly without replacement, in their original order."""
-    picked_idx = np.sort(rng.choice(len(rows), size=n, replace=False))
-    return [rows[i] for i in picked_idx]
 
 
 class FeatureExtractor:
@@ -272,17 +264,17 @@ class FeatureExtractor:
         return v
 
 
-def build_examples(balanced_by_city: Mapping[str, Sequence[LabeledCascade]],
+def build_examples(cascades_by_city: Mapping[str, CityCascades],
+                   balanced_by_city: Mapping[str, tuple[np.ndarray, np.ndarray]],
                    extractor: FeatureExtractor) -> list[LabeledExample]:
     """Materialize feature vectors for balanced sets, cities and ids sorted."""
     examples = []
     for city in sorted(balanced_by_city):
-        for row in sorted(balanced_by_city[city], key=lambda r: r.cascade.cascade_id):
-            examples.append(LabeledExample(
-                cascade_id=row.cascade.cascade_id,
-                features=extractor.extract(row.cascade),
-                label=row.label,
-            ))
+        cascades = cascades_by_city[city]
+        index, label = balanced_by_city[city]
+        for j, y in sorted(zip(index.tolist(), label.tolist())):
+            cascade = cascades[j]
+            examples.append(LabeledExample(cascade.cascade_id, extractor.extract(cascade), y))
     return examples
 
 

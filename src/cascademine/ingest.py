@@ -198,7 +198,7 @@ def _id_list(value) -> list[str]:
 
 
 def _iter_json_lines(path: Path):
-    """Yield (line_number, parsed object or None-if-malformed) for a file."""
+    """Yield each non-blank line's JSON object, or None for a malformed line."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             stripped = line.strip()
@@ -206,7 +206,7 @@ def _iter_json_lines(path: Path):
                 continue
             try:
                 obj = json.loads(stripped)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # bad JSON, a huge number, deep nesting
                 yield None
                 continue
             yield obj if isinstance(obj, dict) else None

@@ -72,12 +72,12 @@ class PowerLawFit:
     n_tail: int  # observations >= xmin
 
 
-def size_distribution(cascades_by_city: Mapping[str, Sequence[Cascade]]
+def size_distribution(cascades_by_city: Mapping[str, CityCascades]
                       ) -> dict[str, list[tuple[int, int, float]]]:
     """Per-city histogram rows (size, count, P(X >= size)), ascending size."""
     out: dict[str, list[tuple[int, int, float]]] = {}
     for city in sorted(cascades_by_city):
-        sizes = np.sort(CityCascades.of(cascades_by_city[city]).sizes)
+        sizes = np.sort(cascades_by_city[city].sizes)
         if sizes.size == 0:
             out[city] = []
             continue
@@ -196,14 +196,14 @@ def ccdf_tail_slope(sizes: Sequence[int], min_tail_count: int = 10) -> float:
     return float(slope)
 
 
-def longest_cascades(cascades_by_city: Mapping[str, Sequence[Cascade]],
+def longest_cascades(cascades_by_city: Mapping[str, CityCascades],
                      top_k: int = 1) -> dict[str, list[Cascade]]:
     """Largest cascades per city, descending size, ties by cascade_id."""
     if top_k <= 0:
         raise ValueError("top_k must be positive")
     out = {}
     for city in sorted(cascades_by_city):
-        cascades = CityCascades.of(cascades_by_city[city])
+        cascades = cascades_by_city[city]
         ranked = np.argsort(-cascades.sizes, kind="stable")[:top_k]  # ties in cascade_id order
         out[city] = [cascades[j] for j in ranked.tolist()]
     return out

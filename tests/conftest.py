@@ -1,4 +1,4 @@
-"""Shared builders for events, graphs, and hand-made cascades."""
+"""Shared builders for events, graphs, hand-made cascades and their stores."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from cascademine.cascades import NODE_DTYPE, Cascade, read_cascades, save_cascades
+from cascademine.cascades import (NODE_DTYPE, Cascade, CityCascades, read_cascades,
+                                  save_cascades)
 from cascademine.ingest import EVENT_DTYPE, EventKind
 from cascademine.social import SocialGraph, build_graph
 
@@ -63,6 +64,25 @@ def mk_cascade(node_specs, edges, city: str = "testville", business: int = 0,
     position = {n[0]: i for i, n in enumerate(nodes)}
     return Cascade((city, business, index), np.array(nodes, NODE_DTYPE),
                    edge_array((position[u], position[v]) for u, v in sorted(edges)))
+
+
+def as_store(cascades, city: str = "testville") -> CityCascades:
+    """``cascades``, all of ``city``, packed into one store in cascade_id order."""
+    flat = sorted(cascades, key=lambda c: c.cascade_id)
+    if any(c.city != city for c in flat):
+        raise ValueError(f"cascades of another city than {city!r}")
+    return CityCascades(city,
+                        np.concatenate([np.empty(0, NODE_DTYPE), *(c.nodes for c in flat)]),
+                        np.concatenate([np.empty((0, 2), np.int32), *(c.edges for c in flat)]),
+                        np.cumsum([0] + [c.size for c in flat]),
+                        np.cumsum([0] + [len(c.edges) for c in flat]),
+                        np.array([c.business_id for c in flat], np.int64),
+                        np.array([c.cascade_id[2] for c in flat], np.int64))
+
+
+def as_stores(by_city: dict) -> dict[str, CityCascades]:
+    """Each city's list of cascades as its store, named by the city's key."""
+    return {city: as_store(cascades, city) for city, cascades in by_city.items()}
 
 
 def edge_array(edges) -> np.ndarray:
@@ -137,7 +157,8 @@ def small_stores(draw) -> dict[str, list[Cascade]]:
 
 
 def stored(by_city: dict) -> dict:
-    """``by_city`` written to a cascade store and read back."""
+    """``by_city``, each city's list of cascades, written to a cascade store
+    and read back."""
     with tempfile.TemporaryDirectory() as tmp:
-        save_cascades(by_city, Path(tmp) / "cascades.npz")
+        save_cascades(as_stores(by_city), Path(tmp) / "cascades.npz")
         return read_cascades(Path(tmp) / "cascades.npz")

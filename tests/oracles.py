@@ -5,12 +5,13 @@ pair enumeration instead of friend-list lookups, BFS components instead of
 hook-and-compress labels, a JSON parse of the cascade export instead of the
 columnar store, signature buckets from degrees counted edge by edge in each
 cascade instead of the census's pass over a city's arrays, exact inverse-CDF
-sampling against tabulated zeta mass, a from-first-principles feature
+sampling against tabulated zeta mass, labeling and balancing row by row
+instead of over index arrays, a from-first-principles feature
 recomputation, the Mann-Whitney pair count for AUC, and a GBDT grower that
 argsorts every feature again at every node instead of filtering presorted
-orders. The library's test-only helpers live
-here too: the graph's edge list, a one-shot feature extractor, the
-continuous power-law exponent and staged GBDT scores.
+orders. The library's test-only helpers live here too: the graph's edge
+list, a one-shot feature extractor, the continuous power-law exponent and
+staged GBDT scores.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import zeta
 
-from cascademine.features import FeatureExtractor
+from cascademine.features import LABEL_LONG, LABEL_SHORT, FeatureExtractor
 from cascademine.learner import MAX_LEAF_VALUE, GbdtModel, Tree, sigmoid
+from cascademine.util import substream_seed
 
 BASE_DAY = dt.date(2012, 1, 1)
 
@@ -230,6 +232,35 @@ def percentile_by_counting(values, p: float):
         if running >= need:
             return v
     raise AssertionError("unreachable")
+
+
+def reference_balance(cascades_by_city, k: int, percentile: float, min_big_cascades: int,
+                      seed: int) -> dict[str, list[tuple[tuple, int]]]:
+    """Labeling and balancing row by row, as (cascade_id, label) rows per
+    included city: label each cascade of at least ``k`` nodes Long when it is
+    larger than the counted percentile, sort the rows by cascade_id, split
+    them into classes, draw the larger class's subset with ``rng.choice`` and
+    return the Long rows, then the Short rows."""
+    out = {}
+    for city in sorted(cascades_by_city):
+        cascades = list(cascades_by_city[city])
+        if not cascades:
+            continue
+        threshold = percentile_by_counting([c.size for c in cascades], percentile)
+        rows = sorted((c.cascade_id, LABEL_LONG if c.size > threshold else LABEL_SHORT)
+                      for c in cascades if c.size >= k)
+        longs = [r for r in rows if r[1] == LABEL_LONG]
+        shorts = [r for r in rows if r[1] == LABEL_SHORT]
+        if len(longs) < min_big_cascades or not shorts:
+            continue
+        n = min(len(longs), len(shorts))
+        rng = np.random.default_rng(substream_seed(seed, "balance", city))
+        if len(shorts) > n:
+            shorts = [shorts[i] for i in sorted(rng.choice(len(shorts), size=n, replace=False))]
+        elif len(longs) > n:
+            longs = [longs[i] for i in sorted(rng.choice(len(longs), size=n, replace=False))]
+        out[city] = longs + shorts
+    return out
 
 
 def mann_whitney_auc(scores, y) -> float:

@@ -26,7 +26,7 @@ from cascademine.learner import (auc_trapezoid, cross_validate, feature_importan
                                  train_logreg)
 from cascademine.stats import fit_power_law
 from cascademine.util import nearest_rank
-from conftest import mk_cascade, random_events, random_graph
+from conftest import as_store, mk_cascade, random_events, random_graph
 from oracles import (DiscretePowerLawSampler, all_digraphs, brute_force_business,
                      cascade_edges, cascade_events, graph_edges, mann_whitney_auc,
                      percentile_by_counting, realizable_cascade_graphs, reference_features,
@@ -108,7 +108,7 @@ def test_criterion_03_signature_vs_exact_isomorphism():
                 cascades.append(mk_cascade([(u, redates[u]) for u in range(n)],
                                            relabeled, index=idx))
                 idx += 1
-    sig_counts = sorted(row.count for row in census({"t": cascades}, 10 ** 9)["t"])
+    sig_counts = sorted(row.count for row in census({"t": as_store(cascades)}, 10 ** 9)["t"])
     iso_classes: list[tuple[tuple, int]] = []  # ((n, edges), count)
     for c in cascades:
         n, edges = c.size, cascade_edges(c)
@@ -148,7 +148,7 @@ def test_criterion_03_signature_vs_exact_isomorphism():
         planted = [mk_cascade([(u, u) for u in range(4)], sorted(e1), index=0),
                    mk_cascade([(u, u) for u in range(4)], sorted(e1), index=1),
                    mk_cascade([(u, u) for u in range(4)], sorted(e2), index=2)]
-        (row,) = bucket_purity(planted)
+        (row,) = bucket_purity(as_store(planted))
         purity_ok = row.purity is not None and row.purity < 1.0
 
     elapsed = time.perf_counter() - start
@@ -200,7 +200,7 @@ def test_criterion_05_percentile_labeling():
                     for i, s in enumerate(rng.pareto(1.2, size=400).astype(int))],
         "tinyville": [path_cascade(2, i) for i in range(30)] + [path_cascade(9, 30)],
     }
-    result = label_cascades(by_city, 2, 90.0, 5)
+    result = label_cascades({city: as_store(cs) for city, cs in by_city.items()}, 2, 90.0, 5)
     excluded_names = [city for city, _ in result.excluded]
     exclusion_ok = ("tinyville" in excluded_names and "bigtown" in result.labeled
                     and result.excluded[0][1] < 5)
@@ -402,7 +402,7 @@ def test_criterion_10_optional_full_dataset():
     extractor = FeatureExtractor(result.profiles, 5)
     clf_ok = True
     for city in sorted(balanced):
-        X, ycls = examples_matrix(build_examples({city: balanced[city]}, extractor))
+        X, ycls = examples_matrix(build_examples(by_city, {city: balanced[city]}, extractor))
         if len(ycls) < 10:
             continue
         rep = cross_validate(X, ycls, lambda A, b: train_gbdt(A, b), folds=5, seed=0)

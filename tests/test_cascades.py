@@ -7,7 +7,8 @@ from cascademine.cascades import (_components, build_cascades, cascade_summary, 
                                   save_cascades, write_cascades)
 from cascademine.ingest import EventKind
 from cascademine.util import nearest_rank
-from conftest import day, event_table, graph_from_edges, mk_event, random_events, random_graph
+from conftest import (as_stores, day, event_table, graph_from_edges, mk_event, random_events,
+                      random_graph)
 from oracles import (as_plain, brute_force_business, cascade_edges, cascade_events, event_node,
                      graph_edges, percentile_by_counting, read_cascades_jsonl)
 
@@ -267,7 +268,7 @@ class TestSummary:
         assert (row.cascade_count, row.p90_size, row.max_size) == (1, 2, 2)
 
     def test_zero_cascades_row(self):
-        (row,) = cascade_summary({"ghost town": []})
+        (row,) = cascade_summary(as_stores({"ghost town": []}))
         assert (row.city, row.cascade_count, row.p50_size, row.p90_size,
                 row.max_size) == ("ghost town", 0, 0, 0, 0)
 
@@ -324,8 +325,8 @@ class TestStore:
         assert (tmp_path / "again.jsonl").read_bytes() == export.read_bytes()
 
     def test_empty_store(self, tmp_path):
-        save_cascades({"ghost": []}, tmp_path / "c.npz")
-        write_cascades({"ghost": []}, tmp_path / "c.jsonl")
+        save_cascades(as_stores({"ghost": []}), tmp_path / "c.npz")
+        write_cascades(as_stores({"ghost": []}), tmp_path / "c.jsonl")
         assert read_cascades(tmp_path / "c.npz") == {}
         assert (tmp_path / "c.jsonl").read_bytes() == b""
 

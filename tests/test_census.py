@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from cascademine.census import (CensusRow, PurityRow, bucket_purity, census, digraph_isomorphic,
                                 digraph_signature, is_isomorphic, signature)
-from conftest import mk_cascade, small_stores, stored
+from conftest import as_store, as_stores, mk_cascade, small_stores, stored
 from oracles import (all_digraphs, realizable_cascade_graphs, reference_buckets,
                      weakly_connected)
 
@@ -136,7 +136,7 @@ class TestCensus:
         g1a = mk_cascade([(0, 0), (1, 1)], [(0, 1)], index=0)
         g1b = mk_cascade([(2, 0), (3, 2)], [(2, 3)], index=1)
         recip = mk_cascade([(4, 0), (5, 0)], [(4, 5), (5, 4)], index=2)
-        table = census({"t": [g1a, g1b, recip]}, max_rank=5)["t"]
+        table = census({"t": as_store([g1a, g1b, recip])}, max_rank=5)["t"]
         assert table[0].count == 2
         assert table[0].share == pytest.approx(2 / 3)
         assert table[0].signature.serialize() == "2|1|0,1|0,1"
@@ -146,7 +146,7 @@ class TestCensus:
     def test_ties_broken_by_serialization(self):
         g1 = mk_cascade([(0, 0), (1, 1)], [(0, 1)], index=0)
         recip = mk_cascade([(2, 0), (3, 0)], [(2, 3), (3, 2)], index=1)
-        table = census({"t": [g1, recip]}, max_rank=5)["t"]
+        table = census({"t": as_store([g1, recip])}, max_rank=5)["t"]
         assert [r.signature.serialize() for r in table] == ["2|1|0,1|0,1", "2|2|1,1|1,1"]
 
     def test_max_rank_truncates(self):
@@ -155,7 +155,7 @@ class TestCensus:
             mk_cascade([(2, 0), (3, 0)], [(2, 3), (3, 2)], index=1),
             mk_cascade([(4, 0), (5, 1), (6, 2)], [(4, 5), (5, 6)], index=2),
         ]
-        table = census({"t": cascades}, max_rank=2)["t"]
+        table = census({"t": as_store(cascades)}, max_rank=2)["t"]
         assert len(table) == 2
 
     def test_shares_sum_to_one_random(self, rng):
@@ -170,7 +170,7 @@ class TestCensus:
             if not edges:
                 edges = [(users[0], users[1])]
             cascades.append(mk_cascade(nodes, edges, index=i))
-        table = census({"t": cascades}, max_rank=10 ** 9)["t"]
+        table = census({"t": as_store(cascades)}, max_rank=10 ** 9)["t"]
         assert abs(sum(r.share for r in table) - 1.0) < 1e-12
         assert sum(r.count for r in table) == len(cascades)
 
@@ -185,8 +185,8 @@ class TestCensus:
                 edges.append((users[1], users[0]))
             cascades.append(mk_cascade([(u, j) for j, u in enumerate(users)], edges,
                                        index=int(i)))
-        table = census({"testville": cascades}, max_rank=10 ** 9)["testville"]
-        purity = bucket_purity(cascades)
+        table = census(as_stores({"testville": cascades}), max_rank=10 ** 9)["testville"]
+        purity = bucket_purity(as_store(cascades))
         assert [(r.signature, r.count) for r in table] == [
             (r.signature, r.bucket_size) for r in purity]
         for row in table:
@@ -198,7 +198,7 @@ class TestBucketPurity:
     def test_pure_bucket_of_relabeled_g1(self):
         cascades = [mk_cascade([(10 * i, 0), (10 * i + 1, 1)],
                                [(10 * i, 10 * i + 1)], index=i) for i in range(3)]
-        (row,) = bucket_purity(cascades)
+        (row,) = bucket_purity(as_store(cascades))
         assert row.purity == 1.0
         assert row.bucket_size == 3
         assert row.checked == 2
@@ -209,7 +209,7 @@ class TestBucketPurity:
             users = sorted({u for e in edges for u in e})
             return mk_cascade([(u, u) for u in users], edges, index=index)
         cascades = [as_cascade(e1, 0), as_cascade(e1, 1), as_cascade(e2, 2)]
-        (row,) = bucket_purity(cascades)
+        (row,) = bucket_purity(as_store(cascades))
         assert row.bucket_size == 3
         assert row.purity is not None and row.purity < 1.0
 
@@ -229,12 +229,12 @@ class TestBucketPurity:
             cascades.append(mk_cascade(
                 [(u, relabeled_dates[u]) for u in range(3)], relabeled, index=idx + 1))
             idx += 2
-        for row in bucket_purity(cascades):
+        for row in bucket_purity(as_store(cascades)):
             assert row.purity == 1.0
 
     def test_oversize_representative_skipped(self):
         big = mk_cascade([(i, i) for i in range(12)], [(i, i + 1) for i in range(11)])
-        (row,) = bucket_purity([big], node_cap=10)
+        (row,) = bucket_purity(as_store([big]), node_cap=10)
         assert row.purity is None
         assert row.checked == 0
 
@@ -243,7 +243,7 @@ class TestBucketPurity:
 @given(small_stores())
 def test_census_and_purity_match_per_cascade_buckets(by_city):
     node_cap, max_members = 8, 3
-    for cascades_by_city in (by_city, stored(by_city)):
+    for cascades_by_city in (as_stores(by_city), stored(by_city)):
         table = census(cascades_by_city, max_rank=3)
         for city, cascades in cascades_by_city.items():
             buckets = reference_buckets(list(cascades))

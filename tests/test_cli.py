@@ -193,6 +193,15 @@ class TestExitCodes:
         assert main(["ingest", "--cache-dir", str(tmp_path)]) == 1
         assert "not configured" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_cache_dir_that_is_a_file_is_config_error(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        cache = blocker / "cache" if under else blocker
+        assert main(["summary", "--cache-dir", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cache_dir") and "Traceback" not in err
+
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         code = main(["ingest", "--business", str(tmp_path / "nope.json"),
                      "--user", str(tmp_path / "nope.json"),

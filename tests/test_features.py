@@ -1,16 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascademine.cascades import NODE_DTYPE, Cascade
 from cascademine.cli import main
 from cascademine.config import build_config
 from cascademine.errors import ConfigError
 from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureExtractor, LABEL_LONG, LABEL_SHORT,
-                                  LabeledCascade, balance, label_cascades, load_examples, save_examples,
+                                  balance, label_cascades, load_examples, save_examples,
                                   build_examples)
 from cascademine.ingest import BUSINESS_DTYPE, USER_DTYPE, EventKind, Profiles
-from conftest import day, edge_array, graph_from_edges, mk_cascade, random_graph
-from oracles import extract_features, reference_features
+from conftest import (as_store, as_stores, day, edge_array, graph_from_edges, mk_cascade,
+                      random_graph, small_stores, stored)
+from oracles import extract_features, reference_balance, reference_features
 
 
 def user(review_count=5, avg=3.8, since=-400, fans=2, elite=1):
@@ -56,22 +61,26 @@ class TestConfig:
             build_config(None, kwargs)
 
 
+def labeled_sizes(store, pair):
+    """(size, label) of each labeled cascade of ``store``."""
+    index, label = pair
+    return list(zip(store.sizes[index].tolist(), label.tolist()))
+
+
 class TestLabeling:
     def test_threshold_and_eligibility(self):
         sizes = [2] * 5 + [3] * 3 + [5, 20]
-        cascades = [cascade_of_size(s, i) for i, s in enumerate(sizes)]
-        res = label_cascades({"t": cascades}, 5, 90.0, 1)
+        store = as_store([cascade_of_size(s, i) for i, s in enumerate(sizes)])
+        res = label_cascades({"t": store}, 5, 90.0, 1)
         assert res.thresholds["t"] == 5  # nearest rank: ceil(0.9*10)=9th of sorted
-        rows = res.labeled["t"]
         # only the size-5 and size-20 cascades are >= k=5; only 20 exceeds 5
-        assert [(r.cascade.size, r.label) for r in rows] == [(5, LABEL_SHORT),
-                                                             (20, LABEL_LONG)]
+        assert labeled_sizes(store, res.labeled["t"]) == [(5, LABEL_SHORT), (20, LABEL_LONG)]
 
     def test_city_below_floor_excluded(self):
         # threshold = 25th of 27 sorted sizes = 2, so the two 9s are Long
         cascades = [cascade_of_size(2, i) for i in range(25)] + [
             cascade_of_size(9, 25), cascade_of_size(9, 26)]
-        res = label_cascades({"smalltown": cascades}, 2, 90.0, 50)
+        res = label_cascades({"smalltown": as_store(cascades)}, 2, 90.0, 50)
         assert res.labeled == {}
         assert res.excluded == [("smalltown", 2)]
 
@@ -79,7 +88,7 @@ class TestLabeling:
         # threshold = 2, so every cascade with at least k=5 nodes is Long
         cascades = [cascade_of_size(2, i) for i in range(30)] + [
             cascade_of_size(6, 30 + i) for i in range(3)]
-        res = label_cascades({"t": cascades}, 5, 90.0, 1)
+        res = label_cascades({"t": as_store(cascades)}, 5, 90.0, 1)
         assert res.thresholds["t"] == 2
         assert res.labeled == {}
         assert res.excluded == [("t", 3)]
@@ -87,43 +96,42 @@ class TestLabeling:
     def test_planted_quantile_fraction(self, rng):
         sizes = rng.integers(2, 100, size=2000)
         cascades = [cascade_of_size(int(s), i) for i, s in enumerate(sizes)]
-        res = label_cascades({"t": cascades}, 2, 90.0, 1)
-        rows = res.labeled["t"]
-        frac = sum(1 for r in rows if r.label == LABEL_LONG) / len(rows)
+        res = label_cascades({"t": as_store(cascades)}, 2, 90.0, 1)
+        _, label = res.labeled["t"]
+        frac = float(np.mean(label == LABEL_LONG))
         assert 0.05 <= frac <= 0.15
 
     def test_label_definition_strictly_greater(self):
-        cascades = [cascade_of_size(s, i) for i, s in enumerate([2, 2, 3, 3, 8])]
-        res = label_cascades({"t": cascades}, 2, 60.0, 1)
+        store = as_store([cascade_of_size(s, i) for i, s in enumerate([2, 2, 3, 3, 8])])
+        res = label_cascades({"t": store}, 2, 60.0, 1)
         threshold = res.thresholds["t"]
         assert threshold == 3
-        for row in res.labeled["t"]:
-            assert (row.cascade.size > threshold) == (row.label == LABEL_LONG)
-        assert sum(r.label == LABEL_LONG for r in res.labeled["t"]) == 1
+        rows = labeled_sizes(store, res.labeled["t"])
+        for size, label in rows:
+            assert (size > threshold) == (label == LABEL_LONG)
+        assert sum(label == LABEL_LONG for _, label in rows) == 1
 
 
 class TestBalance:
     def make_labeled(self, n_long, n_short):
-        rows = [LabeledCascade(cascade_of_size(9, i), LABEL_LONG) for i in range(n_long)]
-        rows += [LabeledCascade(cascade_of_size(3, n_long + i), LABEL_SHORT)
-                 for i in range(n_short)]
-        return {"t": rows}
+        """Cascades 0..n_long-1 Long, the next n_short Short."""
+        return {"t": (np.arange(n_long + n_short),
+                      np.repeat([LABEL_LONG, LABEL_SHORT], [n_long, n_short]))}
 
     def test_downsamples_shorts(self):
-        out = balance(self.make_labeled(30, 400), 0)
-        rows = out["t"]
-        assert sum(1 for r in rows if r.label == LABEL_LONG) == 30
-        assert sum(1 for r in rows if r.label == LABEL_SHORT) == 30
+        _, label = balance(self.make_labeled(30, 400), 0)["t"]
+        assert (label == LABEL_LONG).sum() == 30
+        assert (label == LABEL_SHORT).sum() == 30
 
     def test_same_seed_same_sample(self):
         labeled = self.make_labeled(10, 100)
-        ids1 = [r.cascade.cascade_id for r in balance(labeled, 42)["t"]]
-        ids2 = [r.cascade.cascade_id for r in balance(labeled, 42)["t"]]
+        ids1 = balance(labeled, 42)["t"][0].tolist()
+        ids2 = balance(labeled, 42)["t"][0].tolist()
         assert ids1 == ids2
 
     def test_different_seed_usually_differs(self):
         labeled = self.make_labeled(10, 200)
-        ids = {tuple(r.cascade.cascade_id for r in balance(labeled, s)["t"]) for s in range(5)}
+        ids = {tuple(balance(labeled, s)["t"][0].tolist()) for s in range(5)}
         assert len(ids) > 1
 
     def test_selection_frequency_uniform(self):
@@ -131,9 +139,8 @@ class TestBalance:
         labeled = self.make_labeled(n_long, n_short)
         counts = np.zeros(n_short)
         for seed in range(n_seeds):
-            for row in balance(labeled, seed)["t"]:
-                if row.label == LABEL_SHORT:
-                    counts[row.cascade.cascade_id[2] - n_long] += 1
+            index, label = balance(labeled, seed)["t"]
+            counts[index[label == LABEL_SHORT] - n_long] += 1
         expected = n_seeds * n_long / n_short  # 15
         assert abs(counts.mean() - expected) < 1e-9  # exactly n_long picks per seed
         assert counts.std() < 4 * np.sqrt(expected)  # loose uniformity bound
@@ -143,14 +150,49 @@ class TestBalance:
         labeled = self.make_labeled(n_long, n_short)
         counts = np.zeros(n_long)
         for seed in range(n_seeds):
-            rows = balance(labeled, seed)["t"]
-            assert sum(1 for r in rows if r.label == LABEL_SHORT) == n_short
-            for row in rows:
-                if row.label == LABEL_LONG:
-                    counts[row.cascade.cascade_id[2]] += 1
+            index, label = balance(labeled, seed)["t"]
+            assert (label == LABEL_SHORT).sum() == n_short
+            counts[index[label == LABEL_LONG]] += 1
         expected = n_seeds * n_short / n_long  # 15
         assert abs(counts.mean() - expected) < 1e-9  # exactly n_short picks per seed
         assert counts.std() < 4 * np.sqrt(expected)  # not the lowest ids every time
+
+
+class CountingExtractor(FeatureExtractor):
+    calls = 0
+
+    def extract(self, cascade):
+        self.calls += 1
+        return super().extract(cascade)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_stores(), st.integers(0, 2 ** 32 - 1))
+def test_labels_and_balance_match_per_row_path(by_city, shuffle_seed):
+    """label_cascades -> balance -> build_examples pick the cascade ids and
+    labels of the row-by-row oracle, in its order, whatever order balance
+    gets its pairs in."""
+    shuffle = np.random.default_rng(shuffle_seed)
+    extractor = CountingExtractor(profiles({}, [business()], graph_from_edges([], 1)), 2)
+    for stores in (as_stores(by_city), stored(by_city)):
+        for k, percentile, seed in itertools.product((2, 3), (50.0, 90.0), range(3)):
+            want = reference_balance(by_city, k, percentile, 1, seed)
+            labeled = label_cascades(stores, k, percentile, 1).labeled
+            assert sorted(labeled) == sorted(want)
+            shuffled = {}
+            for city, (index, label) in labeled.items():
+                order = shuffle.permutation(len(index))
+                shuffled[city] = (index[order], label[order])
+            for pairs in (labeled, shuffled):
+                balanced = balance(pairs, seed)
+                assert {city: [(stores[city][j].cascade_id, y) for j, y in
+                               zip(index.tolist(), label.tolist())]
+                        for city, (index, label) in balanced.items()} == want
+            extractor.calls = 0
+            examples = build_examples(stores, balanced, extractor)
+            assert [(e.cascade_id, e.label) for e in examples] == [
+                row for city in sorted(want) for row in sorted(want[city])]
+            assert extractor.calls == len(examples)
 
 
 def small_world():
@@ -328,9 +370,9 @@ class TestIO:
     def test_examples_round_trip(self, tmp_path, rng):
         tables, cascades = random_world(rng, 30)
         extractor = FeatureExtractor(tables, k=2)
-        balanced = {"testville": [LabeledCascade(c, i % 2) for i, c in
-                                  enumerate(cascades)]}
-        examples = build_examples(balanced, extractor)
+        index = np.arange(len(cascades))
+        examples = build_examples({"testville": as_store(cascades)},
+                                  {"testville": (index, index % 2)}, extractor)
         path = tmp_path / "features.pkl"
         save_examples(examples, path)
         loaded = load_examples(path)

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from cascademine.cli import main
 from cascademine.errors import DataError
 from cascademine.ingest import (CACHE_FORMAT, EVENT_DTYPE, DatasetPaths, EventKind,
                                 ingest_dataset, load_ingest, load_profiles, normalize_city,
@@ -77,6 +78,24 @@ class TestIngest:
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
         assert result.n_events == 3
         assert result.drop_counts["review"]["malformed"] == 1
+
+    @pytest.mark.parametrize("bad", ["[" * 100_000, '{"review_count": ' + "1" * 5000 + "}"],
+                             ids=["deeply-nested", "long-number"])
+    @pytest.mark.parametrize("name", ["business", "user", "review", "tip"])
+    def test_unparsable_line_counted_malformed(self, tmp_path, capsys, name, bad):
+        # beyond the JSON decoder's recursion or integer-digit limit: one
+        # malformed line, no traceback
+        tips = [{"user_id": "b", "business_id": "b1", "date": "2012-01-02", "text": "t"}]
+        files = {"business": BIZ, "user": USERS, "review": [], "tip": tips}
+        files[name] = files[name] + [bad]
+        paths = make_dataset(tmp_path, *files.values())
+        result = ingest_dataset(paths)
+        assert result.drop_counts[name]["malformed"] == 1
+        assert result.n_events == 1
+        assert main(["ingest", "--business", str(paths.business), "--user", str(paths.user),
+                     "--review", str(paths.review), "--tip", str(paths.tip),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert f"[ingest] {name}: " in capsys.readouterr().out
 
     def test_drop_count_accounting(self, tmp_path):
         reviews = [

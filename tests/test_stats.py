@@ -8,8 +8,8 @@ from cascademine.stats import (ccdf_tail_slope, export_dot,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (graph_from_edges, mk_cascade, random_events, random_graph, small_stores,
-                      stored)
+from conftest import (as_store, as_stores, graph_from_edges, mk_cascade, random_events,
+                      random_graph, small_stores, stored)
 from cascademine.cascades import SummaryRow, build_cascades, cascade_summary
 from cascademine.util import nearest_rank
 from oracles import DiscretePowerLawSampler, alpha_mle_approx
@@ -33,21 +33,21 @@ def cascade_of_size(n, index=0):
 class TestSizeDistribution:
     def test_simple_ccdf(self):
         cascades = [cascade_of_size(2, 0), cascade_of_size(2, 1), cascade_of_size(3, 2)]
-        (rows,) = size_distribution({"t": cascades}).values()
+        (rows,) = size_distribution({"t": as_store(cascades)}).values()
         assert rows == [(2, 2, 1.0), (3, 1, pytest.approx(1 / 3))]
 
     def test_all_equal_sizes(self):
         cascades = [cascade_of_size(4, i) for i in range(5)]
-        (rows,) = size_distribution({"t": cascades}).values()
+        (rows,) = size_distribution({"t": as_store(cascades)}).values()
         assert rows == [(4, 5, 1.0)]
 
     def test_empty_city(self):
-        assert size_distribution({"t": []}) == {"t": []}
+        assert size_distribution(as_stores({"t": []})) == {"t": []}
 
     def test_ccdf_monotone_and_counts_sum(self, rng):
         cascades = [cascade_of_size(int(s), i)
                     for i, s in enumerate(rng.integers(2, 40, size=300))]
-        (rows,) = size_distribution({"t": cascades}).values()
+        (rows,) = size_distribution({"t": as_store(cascades)}).values()
         ccdfs = [c for _, _, c in rows]
         assert ccdfs[0] == 1.0
         assert all(a >= b for a, b in zip(ccdfs, ccdfs[1:]))
@@ -143,18 +143,18 @@ class TestFitPowerLaw:
 class TestLongestCascades:
     def test_picks_largest(self):
         cascades = [cascade_of_size(2, 0), cascade_of_size(3, 1), cascade_of_size(7, 2)]
-        (top,) = longest_cascades({"t": cascades}, top_k=1).values()
+        (top,) = longest_cascades({"t": as_store(cascades)}, top_k=1).values()
         assert top[0].size == 7
 
     def test_top_k_larger_than_count(self):
         cascades = [cascade_of_size(2, 0), cascade_of_size(3, 1)]
-        (top,) = longest_cascades({"t": cascades}, top_k=10).values()
+        (top,) = longest_cascades({"t": as_store(cascades)}, top_k=10).values()
         assert len(top) == 2
 
     def test_ties_by_cascade_id(self):
         a = cascade_of_size(4, 1)
         b = cascade_of_size(4, 0)
-        (top,) = longest_cascades({"t": [a, b]}, top_k=2).values()
+        (top,) = longest_cascades({"t": as_store([a, b])}, top_k=2).values()
         assert [c.cascade_id for c in top] == [b.cascade_id, a.cascade_id]
 
     def test_rejects_bad_top_k(self):
@@ -195,7 +195,7 @@ class TestExportDot:
 @settings(max_examples=80, deadline=None)
 @given(small_stores(), st.integers(1, 4))
 def test_size_stages_match_per_cascade_sizes(by_city, top_k):
-    for cascades_by_city in (by_city, stored(by_city)):
+    for cascades_by_city in (as_stores(by_city), stored(by_city)):
         sizes = {city: sorted(c.size for c in cascades)
                  for city, cascades in sorted(cascades_by_city.items())}
         assert cascade_summary(cascades_by_city) == [
