@@ -108,19 +108,16 @@ class CityCascades:
     def __len__(self) -> int:
         return len(self.business)
 
-    # Each view's id gets a city string of its own, as a per-line parse gives:
-    # pickles of cascade ids then keep their bytes.
-
     def __getitem__(self, j: int) -> Cascade:
         j = range(len(self))[j]  # IndexError past either end
         (n0, n1), (e0, e1) = self.node_offsets[j:j + 2], self.edge_offsets[j:j + 2]
-        return Cascade((str(np.str_(self.city)), int(self.business[j]), int(self.component[j])),
+        return Cascade((self.city, int(self.business[j]), int(self.component[j])),
                        self.nodes[n0:n1], self.edges[e0:e1])
 
     def __iter__(self) -> Iterator[Cascade]:
         node_at, edge_at = self.node_offsets.tolist(), self.edge_offsets.tolist()
         for j, (b, c) in enumerate(zip(self.business.tolist(), self.component.tolist())):
-            yield Cascade((str(np.str_(self.city)), b, c), self.nodes[node_at[j]:node_at[j + 1]],
+            yield Cascade((self.city, b, c), self.nodes[node_at[j]:node_at[j + 1]],
                           self.edges[edge_at[j]:edge_at[j + 1]])
 
 

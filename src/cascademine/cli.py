@@ -194,12 +194,13 @@ def stage_features(cfg: RunConfig) -> None:
     labeling = feat.label_cascades(by_city, cfg.k, cfg.percentile, cfg.min_big_cascades)
     balanced = feat.balance(labeling.labeled, cfg.seed)
     extractor = feat.FeatureExtractor(profiles, cfg.k)
+    cities = sorted(balanced)
     examples = feat.build_examples(by_city, balanced, extractor)
     write_csv(cfg.cache_path("features.csv"),
               ("cascade_id", "city", "label", *feat.FEATURE_NAMES),
-              [(_cascade_id_field(e.cascade_id), e.city, feat.LABEL_NAMES[e.label],
-                *e.features.tolist()) for e in examples])
-    feat.save_examples(examples, cfg.cache_path("features.pkl"))
+              [(_cascade_id_field((cities[c], b, j)), cities[c], feat.LABEL_NAMES[y],
+                *x.tolist()) for c, b, j, y, x in examples.tolist()])
+    feat.save_examples(examples, cities, cfg.cache_path("features.pkl"))
     labeling_doc = {
         "schema_version": SCHEMA_VERSION,
         "thresholds": labeling.thresholds,
@@ -230,19 +231,17 @@ def _logreg_fit(cfg: RunConfig):
 
 
 def _examples_by_city(cfg: RunConfig):
-    examples = feat.load_examples(_require(cfg, "features.pkl", "features"))
-    by_city: dict[str, list] = {}
-    for e in examples:
-        by_city.setdefault(e.city, []).append(e)
-    return {city: by_city[city] for city in sorted(by_city)}
+    """Each city's (X, y), in city order, from its rows of the example table."""
+    cities, table = feat.load_examples(_require(cfg, "features.pkl", "features"))
+    return {city: (rows["features"], rows["label"]) for c, city in enumerate(cities)
+            if len(rows := table[table["city"] == c])}
 
 
 def stage_train(cfg: RunConfig) -> None:
     by_city = _examples_by_city(cfg)
     models = {}
     importance_rows = []
-    for city, examples in by_city.items():
-        X, y = feat.examples_matrix(examples)
+    for city, (X, y) in by_city.items():
         try:
             gbdt = _gbdt_fit(cfg)(X, y)
         except ValueError as exc:
@@ -264,8 +263,7 @@ def stage_evaluate(cfg: RunConfig) -> None:
     report = {"schema_version": SCHEMA_VERSION, "cities": {}, "skipped": []}
     acc_rows = []
     roc_rows = []
-    for city, examples in by_city.items():
-        X, y = feat.examples_matrix(examples)
+    for city, (X, y) in by_city.items():
         try:
             gbdt_rep = learn.cross_validate(
                 X, y, _gbdt_fit(cfg), folds=cfg.folds,
@@ -274,13 +272,13 @@ def stage_evaluate(cfg: RunConfig) -> None:
                 X, y, _logreg_fit(cfg), folds=cfg.folds,
                 seed=substream_seed(cfg.seed, "cv", "logreg", city))
         except learn.TooFewExamples as exc:
-            print(f"[evaluate] skipped {city}: {exc} ({len(examples)} examples)")
+            print(f"[evaluate] skipped {city}: {exc} ({len(y)} examples)")
             report["skipped"].append([city, str(exc)])
             continue
         except ValueError as exc:
             raise DataError(f"{city}: {exc}") from exc
         report["cities"][city] = {
-            "n_examples": len(examples),
+            "n_examples": len(y),
             "gbdt": {
                 "fold_accuracies": gbdt_rep.fold_accuracies,
                 "mean_accuracy": gbdt_rep.mean_accuracy,

@@ -12,7 +12,9 @@ imputed value increments a per-feature counter.
 
 Labels travel as arrays: ``LabelingResult.labeled`` holds one (cascade index,
 label) array pair per city, over its :class:`CityCascades`, and only
-:func:`build_examples` makes views, of the cascades it extracts.
+:func:`build_examples` makes views, of the cascades it extracts. The balanced
+examples are one :data:`EXAMPLE_DTYPE` table, which ``features.pkl`` holds with
+the city names its ``city`` column indexes; each city's rows are its ``X`` and ``y``.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cascademine.cascades import Cascade, CascadeId, CityCascades
+from cascademine.cascades import Cascade, CityCascades
 from cascademine.errors import DataError
 from cascademine.ingest import EventKind, Profiles
-from cascademine.util import load_cache, nearest_rank, save_cache, substream_seed
+from cascademine.util import ascending_names, load_cache, nearest_rank, save_cache, substream_seed
 
 LABEL_SHORT = 0
 LABEL_LONG = 1
@@ -74,17 +76,9 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 N_FEATURES = len(FEATURE_NAMES)
 FALLBACK_STARS = 3.0  # midpoint of the 1..5 scale, used only with no businesses at all
-
-
-@dataclass(frozen=True, slots=True)
-class LabeledExample:
-    cascade_id: CascadeId  # (city, business_id, component index)
-    features: np.ndarray  # length N_FEATURES, float64
-    label: int
-
-    @property
-    def city(self) -> str:
-        return self.cascade_id[0]
+# One balanced example per row; every integer is int64, so ``features`` is 8-byte aligned.
+EXAMPLE_DTYPE = np.dtype([("city", np.int64), ("business", np.int64), ("component", np.int64),
+                          ("label", np.int64), ("features", np.float64, (N_FEATURES,))])
 
 
 @dataclass
@@ -266,46 +260,47 @@ class FeatureExtractor:
 
 def build_examples(cascades_by_city: Mapping[str, CityCascades],
                    balanced_by_city: Mapping[str, tuple[np.ndarray, np.ndarray]],
-                   extractor: FeatureExtractor) -> list[LabeledExample]:
-    """Materialize feature vectors for balanced sets, cities and ids sorted."""
-    examples = []
-    for city in sorted(balanced_by_city):
+                   extractor: FeatureExtractor) -> np.ndarray:
+    """The :data:`EXAMPLE_DTYPE` table of the balanced sets, in city and then
+    cascade_id order; ``city`` indexes ``sorted(balanced_by_city)``."""
+    rows = []
+    for c, city in enumerate(sorted(balanced_by_city)):
         cascades = cascades_by_city[city]
         index, label = balanced_by_city[city]
         for j, y in sorted(zip(index.tolist(), label.tolist())):
             cascade = cascades[j]
-            examples.append(LabeledExample(cascade.cascade_id, extractor.extract(cascade), y))
-    return examples
-
-
-def examples_matrix(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([e.features for e in examples]) if examples else np.empty((0, N_FEATURES))
-    y = np.array([e.label for e in examples], dtype=np.int64)
-    return X, y
+            rows.append((c, *cascade.cascade_id[1:], y, extractor.extract(cascade)))
+    return np.array(rows, EXAMPLE_DTYPE)
 
 
 FEATURES_CACHE_FORMAT = "cascademine.features"
-FEATURES_CACHE_VERSION = 2
+FEATURES_CACHE_VERSION = 3  # 2 held one (cascade id, vector, label) tuple per example
 
 
-def save_examples(examples: Sequence[LabeledExample], path) -> None:
+def save_examples(examples: np.ndarray, cities: Sequence[str], path) -> None:
+    """Pickle the :data:`EXAMPLE_DTYPE` table ``examples`` with the names
+    its ``city`` column indexes, for :func:`load_examples`."""
     save_cache(path, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION,
-               feature_names=list(FEATURE_NAMES),
-               examples=[(e.cascade_id, e.features.tolist(), e.label) for e in examples])
+               feature_names=list(FEATURE_NAMES), cities=list(cities), examples=examples)
 
 
-def load_examples(path) -> list[LabeledExample]:
-    """The examples :func:`save_examples` wrote. A missing key, other feature
-    names or a vector of another length raises DataError naming 'features'."""
+def load_examples(path) -> tuple[list[str], np.ndarray]:
+    """The city names and the example table :func:`save_examples` wrote. A
+    missing key, other feature names, cities that are not strictly ascending
+    strings, a table that is not 1-D :data:`EXAMPLE_DTYPE` or a city index
+    out of range raises DataError naming 'features'."""
     payload = load_cache(path, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION, "features")
     try:
+        cities, table = payload["cities"], payload["examples"]
         if payload["feature_names"] != list(FEATURE_NAMES):
             raise ValueError("the feature names differ from this version's")
-        examples = [LabeledExample(tuple(cid), np.asarray(vec, dtype=np.float64), label)
-                    for cid, vec, label in payload["examples"]]
-        if any(e.features.shape != (N_FEATURES,) for e in examples):
-            raise ValueError(f"a feature vector is not {N_FEATURES} long")
+        if not ascending_names(cities):
+            raise ValueError("the cities are not strictly ascending strings")
+        if not isinstance(table, np.ndarray) or table.dtype != EXAMPLE_DTYPE or table.ndim != 1:
+            raise ValueError("the examples are not a 1-D EXAMPLE_DTYPE table")
+        if ((table["city"] < 0) | (table["city"] >= len(cities))).any():
+            raise ValueError("a city index is out of range")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"damaged features cache {path} ({exc!r}); "
                         "rerun 'features'") from exc
-    return examples
+    return cities, table

@@ -53,7 +53,7 @@ import numpy as np
 
 import cascademine.social as social
 from cascademine.errors import DataError
-from cascademine.util import load_arrays, load_cache, save_arrays, save_cache
+from cascademine.util import ascending_names, load_arrays, load_cache, save_arrays, save_cache
 
 CACHE_FORMAT = "cascademine.ingest"
 CACHE_VERSION = 5
@@ -382,11 +382,14 @@ def save_ingest(result: IngestResult, path) -> None:
 
 
 def load_ingest(path) -> IngestResult:
-    """Read ``ingest.pkl``. A damaged file, another format or version, or city
-    offsets that do not fit the events table raise DataError naming 'ingest'."""
+    """Read ``ingest.pkl``. A damaged file, another format or version, cities that
+    are not strictly ascending strings or offsets that do not fit the events
+    raise DataError naming 'ingest'."""
     payload = load_cache(path, CACHE_FORMAT, CACHE_VERSION, "ingest")
     try:
         events, cities, at = payload["events"], payload["cities"], payload["city_offsets"]
+        if not ascending_names(cities):
+            raise ValueError("the cities are not strictly ascending strings")
         if not (events.dtype == EVENT_DTYPE and at.dtype.kind == "i"
                 and events.ndim == at.ndim == 1 and len(at) == len(cities) + 1
                 and at[0] == 0 and at[-1] == len(events) and (np.diff(at) >= 0).all()):

@@ -36,6 +36,12 @@ def nearest_rank(sorted_values: Sequence, percentile: float):
     return sorted_values[max(rank, 1) - 1]
 
 
+def ascending_names(names) -> bool:
+    """Whether ``names`` is a list of strings in strictly ascending order."""
+    return (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and all(a < b for a, b in zip(names, names[1:])))
+
+
 def substream_seed(global_seed: int, *names: str) -> int:
     """Derive a named RNG substream from one global seed.
 

@@ -6,7 +6,6 @@ CASCADEMINE_YELP_DIR points at a directory with the four dataset files.
 """
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
@@ -15,10 +14,9 @@ import numpy as np
 import pytest
 
 from cascademine.cascades import build_cascades
-from cascademine.census import (bucket_purity, census, digraph_isomorphic,
-                                digraph_signature, signature)
+from cascademine.census import bucket_purity, census, digraph_isomorphic, digraph_signature
 from cascademine.cli import main
-from cascademine.features import FEATURE_NAMES, FeatureExtractor, LABEL_LONG, label_cascades
+from cascademine.features import FEATURE_NAMES, FeatureExtractor, label_cascades
 from cascademine.ingest import DatasetPaths, ingest_dataset
 from cascademine.learner import (auc_trapezoid, cross_validate, feature_importance,
                                  log_loss, logistic_smooth_grad,
@@ -397,12 +395,13 @@ def test_criterion_10_optional_full_dataset():
     slope_ok = all(-2.35 <= s <= -1.50 for s in slopes.values())
 
     labeling = label_cascades(by_city, 5, 90.0, 50)
-    from cascademine.features import balance, build_examples, examples_matrix
+    from cascademine.features import balance, build_examples
     balanced = balance(labeling.labeled, 0)
     extractor = FeatureExtractor(result.profiles, 5)
     clf_ok = True
     for city in sorted(balanced):
-        X, ycls = examples_matrix(build_examples(by_city, {city: balanced[city]}, extractor))
+        examples = build_examples(by_city, {city: balanced[city]}, extractor)
+        X, ycls = examples["features"], examples["label"]
         if len(ycls) < 10:
             continue
         rep = cross_validate(X, ycls, lambda A, b: train_gbdt(A, b), folds=5, seed=0)

@@ -5,7 +5,6 @@ import pytest
 from cascademine import cascades
 from cascademine.cascades import (_components, build_cascades, cascade_summary, read_cascades,
                                   save_cascades, write_cascades)
-from cascademine.ingest import EventKind
 from cascademine.util import nearest_rank
 from conftest import (as_stores, day, event_table, graph_from_edges, mk_event, random_events,
                       random_graph)

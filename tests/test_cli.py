@@ -17,9 +17,20 @@ import cascademine.cli as cli
 from cascademine.cli import main
 from cascademine.config import RunConfig, build_config, load_config_file
 from cascademine.errors import ConfigError
-from cascademine.features import (FEATURE_NAMES, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION,
-                                  N_FEATURES, LabeledExample, save_examples)
+from cascademine.features import (EXAMPLE_DTYPE, FEATURE_NAMES, FEATURES_CACHE_FORMAT,
+                                  FEATURES_CACHE_VERSION, N_FEATURES, save_examples)
 from cascademine.util import load_cache, save_arrays, save_cache
+
+
+def random_examples(rng, *sizes):
+    """An example table with ``sizes[c]`` rows of city ``c``, labels
+    alternating, and each label's features shifted by the label."""
+    table = np.zeros(sum(sizes), EXAMPLE_DTYPE)
+    table["city"] = np.repeat(np.arange(len(sizes)), sizes)
+    table["component"] = np.concatenate([np.arange(n) for n in sizes])
+    table["label"] = table["component"] % 2
+    table["features"] = rng.normal(size=(len(table), N_FEATURES)) + table["label"][:, None]
+    return table
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +374,11 @@ class TestExitCodes:
              "cities": ["city00", "city01"]},  # decreasing
             {"cities": ["city00", "city01"]},  # one name more than the offsets
             {"cities": []},
+            {"city_offsets": np.array([0, len(events) // 2, len(events)]),
+             "cities": ["city00", "city00"]},  # a name twice
+            {"city_offsets": np.array([0, len(events) // 2, len(events)]),
+             "cities": ["city01", "city00"]},  # names out of order
+            {"cities": [0]},  # not a string
             {"city_offsets": at.astype(np.float64)},
         ]
         for change in damaged:
@@ -372,21 +388,29 @@ class TestExitCodes:
             assert "rerun 'ingest'" in capsys.readouterr().err
 
     def test_damaged_features_cache_is_data_error(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
-        names = list(FEATURE_NAMES)
-        examples = [(("acity", 0, i), (rng.normal(size=N_FEATURES) + i % 2).tolist(), i % 2)
-                    for i in range(20)]
-        narrow = [(cid, vec[:3], label) for cid, vec, label in examples]
+        names, cities = list(FEATURE_NAMES), ["acity"]
+        examples = random_examples(np.random.default_rng(5), 20)
+        narrow = np.zeros(len(examples), [*EXAMPLE_DTYPE.descr[:-1], ("features", "<f8", (3,))])
+        text_label = examples.astype([(name, "U8" if name == "label" else examples.dtype[name])
+                                      for name in EXAMPLE_DTYPE.names])
         cache = tmp_path / "features.pkl"
-        save_cache(cache, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION,
-                   feature_names=names, examples=examples)
+        save_examples(examples, cities, cache)
         assert main(["train", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 0
+        good = {"feature_names": names, "cities": cities, "examples": examples}
         damaged = [
-            {"feature_names": names},  # no examples
-            {"examples": examples},  # no feature names
-            {"feature_names": names[::-1], "examples": examples},
-            {"feature_names": names[:3], "examples": narrow},
-            {"feature_names": names, "examples": narrow},  # 3-wide vectors
+            {"feature_names": names, "cities": cities},  # no examples
+            {"examples": examples, "cities": cities},  # no feature names
+            {"feature_names": names, "examples": examples},  # no cities
+            {**good, "feature_names": names[::-1]},
+            {**good, "feature_names": names[:3], "examples": narrow},
+            {**good, "examples": narrow},  # 3-wide vectors
+            {**good, "examples": text_label},  # another dtype
+            {**good, "examples": examples.reshape(4, 5)},  # 2-D
+            {**good, "examples": examples.tolist()},  # rows, not a table
+            {**good, "cities": []},  # city index out of range
+            {**good, "cities": ["acity", "acity"]},  # a name twice
+            {**good, "cities": "acity"},  # not a list
+            {**good, "cities": [None]},  # not a string
         ]
         for payload in damaged:
             save_cache(cache, FEATURES_CACHE_FORMAT, FEATURES_CACHE_VERSION, **payload)
@@ -394,25 +418,26 @@ class TestExitCodes:
                 capsys.readouterr()
                 assert main([stage, "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
                 assert "rerun 'features'" in capsys.readouterr().err
+        examples["city"][5] = -1
+        save_examples(examples, cities, cache)
+        for stage in ("train", "evaluate"):
+            assert main([stage, "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
+            assert "city index is out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_fail_train(self, tmp_path, capsys, bad):
-        rng = np.random.default_rng(5)
-        examples = [LabeledExample(("acity", 0, i), rng.normal(size=N_FEATURES) + i % 2, i % 2)
-                    for i in range(20)]
-        examples[3].features[4] = bad
-        examples[7].features[4] = -bad
-        save_examples(examples, tmp_path / "features.pkl")
+        examples = random_examples(np.random.default_rng(5), 20)
+        examples["features"][3, 4] = bad
+        examples["features"][7, 4] = -bad
+        save_examples(examples, ["acity"], tmp_path / "features.pkl")
         assert main(["train", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
         assert "feature column 4 has non-finite values" in capsys.readouterr().err
 
     def test_non_finite_feature_fails_evaluate(self, tmp_path, capsys):
         # a data fault is not a city too small for the folds
-        rng = np.random.default_rng(5)
-        examples = [LabeledExample(("acity", 0, i), rng.normal(size=N_FEATURES) + i % 2, i % 2)
-                    for i in range(20)]
-        examples[3].features[4] = np.inf
-        save_examples(examples, tmp_path / "features.pkl")
+        examples = random_examples(np.random.default_rng(5), 20)
+        examples["features"][3, 4] = np.inf
+        save_examples(examples, ["acity"], tmp_path / "features.pkl")
         assert main(["evaluate", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
         err = capsys.readouterr().err
         assert "acity: feature column 4 has non-finite values" in err
@@ -425,7 +450,9 @@ class TestExitCodes:
                 ("ingest.pkl", "cascademine.ingest", 3, "build-cascades", "ingest"),
                 # version 4 pickled one object per event, by city
                 ("ingest.pkl", "cascademine.ingest", 4, "build-cascades", "ingest"),
-                ("features.pkl", "cascademine.features", 1, "train", "features")):
+                ("features.pkl", "cascademine.features", 1, "train", "features"),
+                # version 2 pickled one (cascade id, vector, label) tuple per example
+                ("features.pkl", "cascademine.features", 2, "train", "features")):
             (tmp_path / name).write_bytes(pickle.dumps({"format": fmt, "version": version}))
             assert main([stage, "--cache-dir", str(tmp_path)]) == 3
             err = capsys.readouterr().err
@@ -517,10 +544,8 @@ class TestPipeline:
         assert not list((cache / "dot").iterdir())
 
     def test_train_saves_one_gbdt_per_city(self, tmp_path):
-        rng = np.random.default_rng(5)
-        examples = [LabeledExample((city, 0, i), rng.normal(size=N_FEATURES) + i % 2, i % 2)
-                    for city in ("acity", "bcity") for i in range(20)]
-        save_examples(examples, tmp_path / "features.pkl")
+        examples = random_examples(np.random.default_rng(5), 20, 20)
+        save_examples(examples, ["acity", "bcity"], tmp_path / "features.pkl")
         assert main(["train", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 0
         models = load_cache(tmp_path / "models.pkl", "cascademine.models", 1,
                             "train")["models"]
@@ -618,14 +643,8 @@ class TestSmallCities:
                 in capsys.readouterr().out)
 
     def test_evaluate_skips_city_with_too_few_examples(self, tmp_path, capsys):
-        rng = np.random.default_rng(3)
-        examples = []
-        for city, per_class in (("bigcity", 20), ("smallcity", 3)):
-            for i in range(2 * per_class):
-                label = i % 2
-                features = rng.normal(size=N_FEATURES) + label
-                examples.append(LabeledExample((city, 0, i), features, label))
-        save_examples(examples, tmp_path / "features.pkl")
+        examples = random_examples(np.random.default_rng(3), 40, 6)  # 20 and 3 per class
+        save_examples(examples, ["bigcity", "smallcity"], tmp_path / "features.pkl")
         args = ["--cache-dir", str(tmp_path), "--n-trees", "5", "--folds", "5"]
         assert main(["train", *args]) == 0
         assert main(["evaluate", *args]) == 0

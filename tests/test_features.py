@@ -9,7 +9,8 @@ from cascademine.cascades import NODE_DTYPE, Cascade
 from cascademine.cli import main
 from cascademine.config import build_config
 from cascademine.errors import ConfigError
-from cascademine.features import (FEATURE_NAMES, N_FEATURES, FeatureExtractor, LABEL_LONG, LABEL_SHORT,
+from cascademine.features import (EXAMPLE_DTYPE, FEATURE_NAMES, N_FEATURES, FeatureExtractor,
+                                  LABEL_LONG, LABEL_SHORT,
                                   balance, label_cascades, load_examples, save_examples,
                                   build_examples)
 from cascademine.ingest import BUSINESS_DTYPE, USER_DTYPE, EventKind, Profiles
@@ -190,7 +191,8 @@ def test_labels_and_balance_match_per_row_path(by_city, shuffle_seed):
                         for city, (index, label) in balanced.items()} == want
             extractor.calls = 0
             examples = build_examples(stores, balanced, extractor)
-            assert [(e.cascade_id, e.label) for e in examples] == [
+            cities = sorted(balanced)
+            assert [((cities[c], b, j), y) for c, b, j, y, _ in examples.tolist()] == [
                 row for city in sorted(want) for row in sorted(want[city])]
             assert extractor.calls == len(examples)
 
@@ -370,17 +372,19 @@ class TestIO:
     def test_examples_round_trip(self, tmp_path, rng):
         tables, cascades = random_world(rng, 30)
         extractor = FeatureExtractor(tables, k=2)
-        index = np.arange(len(cascades))
-        examples = build_examples({"testville": as_store(cascades)},
-                                  {"testville": (index, index % 2)}, extractor)
+        store = as_store(cascades)
+        index = np.arange(len(store))
+        examples = build_examples({"testville": store}, {"testville": (index, index % 2)},
+                                  extractor)
+        assert examples.dtype == EXAMPLE_DTYPE and len(examples) == len(store)
+        for j, (row, cascade) in enumerate(zip(examples.tolist(), store)):
+            assert row[:4] == (0, *cascade.cascade_id[1:], j % 2)
+            assert np.array_equal(row[4], extractor.extract(cascade))
         path = tmp_path / "features.pkl"
-        save_examples(examples, path)
-        loaded = load_examples(path)
-        assert len(loaded) == len(examples)
-        for a, b in zip(examples, loaded):
-            assert a.cascade_id == b.cascade_id
-            assert a.label == b.label
-            assert np.array_equal(a.features, b.features)
+        save_examples(examples, ["testville"], path)
+        cities, loaded = load_examples(path)
+        assert cities == ["testville"]
+        assert loaded.dtype == EXAMPLE_DTYPE and loaded.tobytes() == examples.tobytes()
 
     def test_csv_header_names_all_features(self, tmp_path):
         data, cache = tmp_path / "data", tmp_path / "cache"

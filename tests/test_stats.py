@@ -8,8 +8,8 @@ from cascademine.stats import (ccdf_tail_slope, export_dot,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (as_store, as_stores, graph_from_edges, mk_cascade, random_events,
-                      random_graph, small_stores, stored)
+from conftest import (as_store, as_stores, mk_cascade, random_events, random_graph,
+                      small_stores, stored)
 from cascademine.cascades import SummaryRow, build_cascades, cascade_summary
 from cascademine.util import nearest_rank
 from oracles import DiscretePowerLawSampler, alpha_mle_approx
