@@ -9,14 +9,14 @@ Yelp dataset dumps):
   business: business_id, city, stars, review_count, categories, is_open
 
 Different dataset rounds encode ``friends``/``elite``/``categories`` either as
-JSON arrays or as comma-separated strings and dates with or without a time
-part; both forms are accepted. Malformed lines are skipped and counted per
-file, never fatal. String ids become dense integers in sorted order of the raw
-id strings, so re-ingesting the same files, in any line order, reproduces the
-exact same assignment. A user id is interned on first sight (in a user line, a
-friend list or an event) to a provisional integer, and the ids are renumbered
-once, after the last file. An id that only a replaced duplicate user line
-names gets none.
+JSON arrays or as comma-separated strings; both are accepted. A date is read
+from its ``YYYY-MM-DD`` prefix alone. A line that is not a JSON object, or whose
+id fields are not strings, is malformed: skipped and counted per file (counters
+in name order), never fatal. String ids become dense integers in sorted order
+of the raw id strings, so the caches do not depend on line order. A user id is
+interned on first sight (in a user line, a friend list or an event) to a
+provisional integer, renumbered once after the last file. A user's last line
+supersedes its earlier ones; an id that only a superseded line names gets none.
 
 A count, a rating or a date that is missing, malformed, negative, out of
 range (a rating outside 1..5) or not finite (``NaN``, ``Infinity``) is read as
@@ -24,9 +24,10 @@ absent: a business's ``stars`` and a user's ``average_stars`` are then NaN,
 a review's ``stars`` (rounded to whole stars first) 0. So is an event's
 ``votes`` total that does not fit int32 (it is stored as 0).
 
-Events, users and businesses are parsed straight into column tables, and the
-friendship graph is built once, as CSR (:mod:`cascademine.social`); the last
-three are the :class:`Profiles`. ``ingest`` writes two caches, one per reader:
+Events and user lines are parsed straight into flat typed arrays, with no
+object per line. The user and business tables and the friendship graph, built
+once as CSR (:mod:`cascademine.social`), are the :class:`Profiles`. ``ingest``
+writes two caches, one per reader:
 
 * ``ingest.pkl`` (:func:`save_ingest`), read by ``build-cascades``: a pickle of
   the :class:`IngestResult` fields but ``profiles`` in the envelope
@@ -43,6 +44,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -80,6 +82,7 @@ EVENT_DTYPE = np.dtype([("business_id", np.int32), ("user_id", np.int32), ("day"
                         ("votes", np.int32)])
 _MAX_COUNT = int(np.iinfo(np.int64).max)
 _MAX_VOTES = int(np.iinfo(np.int32).max)
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class EventKind(IntEnum):
@@ -109,12 +112,7 @@ class DatasetPaths:
     tip: Path
 
     def all(self) -> dict[str, Path]:
-        return {
-            "business": Path(self.business),
-            "user": Path(self.user),
-            "review": Path(self.review),
-            "tip": Path(self.tip),
-        }
+        return {name: Path(getattr(self, name)) for name in ("business", "user", "review", "tip")}
 
 
 @dataclass
@@ -155,11 +153,13 @@ def normalize_city(raw) -> str:
     return " ".join(raw.split()).casefold()
 
 
-def _parse_day(value) -> dt.date:
-    # Dates appear as "YYYY-MM-DD" or "YYYY-MM-DD HH:MM:SS"; day precision only.
-    if not isinstance(value, str) or len(value) < 10:
-        raise ValueError(f"bad date: {value!r}")
-    return dt.date.fromisoformat(value[:10])
+def _parse_day(value) -> int | None:
+    """The day ordinal of a ``YYYY-MM-DD`` date prefix, or None: no other form
+    (an ISO week date, say) is read, whatever the Python version."""
+    try:
+        return dt.date.fromisoformat(value[:10]).toordinal() if _DATE.match(value) else None
+    except (TypeError, ValueError):  # not a string, or a day such as 2015-02-30
+        return None
 
 
 def _as_int(value, default: int = 0) -> int:
@@ -197,28 +197,28 @@ def _id_list(value) -> list[str]:
     return [x for x in items if x and x != "None"]
 
 
-def _iter_json_lines(path: Path):
-    """Yield each non-blank line's JSON object, or None for a malformed line."""
+def _read_lines(path: Path, counts: Counter, *id_fields: str):
+    """Yield each non-blank line's JSON object whose ``id_fields`` are strings;
+    count every such line in ``counts["lines"]``, every other in ``"malformed"``."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             stripped = line.strip()
             if not stripped:
                 continue
+            counts["lines"] += 1
             try:
                 obj = json.loads(stripped)
             except (ValueError, RecursionError):  # bad JSON, a huge number, deep nesting
-                yield None
-                continue
-            yield obj if isinstance(obj, dict) else None
+                obj = None
+            if isinstance(obj, dict) and all(isinstance(obj.get(f), str) for f in id_fields):
+                yield obj
+            else:
+                counts["malformed"] += 1
 
 
 def _parse_businesses(path: Path, counts: Counter):
     records = {}
-    for obj in _iter_json_lines(path):
-        counts["lines"] += 1
-        if obj is None or not isinstance(obj.get("business_id"), str):
-            counts["malformed"] += 1
-            continue
+    for obj in _read_lines(path, counts, "business_id"):
         city = normalize_city(obj.get("city"))
         if not city:
             counts["empty_city"] += 1
@@ -235,45 +235,30 @@ def _parse_businesses(path: Path, counts: Counter):
 
 
 def _parse_users(path: Path, counts: Counter, seen: dict[str, int]):
-    """Map each listed user's provisional id (interned in ``seen``) to its
-    friends' provisional ids and its :data:`USER_DTYPE` row. A later line for
-    the same user replaces the earlier one."""
-    records = {}
-    for obj in _iter_json_lines(path):
-        counts["lines"] += 1
-        if obj is None or not isinstance(obj.get("user_id"), str):
-            counts["malformed"] += 1
-            continue
+    """Append each retained user line to flat arrays: to an ``array("q")`` its
+    provisional id (interned in ``seen``), friend count and integer USER_DTYPE
+    columns, to an ``array("d")`` its average_stars, to an ``array("i")`` its friends."""
+    columns, stars, friends = array("q"), array("d"), array("i")
+    for obj in _read_lines(path, counts, "user_id"):
         uid = seen.setdefault(obj["user_id"], len(seen))
-        try:
-            since = _parse_day(obj.get("yelping_since")).toordinal()
-        except ValueError:
-            since = 0
-        records[uid] = (
-            array("i", [seen.setdefault(f, len(seen)) for f in _id_list(obj.get("friends"))]),
-            (True, _as_int(obj.get("review_count")), _as_rating(obj.get("average_stars")), since,
-             _as_int(obj.get("fans")), len(_id_list(obj.get("elite")))),
-        )
+        listed = [seen.setdefault(f, len(seen)) for f in _id_list(obj.get("friends"))]
+        friends.extend(listed)
+        columns.extend((uid, len(listed), _as_int(obj.get("review_count")),
+                        _parse_day(obj.get("yelping_since")) or 0, _as_int(obj.get("fans")),
+                        len(_id_list(obj.get("elite")))))
+        stars.append(_as_rating(obj.get("average_stars")))
         counts["retained"] += 1
-    return records
+    return columns, stars, friends
 
 
 def _parse_events(path: Path, kind: EventKind, business_index: dict[str, int],
                   counts: Counter, seen: dict[str, int], rows: array) -> None:
     """Append each retained event's :data:`EVENT_DTYPE` fields, in order, to
     ``rows``, its user id as the provisional id interned in ``seen``."""
-    for obj in _iter_json_lines(path):
-        counts["lines"] += 1
-        if obj is None:
-            counts["malformed"] += 1
-            continue
-        uid, bid = obj.get("user_id"), obj.get("business_id")
-        if not isinstance(uid, str) or not isinstance(bid, str):
-            counts["malformed"] += 1
-            continue
-        try:
-            day = _parse_day(obj.get("date")).toordinal()
-        except ValueError:
+    for obj in _read_lines(path, counts, "user_id", "business_id"):
+        uid, bid = obj["user_id"], obj["business_id"]
+        day = _parse_day(obj.get("date"))
+        if day is None:
             counts["malformed"] += 1
             continue
         if bid not in business_index:
@@ -302,7 +287,7 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
         if not p.is_file():
             raise DataError(f"missing {name} file: {p}")
 
-    counts = {name: Counter() for name in ("business", "user", "review", "tip")}
+    counts = {name: Counter() for name in path_map}
     raw_businesses = _parse_businesses(path_map["business"], counts["business"])
     if not raw_businesses:
         raise DataError(f"no valid businesses in {path_map['business']}")
@@ -311,7 +296,7 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     business_ids = sorted(raw_businesses)
     business_index = {raw: i for i, raw in enumerate(business_ids)}
     seen: dict[str, int] = {}  # raw user id -> provisional id, in order of first sight
-    listings = _parse_users(path_map["user"], counts["user"], seen)
+    columns, stars, friends = _parse_users(path_map["user"], counts["user"], seen)
     rows = array("i")  # the EVENT_DTYPE fields, one event after another
     for name, kind in (("review", EventKind.REVIEW), ("tip", EventKind.TIP)):
         _parse_events(path_map[name], kind, business_index, counts[name], seen, rows)
@@ -319,11 +304,18 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
                            ).astype(EVENT_DTYPE)  # by position
     del rows
 
-    # Final ids: the raw ids that a kept listing, its friends or an event names
+    # Each user's last line: the first occurrence of its id in reverse.
+    lines = np.frombuffer(columns, np.int64).reshape(-1, 6)
+    keep = np.zeros(len(lines), np.bool_)
+    keep[len(lines) - 1 - np.unique(lines[::-1, 0], return_index=True)[1]] = True
+    last = lines[keep]
+    listed = last[:, 0].astype(np.int32)
+    src = np.repeat(listed, last[:, 1])
+    dst = np.frombuffer(friends, np.int32)[np.repeat(keep, lines[:, 1])]
+    del lines, columns, friends
+
+    # Final ids: the raw ids that a kept line, its friends or an event names
     # (not one named only on a superseded duplicate user line), in sorted order.
-    listed = np.fromiter(listings, np.int32, len(listings))
-    src = np.repeat(listed, [len(friends) for friends, _ in listings.values()])
-    dst = np.frombuffer(b"".join(friends for friends, _ in listings.values()), np.int32)
     used = np.zeros(len(seen), np.bool_)
     used[listed] = used[dst] = used[events["user_id"]] = True
     raw = list(seen)
@@ -334,9 +326,13 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     final[kept] = np.arange(len(kept), dtype=np.int32)
 
     users = np.zeros(len(user_ids), USER_DTYPE)
+    at = final[listed]
+    users["listed"][at] = True
+    for j, name in enumerate(("review_count", "yelping_since", "fans", "elite_years"), 2):
+        users[name][at] = last[:, j]
     users["average_stars"] = math.nan
-    users[final[listed]] = [row for _, row in listings.values()]
-    del listings
+    users["average_stars"][at] = np.frombuffer(stars, np.float64)[keep]
+    del last, stars
     src, dst = final[src], final[dst]  # drops the provisional ids before the build
     graph = social.build_graph(src, dst, n_nodes=len(user_ids))
     del src, dst
@@ -360,7 +356,7 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
         city_offsets=np.append(city_at, len(events)),
         user_ids=user_ids,
         business_ids=business_ids,
-        drop_counts={name: dict(c) for name, c in counts.items()},
+        drop_counts={name: dict(sorted(c.items())) for name, c in counts.items()},
         profiles=Profiles(users, businesses, cities, graph),
     )
 
@@ -408,8 +404,9 @@ def save_profiles(profiles: Profiles, path) -> None:
 
 
 def load_profiles(path) -> Profiles:
-    """Read ``profiles.npz``. A damaged file, another format or version, or
-    arrays that do not fit together raise DataError naming 'ingest'."""
+    """Read ``profiles.npz``. A damaged file, another format or version, arrays
+    that do not fit together or a neighbour row that is not strictly ascending
+    raise DataError naming 'ingest'."""
     arrays = load_arrays(path, PROFILES_FORMAT, PROFILES_VERSION, "ingest")
     try:
         users, businesses, cities = arrays["users"], arrays["businesses"], arrays["cities"]
@@ -420,6 +417,8 @@ def load_profiles(path) -> Profiles:
                 and len(indptr) == len(users) + 1 and indptr[0] == 0
                 and indptr[-1] == len(indices) and (np.diff(indptr) >= 0).all()
                 and ((0 <= indices) & (indices < len(users))).all()
+                # each row strictly ascending: a step down only where a row starts
+                and np.isin(np.flatnonzero(np.diff(indices) <= 0), indptr - 1).all()
                 and ((0 <= businesses["city"]) & (businesses["city"] < len(cities))).all())
         if not fits:
             raise ValueError("the arrays do not fit together")

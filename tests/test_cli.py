@@ -338,6 +338,13 @@ class TestExitCodes:
         with np.load(store) as npz:
             arrays = {name: npz[name] for name in npz.files}
         assert arrays["format"].tolist() == "cascademine.profiles"
+        indptr, indices = arrays["indptr"], arrays["indices"]
+        hub = int(np.argmax(np.diff(indptr)))  # a row of at least 3 neighbours
+        row = slice(indptr[hub], indptr[hub + 1])
+        assert row.stop - row.start >= 3
+        reversed_row, repeated = indices.copy(), indices.copy()
+        reversed_row[row] = indices[row][::-1]
+        repeated[row.start + 1] = indices[row.start]  # a neighbour listed twice
         damaged = [
             good[:len(good) // 2],  # truncated
             b"not a zip archive\n",
@@ -348,6 +355,8 @@ class TestExitCodes:
             {**arrays, "users": arrays["users"][["listed", "fans"]]},  # other columns
             {**arrays, "cities": arrays["cities"][:0]},  # city index out of range
             {**arrays, "cities": arrays["cities"].astype(object)},  # needs pickle
+            {**arrays, "indices": reversed_row},  # rows are binary-searched
+            {**arrays, "indices": repeated},
         ]
         for payload in damaged:
             if isinstance(payload, bytes):

@@ -1,6 +1,8 @@
 import datetime as dt
 import json
 import pickle
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +99,35 @@ class TestIngest:
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert f"[ingest] {name}: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["business", "user", "review", "tip"])
+    def test_non_object_or_non_string_id_counted_malformed(self, tmp_path, name):
+        event = {"user_id": "a", "business_id": "b1", "date": "2012-01-02", "text": "t"}
+        ids = {"business": ["business_id"], "user": ["user_id"],
+               "review": ["user_id", "business_id"], "tip": ["user_id", "business_id"]}[name]
+        good = {"business": BIZ[0], "user": USERS[0], "review": event, "tip": event}[name]
+        bad = ["[1]", '"x"', "7", "null"] + [{**good, field: value} for field in ids
+                                             for value in (7, None)]
+        files = {"business": BIZ, "user": USERS, "review": [event], "tip": [event]}
+        files[name] = files[name] + bad
+        result = ingest_dataset(make_dataset(tmp_path, *files.values()))
+        for file, c in result.drop_counts.items():
+            assert c["lines"] == sum(n for key, n in c.items() if key != "lines"), file
+        assert result.drop_counts[name]["malformed"] == len(bad)
+        assert result.drop_counts[name]["retained"] == len(files[name]) - len(bad)
+        assert result.n_events == 2
+
+    def test_only_calendar_date_prefix_read(self, tmp_path):
+        # Python 3.11's date.fromisoformat reads ISO week dates; 3.10 does not
+        reviews = [{"user_id": "a", "business_id": "b1", "date": day, "text": "x"}
+                   for day in ("2015-W01-1", "2015-02-30", "20150101", "2015-01-01T10")]
+        users = [{**USERS[0], "yelping_since": "2015-W01-1"}, USERS[1]]
+        result = ingest_dataset(make_dataset(tmp_path, BIZ, users, reviews, []))
+        assert result.drop_counts["review"] == {"lines": 4, "malformed": 3, "retained": 1}
+        assert result.events["day"].tolist() == [dt.date(2015, 1, 1).toordinal()]
+        since = dict(zip(result.user_ids, result.profiles.users["yelping_since"].tolist()))
+        assert since["a"] == 0  # absent
+        assert since["b"] == dt.date(2011, 1, 15).toordinal()
+
     def test_drop_count_accounting(self, tmp_path):
         reviews = [
             {"user_id": "a", "business_id": "b1", "date": "2012-01-01", "text": "x"},
@@ -142,12 +173,14 @@ class TestIngest:
 
     def test_interning_independent_of_line_order(self, tmp_path):
         users = USERS + [{"user_id": "q", "friends": ["z", "c", "a"], "review_count": 7,
-                          "average_stars": 3.5}]
+                          "average_stars": 3.5}, "{not json"]
         reviews = [{"user_id": u, "business_id": "b1", "date": "2012-01-01", "text": u * 3}
                    for u in ("z", "m", "a")]
         tips = [{"user_id": "q", "business_id": "b1", "date": "2012-01-02", "text": ""}]
 
         def friends_reversed(user):
+            if isinstance(user, str):
+                return user
             friends = user["friends"]
             return {**user, "friends": friends[::-1] if isinstance(friends, list)
                     else ",".join(friends.split(",")[::-1])}
@@ -155,13 +188,18 @@ class TestIngest:
         inputs = [(users, reviews), (users, reviews[::-1]), (users[::-1], reviews),
                   ([friends_reversed(u) for u in users], reviews),
                   ([friends_reversed(u) for u in users[::-1]], reviews[::-1])]
-        results = []
+        results, caches = [], []
         for i, (user_lines, review_lines) in enumerate(inputs):
             (tmp_path / str(i)).mkdir()
             results.append(ingest_dataset(
                 make_dataset(tmp_path / str(i), BIZ, user_lines, review_lines, tips)))
+            save_ingest(results[-1], tmp_path / str(i) / "ingest.pkl")
+            caches.append((tmp_path / str(i) / "ingest.pkl").read_bytes())
         first = results[0]
         assert first.user_ids == ["a", "b", "c", "m", "q", "z"]
+        assert first.drop_counts["user"]["malformed"] == 1
+        # the drop counters too: their order must not follow the first drop's line
+        assert all(cache == caches[0] for cache in caches[1:])
         for other in results[1:]:
             assert other.user_ids == first.user_ids
             assert other.business_ids == first.business_ids
@@ -175,14 +213,38 @@ class TestIngest:
 
     def test_duplicate_user_line_replaces_earlier(self, tmp_path):
         users = [{"user_id": "a", "friends": ["x"], "fans": 1},
-                 {"user_id": "a", "friends": ["y"], "fans": 2}]
+                 {"user_id": "b", "friends": ["a", "z"], "fans": 4, "average_stars": 2},
+                 {"user_id": "a", "friends": ["y"], "fans": 2},
+                 {"user_id": "b", "friends": [], "fans": 3}]
         result = ingest_dataset(make_dataset(tmp_path, BIZ, users, [], []))
-        # 'x' is named only on the superseded line, so it gets no id
-        assert result.user_ids == ["a", "y"]
+        # 'x' and 'z' are named only on superseded lines, so they get no id
+        assert result.user_ids == ["a", "b", "y"]
         graph = result.profiles.graph
-        assert graph.degree(0) == 1 and graph.are_friends(0, 1)
-        assert result.profiles.users["fans"].tolist() == [2, 0]
-        assert result.drop_counts["user"]["retained"] == 2
+        assert graph.degree(0) == 1 and graph.are_friends(0, 2)
+        assert graph.degree(1) == 0  # its kept line lists no friends
+        table = result.profiles.users
+        assert table["fans"].tolist() == [2, 3, 0]
+        assert table["listed"].tolist() == [True, True, False]
+        assert np.isnan(table["average_stars"]).all()
+        assert result.drop_counts["user"]["retained"] == 4
+
+    def test_user_listing_memory_per_user(self, tmp_path):
+        # no Python object is kept per user line: the tracemalloc peak was
+        # about 650 B per listed user with a dict entry, a friend array and a
+        # row tuple per user, and about 470 B with flat arrays
+        n, rnd = 5_000, random.Random(3)
+        users = [{"user_id": f"user{i:07d}", "review_count": i, "average_stars": 3.5,
+                  "friends": [f"user{rnd.randrange(n):07d}" for _ in range(6)],
+                  "yelping_since": "2012-03-04", "fans": 1, "elite": "2012,2013"}
+                 for i in range(n)]
+        paths = make_dataset(tmp_path, BIZ, users, [], [])
+        tracemalloc.start()
+        try:
+            ingest_dataset(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 560, f"{peak / n:.0f} B per listed user"
 
     def test_friends_both_encodings_and_elite(self, tmp_path):
         result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, [], []))
