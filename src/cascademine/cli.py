@@ -25,7 +25,7 @@ from cascademine.ingest import (DatasetPaths, ingest_dataset, load_ingest, load_
                                 save_ingest, save_profiles, yearly_activity_counts)
 from cascademine.social import build_graph  # noqa: F401; pipebench/tracing.py patches it here
 from cascademine.synth import SynthConfig, generate_synthetic
-from cascademine.util import save_cache, substream_seed, write_csv, write_json
+from cascademine.util import fork_map, save_cache, substream_seed, write_csv, write_json
 
 SCHEMA_VERSION = 1
 
@@ -267,10 +267,10 @@ def stage_evaluate(cfg: RunConfig) -> None:
         try:
             gbdt_rep = learn.cross_validate(
                 X, y, _gbdt_fit(cfg), folds=cfg.folds,
-                seed=substream_seed(cfg.seed, "cv", "gbdt", city))
+                seed=substream_seed(cfg.seed, "cv", "gbdt", city), mapper=fork_map)
             logreg_rep = learn.cross_validate(
                 X, y, _logreg_fit(cfg), folds=cfg.folds,
-                seed=substream_seed(cfg.seed, "cv", "logreg", city))
+                seed=substream_seed(cfg.seed, "cv", "logreg", city), mapper=fork_map)
         except learn.TooFewExamples as exc:
             print(f"[evaluate] skipped {city}: {exc} ({len(y)} examples)")
             report["skipped"].append([city, str(exc)])

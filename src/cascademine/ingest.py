@@ -18,6 +18,12 @@ interned on first sight (in a user line, a friend list or an event) to a
 provisional integer, renumbered once after the last file. A user's last line
 supersedes its earlier ones; an id that only a superseded line names gets none.
 
+The business file is parsed first. The user, review and tip files are then
+parsed in parallel, one forked worker per CPU of the affinity mask
+(:func:`cascademine.util.fork_map`), each interning user ids into a dict of its
+own; the caller merges those in file order into the provisional ids, so the
+caches are byte-identical at any CPU count.
+
 A count, a rating or a date that is missing, malformed, negative, out of
 range (a rating outside 1..5) or not finite (``NaN``, ``Infinity``) is read as
 absent: a business's ``stars`` and a user's ``average_stars`` are then NaN,
@@ -45,6 +51,7 @@ import datetime as dt
 import json
 import math
 import re
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,7 +62,8 @@ import numpy as np
 
 import cascademine.social as social
 from cascademine.errors import DataError
-from cascademine.util import ascending_names, load_arrays, load_cache, save_arrays, save_cache
+from cascademine.util import (ascending_names, fork_map, load_arrays, load_cache, save_arrays,
+                              save_cache)
 
 CACHE_FORMAT = "cascademine.ingest"
 CACHE_VERSION = 5
@@ -83,6 +91,7 @@ EVENT_DTYPE = np.dtype([("business_id", np.int32), ("user_id", np.int32), ("day"
 _MAX_COUNT = int(np.iinfo(np.int64).max)
 _MAX_VOTES = int(np.iinfo(np.int32).max)
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_PARALLEL_FILES = ("user", "review", "tip")  # parsed in parallel, merged in this order
 
 
 class EventKind(IntEnum):
@@ -216,6 +225,15 @@ def _read_lines(path: Path, counts: Counter, *id_fields: str):
                 counts["malformed"] += 1
 
 
+def _event_table(rows: array, local: np.ndarray) -> np.ndarray:
+    """An :data:`EVENT_DTYPE` table of :func:`_parse_events`' rows, its local
+    user ids mapped through ``local``."""
+    events = np.frombuffer(rows, [(name, np.int32) for name in EVENT_DTYPE.names]
+                           ).astype(EVENT_DTYPE)  # by position
+    events["user_id"] = local[events["user_id"]]
+    return events
+
+
 def _parse_businesses(path: Path, counts: Counter):
     records = {}
     for obj in _read_lines(path, counts, "business_id"):
@@ -252,9 +270,10 @@ def _parse_users(path: Path, counts: Counter, seen: dict[str, int]):
 
 
 def _parse_events(path: Path, kind: EventKind, business_index: dict[str, int],
-                  counts: Counter, seen: dict[str, int], rows: array) -> None:
-    """Append each retained event's :data:`EVENT_DTYPE` fields, in order, to
-    ``rows``, its user id as the provisional id interned in ``seen``."""
+                  counts: Counter, seen: dict[str, int]) -> array:
+    """The :data:`EVENT_DTYPE` fields of each retained event, in order, in one
+    flat array, its user id as the provisional id interned in ``seen``."""
+    rows = array("i")
     for obj in _read_lines(path, counts, "user_id", "business_id"):
         uid, bid = obj["user_id"], obj["business_id"]
         day = _parse_day(obj.get("date"))
@@ -274,13 +293,28 @@ def _parse_events(path: Path, kind: EventKind, business_index: dict[str, int],
                      stars if 1 <= stars <= 5 else 0, len(text) if isinstance(text, str) else 0,
                      votes if votes <= _MAX_VOTES else 0))
         counts["retained"] += 1
+    return rows
+
+
+def _parse_file(name: str, path: Path, business_index: dict[str, int]):
+    """Parse the user, review or tip file with user ids interned locally: its
+    drop counters, its raw user ids in order of first sight (local id ``i`` is
+    ``raw[i]``) and what :func:`_parse_users` or :func:`_parse_events` returns."""
+    counts, seen = Counter(), {}
+    if name == "user":
+        parsed = _parse_users(path, counts, seen)
+    else:
+        parsed = _parse_events(path, EventKind[name.upper()], business_index, counts, seen)
+    return counts, list(seen), parsed
 
 
 def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     """Parse the four dataset files into interned, city-partitioned tables.
 
-    Raises DataError for a missing file or when no valid business survives;
-    malformed lines only increment per-file drop counters.
+    The business file is parsed first; the user, review and tip files then
+    in parallel through :func:`fork_map`. Raises DataError for a missing file
+    or when no valid business survives; malformed lines only increment
+    per-file drop counters.
     """
     path_map = paths.all()
     for name, p in path_map.items():
@@ -295,23 +329,28 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     # the input content and not of file ordering.
     business_ids = sorted(raw_businesses)
     business_index = {raw: i for i, raw in enumerate(business_ids)}
-    seen: dict[str, int] = {}  # raw user id -> provisional id, in order of first sight
-    columns, stars, friends = _parse_users(path_map["user"], counts["user"], seen)
-    rows = array("i")  # the EVENT_DTYPE fields, one event after another
-    for name, kind in (("review", EventKind.REVIEW), ("tip", EventKind.TIP)):
-        _parse_events(path_map[name], kind, business_index, counts[name], seen, rows)
-    events = np.frombuffer(rows, [(name, np.int32) for name in EVENT_DTYPE.names]
-                           ).astype(EVENT_DTYPE)  # by position
-    del rows
+    parts = dict(zip(_PARALLEL_FILES, fork_map(
+        lambda name: _parse_file(name, path_map[name], business_index), _PARALLEL_FILES)))
+    # Provisional ids: each file's local ids merged in file order, so a raw
+    # user id gets the number of its first sight across the user, review and
+    # tip files, as if one dict had interned all three.
+    seen: dict[str, int] = {}
+    local = {}  # file name -> its local id -> provisional id
+    for name, (file_counts, raw, _) in parts.items():
+        counts[name] = file_counts
+        local[name] = np.array([seen.setdefault(r, len(seen)) for r in raw], np.int32)
+    columns, stars, friends = parts.pop("user")[2]
+    events = np.concatenate([_event_table(parts.pop(name)[2], local[name])
+                             for name in ("review", "tip")])
 
     # Each user's last line: the first occurrence of its id in reverse.
     lines = np.frombuffer(columns, np.int64).reshape(-1, 6)
     keep = np.zeros(len(lines), np.bool_)
     keep[len(lines) - 1 - np.unique(lines[::-1, 0], return_index=True)[1]] = True
     last = lines[keep]
-    listed = last[:, 0].astype(np.int32)
+    listed = local["user"][last[:, 0]]
     src = np.repeat(listed, last[:, 1])
-    dst = np.frombuffer(friends, np.int32)[np.repeat(keep, lines[:, 1])]
+    dst = local["user"][np.frombuffer(friends, np.int32)[np.repeat(keep, lines[:, 1])]]
     del lines, columns, friends
 
     # Final ids: the raw ids that a kept line, its friends or an event names
@@ -356,7 +395,10 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
         city_offsets=np.append(city_at, len(events)),
         user_ids=user_ids,
         business_ids=business_ids,
-        drop_counts={name: dict(sorted(c.items())) for name, c in counts.items()},
+        # pickle memoizes a string by identity: the interned name, not the copy
+        # a worker sent back, keeps ingest.pkl's bytes the same at any CPU count
+        drop_counts={name: {sys.intern(k): v for k, v in sorted(c.items())}
+                     for name, c in counts.items()},
         profiles=Profiles(users, businesses, cities, graph),
     )
 

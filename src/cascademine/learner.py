@@ -18,11 +18,13 @@ Two learners, both written against plain numpy arrays:
 
 Evaluation is stratified k-fold cross-validation with the ROC pooled over
 out-of-fold scores and AUC by the trapezoid rule; it fits one model per fold
-and nothing else. Feature importance is read from a model fitted on all rows
-(the `train` stage's) and follows the depth of the decision nodes that use a
-feature: each split contributes 2**(-depth), so a root split counts 1, its
-children 1/2, and so on; split gain totals are kept alongside as a secondary
-ranking.
+and nothing else. The folds run one after another unless the caller passes a
+parallel map such as :func:`cascademine.util.fork_map`, as the ``evaluate``
+stage does; the scores, and so the report, are the same either way. Feature
+importance is read from a model fitted on all rows (the `train` stage's) and
+follows the depth of the decision nodes that use a feature: each split
+contributes 2**(-depth), so a root split counts 1, its children 1/2, and so
+on; split gain totals are kept alongside as a secondary ranking.
 """
 
 from __future__ import annotations
@@ -408,13 +410,16 @@ class TooFewExamples(ValueError):
 
 
 def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 5,
-                   seed: int = 0) -> CrossValReport:
+                   seed: int = 0, mapper: Callable = map) -> CrossValReport:
     """Stratified k-fold CV; the ROC pools out-of-fold scores from all folds.
 
     ``fit`` is called exactly ``folds`` times, each on the training folds
     only, so any inner standardization never sees test rows. No model is fit
     on all rows here: the `train` stage's full-data fit is the one importance
-    comes from.
+    comes from. The folds run through ``mapper(fold_scores, range(folds))``,
+    which must yield each fold's out-of-fold scores in fold order: the builtin
+    ``map`` runs them here, in turn; :func:`cascademine.util.fork_map` runs
+    them in forked workers with the same results.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -424,12 +429,15 @@ def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 
             raise TooFewExamples(f"need at least {folds} examples of class {cls}")
 
     assignment = stratified_folds(y, folds, seed)
+
+    def fold_scores(f: int) -> np.ndarray:
+        test = assignment == f
+        return fit(X[~test], y[~test]).predict_proba(X[test])
+
     pooled_scores = np.empty(len(y), dtype=np.float64)
     fold_acc = []
-    for f in range(folds):
+    for f, proba in enumerate(mapper(fold_scores, range(folds))):
         test = assignment == f
-        model = fit(X[~test], y[~test])
-        proba = model.predict_proba(X[test])
         pooled_scores[test] = proba
         fold_acc.append(float(np.mean((proba >= 0.5).astype(np.int64) == y[test])))
 

@@ -1,5 +1,5 @@
-"""Small shared helpers: rank statistics, deterministic seed derivation, and
-the output formats every stage writes through.
+"""Small shared helpers: rank statistics, deterministic seed derivation, a
+fork-based parallel map, and the output formats every stage writes through.
 
 Every CSV export goes through :func:`write_csv` (UTF-8, standard minimal
 quoting, so a city named "Saint Louis, MO" or "Montréal" round-trips), every
@@ -16,9 +16,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pickle
 import zipfile
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,6 +55,103 @@ def substream_seed(global_seed: int, *names: str) -> int:
         h.update(b"\x00")
         h.update(str(name).encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "big")
+
+
+_in_worker = False  # set in a fork_map worker, where a nested fork_map runs inline
+
+
+class WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a fork_map worker,
+    chained as the cause of that exception when it is raised again."""
+
+
+def _serve(fn: Callable, share: list, fd: int) -> None:
+    """A fork_map worker: run ``share``, pickle the outcome to ``fd`` and leave
+    through ``os._exit``, so no handler or buffer of the parent's runs here."""
+    global _in_worker
+    code = 1
+    try:
+        _in_worker = True
+        try:
+            reply = (True, [fn(item) for item in share], "")
+        except BaseException as exc:  # any failure, interrupts too, goes to the parent
+            import traceback  # worker only: the import is not paid on every run
+
+            reply = (False, exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+            if not reply[0]:
+                pickle.loads(data)  # an exception the parent cannot rebuild
+        except Exception as exc:
+            what = exc if reply[0] else reply[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(what).__name__}: {what}"),
+                                 reply[2]), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def fork_map(fn: Callable, items: Iterable) -> list:
+    """``[fn(item) for item in items]``, with the items shared out over the CPUs
+    of this process's affinity mask.
+
+    Each worker is a plain ``os.fork`` of this process, so ``fn`` may be a
+    closure and sees the caller's state as it was at the call; what ``fn``
+    changes there is lost. Results, and an exception with its type and
+    message, come back pickled over a pipe. The items go out in contiguous
+    shares, one per CPU but never more than there are items, and this process
+    runs the last share itself. A worker that dies without a result raises
+    RuntimeError; every worker is reaped before this returns or raises. With
+    one CPU, no ``fork`` or ``sched_getaffinity``, or inside a worker, it runs
+    inline. A fork copies only the calling thread, so call this where no
+    other thread holds a lock that ``fn`` needs; numpy's OpenBLAS thread
+    pool handles fork itself.
+    """
+    items = list(items)
+    affinity = getattr(os, "sched_getaffinity", None)
+    n = 1 if _in_worker or affinity is None or not hasattr(os, "fork") else \
+        min(len(affinity(0)), len(items))
+    if n <= 1:
+        return [fn(item) for item in items]
+    shares = [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
+    pending = {}  # worker pid -> read end of its pipe, until it is reaped
+    try:
+        for share in shares[:-1]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, share, w)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            pending[pid] = r
+        own = [fn(item) for item in shares[-1]]
+        results = []
+        for pid in list(pending):
+            with open(pending[pid], "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(pending.pop(pid))
+            if code != 0:
+                raise RuntimeError(f"fork_map worker {pid} exited with {code} "
+                                   "before sending its results")
+            ok, value, tb = pickle.loads(data)  # bytes that this program's worker wrote
+            if not ok:
+                raise value from WorkerTraceback(tb)
+            results += value
+        return results + own
+    finally:  # an error here or in a worker: stop and reap the rest
+        if pending:
+            import signal  # on failure only: start-up does not pay for the import
+        for pid, r in pending.items():
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

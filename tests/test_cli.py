@@ -442,8 +442,10 @@ class TestExitCodes:
         assert main(["train", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
         assert "feature column 4 has non-finite values" in capsys.readouterr().err
 
-    def test_non_finite_feature_fails_evaluate(self, tmp_path, capsys):
-        # a data fault is not a city too small for the folds
+    def test_non_finite_feature_fails_evaluate(self, tmp_path, capsys, monkeypatch):
+        # a data fault is not a city too small for the folds; the folds that
+        # train on the bad row fail in the forked worker and in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         examples = random_examples(np.random.default_rng(5), 20)
         examples["features"][3, 4] = np.inf
         save_examples(examples, ["acity"], tmp_path / "features.pkl")
@@ -451,6 +453,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "acity: feature column 4 has non-finite values" in err
         assert not (tmp_path / "eval.json").exists()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_caches_of_earlier_versions_are_data_errors(self, tmp_path, capsys):
         for name, fmt, version, stage, rerun in (
@@ -634,6 +638,24 @@ class TestPipeline:
             cache = tmp_path / sub
             assert main(["all", *pipeline_args(fixture_dataset, cache)]) == 0
             hashes.append(file_hashes(cache))
+        assert hashes[0] == hashes[1]
+
+    def test_outputs_identical_at_one_and_two_cpus(self, fixture_dataset, tmp_path,
+                                                   monkeypatch):
+        # ingest and evaluate fork one worker per CPU of the affinity mask; the
+        # forks are counted in this process, which only the parent increments
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        hashes = []
+        for n in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
+            cache = tmp_path / f"cpus{n}"
+            forks.clear()
+            assert main(["all", *pipeline_args(fixture_dataset, cache)]) == 0
+            assert main(["export-dot", *pipeline_args(fixture_dataset, cache)]) == 0
+            assert (len(forks) > 0) == (n > 1)
+            hashes.append(file_hashes(cache))
+        assert "ingest.pkl" in hashes[0]  # drop counters from workers: same pickle bytes
         assert hashes[0] == hashes[1]
 
 

@@ -1,3 +1,4 @@
+import os
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ from cascademine.learner import (GbdtModel, Tree, auc_trapezoid, cross_validate,
                                  logistic_smooth_grad, logistic_smooth_objective,
                                  roc_curve, sigmoid, split_gain_importance,
                                  stratified_folds, train_gbdt, train_logreg)
+from cascademine.util import fork_map
 from oracles import mann_whitney_auc, reference_train_gbdt, roc_by_walking, staged_raw_scores
 
 
@@ -374,3 +376,12 @@ class TestCrossValidation:
         cross_validate(X, y, counting_fit, folds=4, seed=0)
         assert len(calls) == 4
         assert all(n < len(y) for n in calls)  # no fit on all rows
+
+    def test_forked_folds_report_equals_serial(self, rng, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        X = rng.normal(size=(120, 4))
+        y = (X[:, 0] + rng.normal(size=120) > 0).astype(np.int64)
+        for fit in (lambda A, b: train_gbdt(A, b, n_trees=10), train_logreg):
+            serial = cross_validate(X, y, fit, folds=5, seed=2)
+            forked = cross_validate(X, y, fit, folds=5, seed=2, mapper=fork_map)
+            assert pickle.dumps(forked) == pickle.dumps(serial)
