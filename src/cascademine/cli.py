@@ -260,43 +260,29 @@ def stage_train(cfg: RunConfig) -> None:
 
 def stage_evaluate(cfg: RunConfig) -> None:
     by_city = _examples_by_city(cfg)
+    learners = {"gbdt": _gbdt_fit(cfg), "logreg": _logreg_fit(cfg)}
     report = {"schema_version": SCHEMA_VERSION, "cities": {}, "skipped": []}
     acc_rows = []
     roc_rows = []
     for city, (X, y) in by_city.items():
         try:
-            gbdt_rep = learn.cross_validate(
-                X, y, _gbdt_fit(cfg), folds=cfg.folds,
-                seed=substream_seed(cfg.seed, "cv", "gbdt", city), mapper=fork_map)
-            logreg_rep = learn.cross_validate(
-                X, y, _logreg_fit(cfg), folds=cfg.folds,
-                seed=substream_seed(cfg.seed, "cv", "logreg", city), mapper=fork_map)
+            reps = {name: learn.cross_validate(
+                        X, y, fit, folds=cfg.folds,
+                        seed=substream_seed(cfg.seed, "cv", name, city), mapper=fork_map)
+                    for name, fit in learners.items()}
         except learn.TooFewExamples as exc:
             print(f"[evaluate] skipped {city}: {exc} ({len(y)} examples)")
             report["skipped"].append([city, str(exc)])
             continue
         except ValueError as exc:
             raise DataError(f"{city}: {exc}") from exc
-        report["cities"][city] = {
-            "n_examples": len(y),
-            "gbdt": {
-                "fold_accuracies": gbdt_rep.fold_accuracies,
-                "mean_accuracy": gbdt_rep.mean_accuracy,
-                "auc": gbdt_rep.auc,
-            },
-            "logreg": {
-                "fold_accuracies": logreg_rep.fold_accuracies,
-                "mean_accuracy": logreg_rep.mean_accuracy,
-                "auc": logreg_rep.auc,
-            },
-        }
-        for fold, acc in enumerate(gbdt_rep.fold_accuracies):
-            acc_rows.append((city, fold, acc))
-        for fpr, tpr, thr in gbdt_rep.roc:
-            roc_rows.append((city, fpr, tpr, thr))
-        print(f"[evaluate] {city}: gbdt acc={gbdt_rep.mean_accuracy:.3f} "
-              f"auc={gbdt_rep.auc:.3f} | logreg acc={logreg_rep.mean_accuracy:.3f} "
-              f"auc={logreg_rep.auc:.3f}")
+        report["cities"][city] = {"n_examples": len(y), **{
+            name: {"fold_accuracies": rep.fold_accuracies, "mean_accuracy": rep.mean_accuracy,
+                   "auc": rep.auc} for name, rep in reps.items()}}
+        acc_rows += [(city, fold, acc) for fold, acc in enumerate(reps["gbdt"].fold_accuracies)]
+        roc_rows += [(city, *point) for point in reps["gbdt"].roc]
+        print(f"[evaluate] {city}: " + " | ".join(
+            f"{name} acc={rep.mean_accuracy:.3f} auc={rep.auc:.3f}" for name, rep in reps.items()))
     write_json(cfg.cache_path("eval.json"), report)
     write_csv(cfg.cache_path("accuracy.csv"), ("city", "fold", "accuracy"), acc_rows)
     write_csv(cfg.cache_path("roc.csv"), ("city", "fpr", "tpr", "threshold"), roc_rows)
@@ -440,7 +426,9 @@ def main(argv=None) -> int:
     except MissingStageError as exc:
         print(f"missing prerequisite: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # a broken pipe or a failed fork: no input or output file to name
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -13,15 +13,16 @@ JSON arrays or as comma-separated strings; both are accepted. A date is read
 from its ``YYYY-MM-DD`` prefix alone. A line that is not a JSON object, or whose
 id fields are not strings, is malformed: skipped and counted per file (counters
 in name order), never fatal. String ids become dense integers in sorted order
-of the raw id strings, so the caches do not depend on line order. A user id is
-interned on first sight (in a user line, a friend list or an event) to a
-provisional integer, renumbered once after the last file. A user's last line
-supersedes its earlier ones; an id that only a superseded line names gets none.
+of the raw id strings, so the caches do not depend on line order. A user's
+last line supersedes its earlier ones: a user id is numbered if a kept user
+line, its friend list or a retained event names it, and an id that only a
+superseded line names gets none.
 
 The business file is parsed first. The user, review and tip files are then
 parsed in parallel, one forked worker per CPU of the affinity mask
-(:func:`cascademine.util.fork_map`), each interning user ids into a dict of its
-own; the caller merges those in file order into the provisional ids, so the
+(:func:`cascademine.util.fork_map`), each interning user ids into local ids of
+its own, in order of first sight. The caller numbers the raw ids once, in
+sorted order, and maps each file's local ids straight to those numbers, so the
 caches are byte-identical at any CPU count.
 
 A count, a rating or a date that is missing, malformed, negative, out of
@@ -56,6 +57,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +93,7 @@ EVENT_DTYPE = np.dtype([("business_id", np.int32), ("user_id", np.int32), ("day"
 _MAX_COUNT = int(np.iinfo(np.int64).max)
 _MAX_VOTES = int(np.iinfo(np.int32).max)
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_PARALLEL_FILES = ("user", "review", "tip")  # parsed in parallel, merged in this order
+_PARALLEL_FILES = ("user", "review", "tip")  # parsed in parallel, shared out in this order
 
 
 class EventKind(IntEnum):
@@ -254,8 +256,9 @@ def _parse_businesses(path: Path, counts: Counter):
 
 def _parse_users(path: Path, counts: Counter, seen: dict[str, int]):
     """Append each retained user line to flat arrays: to an ``array("q")`` its
-    provisional id (interned in ``seen``), friend count and integer USER_DTYPE
-    columns, to an ``array("d")`` its average_stars, to an ``array("i")`` its friends."""
+    local id (interned in ``seen``), friend count and integer USER_DTYPE columns,
+    to an ``array("d")`` its average_stars, to an ``array("i")`` its friends'
+    local ids."""
     columns, stars, friends = array("q"), array("d"), array("i")
     for obj in _read_lines(path, counts, "user_id"):
         uid = seen.setdefault(obj["user_id"], len(seen))
@@ -272,7 +275,7 @@ def _parse_users(path: Path, counts: Counter, seen: dict[str, int]):
 def _parse_events(path: Path, kind: EventKind, business_index: dict[str, int],
                   counts: Counter, seen: dict[str, int]) -> array:
     """The :data:`EVENT_DTYPE` fields of each retained event, in order, in one
-    flat array, its user id as the provisional id interned in ``seen``."""
+    flat array, its user id as the local id interned in ``seen``."""
     rows = array("i")
     for obj in _read_lines(path, counts, "user_id", "business_id"):
         uid, bid = obj["user_id"], obj["business_id"]
@@ -329,53 +332,50 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     # the input content and not of file ordering.
     business_ids = sorted(raw_businesses)
     business_index = {raw: i for i, raw in enumerate(business_ids)}
-    parts = dict(zip(_PARALLEL_FILES, fork_map(
-        lambda name: _parse_file(name, path_map[name], business_index), _PARALLEL_FILES)))
-    # Provisional ids: each file's local ids merged in file order, so a raw
-    # user id gets the number of its first sight across the user, review and
-    # tip files, as if one dict had interned all three.
-    seen: dict[str, int] = {}
-    local = {}  # file name -> its local id -> provisional id
-    for name, (file_counts, raw, _) in parts.items():
-        counts[name] = file_counts
-        local[name] = np.array([seen.setdefault(r, len(seen)) for r in raw], np.int32)
-    columns, stars, friends = parts.pop("user")[2]
-    events = np.concatenate([_event_table(parts.pop(name)[2], local[name])
-                             for name in ("review", "tip")])
+    parts = fork_map(lambda name: _parse_file(name, path_map[name], business_index),
+                     _PARALLEL_FILES)
+    counts.update((name, part[0]) for name, part in zip(_PARALLEL_FILES, parts))
+    _, user_raw, (columns, stars, friends) = parts.pop(0)  # leaves the event files
 
     # Each user's last line: the first occurrence of its id in reverse.
     lines = np.frombuffer(columns, np.int64).reshape(-1, 6)
     keep = np.zeros(len(lines), np.bool_)
     keep[len(lines) - 1 - np.unique(lines[::-1, 0], return_index=True)[1]] = True
     last = lines[keep]
-    listed = local["user"][last[:, 0]]
-    src = np.repeat(listed, last[:, 1])
-    dst = local["user"][np.frombuffer(friends, np.int32)[np.repeat(keep, lines[:, 1])]]
+    dst = np.frombuffer(friends, np.int32)[np.repeat(keep, lines[:, 1])]
     del lines, columns, friends
 
-    # Final ids: the raw ids that a kept line, its friends or an event names
-    # (not one named only on a superseded duplicate user line), in sorted order.
-    used = np.zeros(len(seen), np.bool_)
-    used[listed] = used[dst] = used[events["user_id"]] = True
-    raw = list(seen)
-    del seen
-    kept = sorted(np.flatnonzero(used).tolist(), key=raw.__getitem__)
-    user_ids = [raw[i] for i in kept]
-    final = np.full(len(used), -1, np.int32)  # provisional id -> final id
-    final[kept] = np.arange(len(kept), dtype=np.int32)
+    # Final ids: the raw ids that a kept line, its friends or a retained event
+    # names (not one named only on a superseded duplicate user line), numbered
+    # once in sorted order. Each file's local ids map straight to them.
+    named = np.zeros(len(user_raw), np.bool_)
+    named[last[:, 0]] = named[dst] = True
+    used = set(map(user_raw.__getitem__, np.flatnonzero(named).tolist()))
+    for _, raw, _ in parts:
+        used.update(raw)  # an event file interns only the users of retained events
+    user_ids = sorted(used)
+    del used, named
+    index = dict(zip(user_ids, range(len(user_ids))))
+
+    def final_ids(raw: list[str]) -> np.ndarray:  # local id -> final id, -1 for none
+        return np.fromiter(map(index.get, raw, repeat(-1)), np.int32, len(raw))
+
+    events = np.concatenate([_event_table(rows, final_ids(raw)) for _, raw, rows in parts])
+    final = final_ids(user_raw)
+    del parts, user_raw, index
+    listed = final[last[:, 0]]
+    src, dst = np.repeat(listed, last[:, 1]), final[dst]
+    del final  # before the build, as are the friend arrays
 
     users = np.zeros(len(user_ids), USER_DTYPE)
-    at = final[listed]
-    users["listed"][at] = True
+    users["listed"][listed] = True
     for j, name in enumerate(("review_count", "yelping_since", "fans", "elite_years"), 2):
-        users[name][at] = last[:, j]
+        users[name][listed] = last[:, j]
     users["average_stars"] = math.nan
-    users["average_stars"][at] = np.frombuffer(stars, np.float64)[keep]
+    users["average_stars"][listed] = np.frombuffer(stars, np.float64)[keep]
     del last, stars
-    src, dst = final[src], final[dst]  # drops the provisional ids before the build
     graph = social.build_graph(src, dst, n_nodes=len(user_ids))
     del src, dst
-    events["user_id"] = final[events["user_id"]]
 
     cities = sorted({city for city, *_ in raw_businesses.values()})
     city_index = {city: i for i, city in enumerate(cities)}

@@ -221,6 +221,25 @@ class TestExitCodes:
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 3
 
+    @pytest.mark.parametrize("stage, blocked", [("summary", "summary.csv"),
+                                                ("export-dot", "dot")])
+    def test_unwritable_output_is_data_error(self, fixture_dataset, tmp_path, capsys,
+                                             stage, blocked):
+        # a directory where summary.csv goes (IsADirectoryError), a file where
+        # the dot/ directory goes (FileExistsError)
+        assert main(["ingest", *pipeline_args(fixture_dataset, tmp_path)]) == 0
+        assert main(["build-cascades", "--cache-dir", str(tmp_path)]) == 0
+        path = tmp_path / blocked
+        if stage == "summary":
+            path.mkdir()
+        else:
+            path.write_text("")
+        capsys.readouterr()
+        assert main([stage, "--cache-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
+
     def test_unknown_subcommand_is_config_error(self):
         assert main(["frobnicate"]) == 1
 
