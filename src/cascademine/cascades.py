@@ -24,7 +24,9 @@ draw or extract.
 every city's arrays one after another, with per-city offsets and names.
 :func:`read_cascades` loads and checks it once and gives each city its slices
 of it. The export ``cascades.jsonl`` (:func:`write_cascades`), read by no
-stage, has one cascade per line, its edges as user ids:
+stage, has one cascade per line, its edges as user ids. Each line is
+formatted straight from the store's arrays, a cascade at a time, with the
+bytes that ``json.dumps`` with compact separators would give:
 
   {"cascade_id": [city, business_id, index], "city": ..., "business_id": ...,
    "nodes": [{"user": u, "date": "YYYY-MM-DD", "kind": "review"|"tip",
@@ -218,22 +220,6 @@ def cascade_summary(cascades_by_city: Mapping[str, CityCascades]) -> list[Summar
     return rows
 
 
-def _cascade_to_json(cascade: Cascade) -> str:
-    obj = {
-        "cascade_id": list(cascade.cascade_id),
-        "city": cascade.city,
-        "business_id": cascade.business_id,
-        "nodes": [
-            {"user": user, "date": dt.date.fromordinal(day).isoformat(),
-             "kind": KIND_NAMES[kind], "stars": stars or None, "text_len": text_len,
-             "votes": votes}
-            for user, day, kind, stars, text_len, votes in cascade.nodes.tolist()
-        ],
-        "edges": cascade.nodes["user"][cascade.edges].tolist(),
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def _store_order(cascades_by_city: Mapping[str, CityCascades]) -> list[CityCascades]:
     """The cities with cascades, sorted."""
     return [cascades_by_city[city] for city in sorted(cascades_by_city)
@@ -241,12 +227,32 @@ def _store_order(cascades_by_city: Mapping[str, CityCascades]) -> list[CityCasca
 
 
 def write_cascades(cascades_by_city: Mapping[str, CityCascades], path) -> None:
-    """The JSON lines export, one cascade per line."""
+    """The JSON lines export, one cascade per line, formatted from each city's
+    arrays and written a cascade at a time: the bytes of ``json.dumps`` with
+    compact separators (the city name alone goes through it, so that a
+    non-ASCII name stays ``\\uXXXX``-escaped)."""
+    dates = {}  # day ordinal -> ISO date, filled on first sight
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for cascades in _store_order(cascades_by_city):
-            for cascade in cascades:
-                fh.write(_cascade_to_json(cascade))
-                fh.write("\n")
+            city = json.dumps(cascades.city)
+            node_at, edge_at = cascades.node_offsets.tolist(), cascades.edge_offsets.tolist()
+            for j, (business, index) in enumerate(zip(cascades.business.tolist(),
+                                                      cascades.component.tolist())):
+                nodes = cascades.nodes[node_at[j]:node_at[j + 1]]
+                rows = []
+                for user, day, kind, stars, text_len, votes in nodes.tolist():
+                    date = dates.get(day)
+                    if date is None:
+                        date = dates[day] = dt.date.fromordinal(day).isoformat()
+                    rows.append(f'{{"user":{user},"date":"{date}","kind":"{KIND_NAMES[kind]}",'
+                                f'"stars":{stars or "null"},"text_len":{text_len},'
+                                f'"votes":{votes}}}')
+                # the edges' (src, dst) user ids, flat, into one "[%d,%d]" per edge
+                users = nodes["user"][cascades.edges[edge_at[j]:edge_at[j + 1]]].ravel().tolist()
+                edges = ",".join(["[%d,%d]"] * (len(users) // 2)) % tuple(users)
+                fh.write(f'{{"cascade_id":[{city},{business},{index}],"city":{city},'
+                         f'"business_id":{business},"nodes":[{",".join(rows)}],'
+                         f'"edges":[{edges}]}}\n')
 
 
 def save_cascades(cascades_by_city: Mapping[str, CityCascades], path) -> None:

@@ -10,12 +10,16 @@ Yelp dataset dumps):
 
 Different dataset rounds encode ``friends``/``elite``/``categories`` either as
 JSON arrays or as comma-separated strings; both are accepted. A date is read
-from its ``YYYY-MM-DD`` prefix alone. A line that is not a JSON object, or whose
-id fields are not strings, is malformed: skipped and counted per file (counters
-in name order), never fatal. String ids become dense integers in sorted order
-of the raw id strings, so the caches do not depend on line order. A user's
-last line supersedes its earlier ones: a user id is numbered if a kept user
-line, its friend list or a retained event names it, and an id that only a
+from its ``YYYY-MM-DD`` prefix alone. A line ends at a line feed, a carriage
+return and line feed, or a bare carriage return; a blank line is skipped. A
+line, stripped of surrounding whitespace, must hold one JSON value that ends
+it, as ``json.loads`` reads it. A line with trailing data or that the decoder
+rejects, a value that is not an object, or id fields that are not strings make
+the line malformed: skipped and counted per file (counters in name order, none
+of them zero), never fatal. String ids become dense integers in sorted order of
+the raw id strings, so the caches do not depend on line order. A user's last
+line supersedes its earlier ones: a user id is numbered if a kept user line,
+its friend list or a retained event names it, and an id that only a
 superseded line names gets none.
 
 The business file is parsed first. The user, review and tip files are then
@@ -210,21 +214,39 @@ def _id_list(value) -> list[str]:
 
 def _read_lines(path: Path, counts: Counter, *id_fields: str):
     """Yield each non-blank line's JSON object whose ``id_fields`` are strings;
-    count every such line in ``counts["lines"]``, every other in ``"malformed"``."""
+    count every such line in ``counts["lines"]``, every other in ``"malformed"``.
+
+    The decoder's scanner reads one JSON value from the stripped line's start,
+    and the line is taken only if that value ends it: the lines that
+    ``json.loads`` accepts, without its per-call wrapping."""
+    scan = json.JSONDecoder().scan_once
+    lines = malformed = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             stripped = line.strip()
             if not stripped:
                 continue
-            counts["lines"] += 1
+            lines += 1
             try:
-                obj = json.loads(stripped)
-            except (ValueError, RecursionError):  # bad JSON, a huge number, deep nesting
-                obj = None
-            if isinstance(obj, dict) and all(isinstance(obj.get(f), str) for f in id_fields):
-                yield obj
-            else:
-                counts["malformed"] += 1
+                obj, end = scan(stripped, 0)
+            # StopIteration: no value starts the line; ValueError: bad JSON or a
+            # huge number; RecursionError: deep nesting
+            except (StopIteration, ValueError, RecursionError):
+                obj = end = None
+            if end == len(stripped) and isinstance(obj, dict):
+                for name in id_fields:
+                    if not isinstance(obj.get(name), str):
+                        break
+                else:
+                    yield obj
+                    continue
+            malformed += 1
+    _tally(counts, lines=lines, malformed=malformed)
+
+
+def _tally(counts: Counter, **tallies: int) -> None:
+    """Add each nonzero tally to ``counts``, which gets no zero-valued key."""
+    counts.update({name: n for name, n in tallies.items() if n})
 
 
 def _event_table(rows: array, local: np.ndarray) -> np.ndarray:
@@ -237,11 +259,11 @@ def _event_table(rows: array, local: np.ndarray) -> np.ndarray:
 
 
 def _parse_businesses(path: Path, counts: Counter):
-    records = {}
+    records, empty_city, retained = {}, 0, 0
     for obj in _read_lines(path, counts, "business_id"):
         city = normalize_city(obj.get("city"))
         if not city:
-            counts["empty_city"] += 1
+            empty_city += 1
             continue
         records[obj["business_id"]] = (
             city,
@@ -250,7 +272,8 @@ def _parse_businesses(path: Path, counts: Counter):
             len(_id_list(obj.get("categories"))),
             bool(_as_int(obj.get("is_open"), 0)),
         )
-        counts["retained"] += 1
+        retained += 1
+    _tally(counts, empty_city=empty_city, retained=retained)
     return records
 
 
@@ -268,7 +291,7 @@ def _parse_users(path: Path, counts: Counter, seen: dict[str, int]):
                         _parse_day(obj.get("yelping_since")) or 0, _as_int(obj.get("fans")),
                         len(_id_list(obj.get("elite")))))
         stars.append(_as_rating(obj.get("average_stars")))
-        counts["retained"] += 1
+    _tally(counts, retained=len(stars))
     return columns, stars, friends
 
 
@@ -277,25 +300,33 @@ def _parse_events(path: Path, kind: EventKind, business_index: dict[str, int],
     """The :data:`EVENT_DTYPE` fields of each retained event, in order, in one
     flat array, its user id as the local id interned in ``seen``."""
     rows = array("i")
+    days = {}  # date prefix -> its day: a file's events share few dates
+    malformed = unknown_business = 0
     for obj in _read_lines(path, counts, "user_id", "business_id"):
         uid, bid = obj["user_id"], obj["business_id"]
-        day = _parse_day(obj.get("date"))
+        date = obj.get("date")
+        date = date[:10] if isinstance(date, str) else None  # all that _parse_day reads
+        if date not in days:
+            days[date] = _parse_day(date)
+        day = days[date]
         if day is None:
-            counts["malformed"] += 1
+            malformed += 1
             continue
         if bid not in business_index:
-            counts["unknown_business"] += 1
+            unknown_business += 1
             continue
         if kind is EventKind.REVIEW:
             stars = round(_as_float(obj.get("stars")) or 0)
-            votes = sum(_as_int(obj.get(name)) for name in ("useful", "funny", "cool"))
+            votes = (_as_int(obj.get("useful")) + _as_int(obj.get("funny"))
+                     + _as_int(obj.get("cool")))
         else:
             stars, votes = 0, _as_int(obj.get("likes"))
         text = obj.get("text")
         rows.extend((business_index[bid], seen.setdefault(uid, len(seen)), day, kind,
                      stars if 1 <= stars <= 5 else 0, len(text) if isinstance(text, str) else 0,
                      votes if votes <= _MAX_VOTES else 0))
-        counts["retained"] += 1
+    _tally(counts, malformed=malformed, unknown_business=unknown_business,
+           retained=len(rows) // len(EVENT_DTYPE.names))
     return rows
 
 

@@ -133,14 +133,19 @@ def fork_map(fn: Callable, items: Iterable) -> list:
         own = [fn(item) for item in shares[-1]]
         results = []
         for pid in list(pending):
+            # unpickled straight from the pipe, with no copy of the reply's bytes;
+            # they are bytes that this program's worker wrote
             with open(pending[pid], "rb", closefd=False) as fh:
-                data = fh.read()
+                try:
+                    reply = pickle.load(fh)
+                except _UNPICKLING_ERRORS:  # the worker died before or while replying
+                    reply = None
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(pending.pop(pid))
-            if code != 0:
+            if code != 0 or reply is None:
                 raise RuntimeError(f"fork_map worker {pid} exited with {code} "
                                    "before sending its results")
-            ok, value, tb = pickle.loads(data)  # bytes that this program's worker wrote
+            ok, value, tb = reply
             if not ok:
                 raise value from WorkerTraceback(tb)
             results += value
@@ -175,8 +180,8 @@ def save_cache(path, fmt: str, version: int, **payload) -> None:
         pickle.dump({"format": fmt, "version": version, **payload}, fh, protocol=4)
 
 
-# pickle.load on damaged or foreign bytes: its documented errors, plus TypeError
-# and ValueError from malformed opcode arguments.
+# pickle.load on damaged, truncated or foreign bytes: its documented errors,
+# plus TypeError and ValueError from malformed opcode arguments.
 _UNPICKLING_ERRORS = (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
                       IndexError, TypeError, ValueError)
 

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's code paths: brute-force
 pair enumeration instead of friend-list lookups, BFS components instead of
 hook-and-compress labels, a JSON parse of the cascade export instead of the
-columnar store, signature buckets from degrees counted edge by edge in each
-cascade instead of the census's pass over a city's arrays, exact inverse-CDF
+columnar store, the export dumped from one dict per cascade instead of
+formatted from the store's arrays, ``json.loads`` on each input line instead
+of the decoder's scanner, signature buckets from degrees counted edge by edge
+in each cascade instead of the census's pass over a city's arrays, exact inverse-CDF
 sampling against tabulated zeta mass, labeling and balancing row by row
 instead of over index arrays, a from-first-principles feature
 recomputation, the Mann-Whitney pair count for AUC, and a GBDT grower that
@@ -146,6 +148,50 @@ def reference_buckets(cascades) -> list[tuple[str, list]]:
                         ",".join(map(str, sorted(indeg))), ",".join(map(str, sorted(outdeg)))])
         buckets.setdefault(key, []).append(cascade)
     return sorted(buckets.items(), key=lambda item: (-len(item[1]), item[0]))
+
+
+def cascade_jsonl(cascades_by_city) -> bytes:
+    """The ``cascades.jsonl`` export of the stores built as dicts, one
+    ``json.dumps`` per cascade: the cities with cascades, sorted."""
+    lines = []
+    for city in sorted(cascades_by_city):
+        for cascade in cascades_by_city[city]:
+            obj = {
+                "cascade_id": list(cascade.cascade_id),
+                "city": cascade.city,
+                "business_id": cascade.business_id,
+                "nodes": [
+                    {"user": user, "date": dt.date.fromordinal(day).isoformat(),
+                     "kind": ("review", "tip")[kind], "stars": stars or None,
+                     "text_len": text_len, "votes": votes}
+                    for user, day, kind, stars, text_len, votes in cascade.nodes.tolist()
+                ],
+                "edges": cascade.nodes["user"][cascade.edges].tolist(),
+            }
+            lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def read_json_lines(path, *id_fields: str) -> tuple[list, Counter]:
+    """The objects and drop counters of ingest's line reader, by ``json.loads``
+    on each stripped non-blank line: an object whose ``id_fields`` are strings
+    is kept, any other line, and one that ``json.loads`` rejects, is malformed."""
+    objs, counts = [], Counter()
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            stripped = line.strip()
+            if not stripped:
+                continue
+            counts["lines"] += 1
+            try:
+                obj = json.loads(stripped)
+            except (ValueError, RecursionError):
+                obj = None
+            if isinstance(obj, dict) and all(isinstance(obj.get(f), str) for f in id_fields):
+                objs.append(obj)
+            else:
+                counts["malformed"] += 1
+    return objs, counts
 
 
 def read_cascades_jsonl(path) -> dict:

@@ -1,3 +1,5 @@
+import datetime as dt
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -5,11 +7,13 @@ import pytest
 from cascademine import cascades
 from cascademine.cascades import (_components, build_cascades, cascade_summary, read_cascades,
                                   save_cascades, write_cascades)
+from cascademine.ingest import EventKind
 from cascademine.util import nearest_rank
 from conftest import (as_stores, day, event_table, graph_from_edges, mk_event, random_events,
                       random_graph)
-from oracles import (as_plain, brute_force_business, cascade_edges, cascade_events, event_node,
-                     graph_edges, percentile_by_counting, read_cascades_jsonl)
+from oracles import (as_plain, brute_force_business, cascade_edges, cascade_events,
+                     cascade_jsonl, event_node, graph_edges, percentile_by_counting,
+                     read_cascades_jsonl)
 
 
 def build_one_city(events, graph, window_days=None):
@@ -322,6 +326,36 @@ class TestStore:
         write_cascades(loaded, tmp_path / "again.jsonl")
         assert (tmp_path / "again.npz").read_bytes() == store.read_bytes()
         assert (tmp_path / "again.jsonl").read_bytes() == export.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_export_bytes_match_json_dumps(self, tmp_path, seed):
+        # cascades.jsonl as one json.dumps per cascade would write it: a
+        # non-ASCII city, one whose name needs escapes, tips (stars null), a
+        # same-day reciprocal pair, days before year 1000 and a city with no
+        # cascade, beside random cities
+        graph = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)], 8)
+        early = dt.date(999, 12, 30).toordinal()
+
+        def row(user, business, day, kind=EventKind.REVIEW, stars=4, votes=0):
+            return business, user, day, kind, stars, 10 * user + 1, votes
+
+        late = day(3).toordinal()
+        by_city = build_cascades({
+            "montréal": event_table([row(0, 0, late), row(1, 0, late, votes=2),
+                                     row(2, 0, late + 1, EventKind.TIP, 0, votes=5),
+                                     row(5, 1, late, stars=1), row(6, 1, late + 9, stars=5)]),
+            'the "quoted" \\ town': event_table([row(3, 2, early), row(4, 2, early + 1),
+                                                  row(7, 3, early + 2, EventKind.TIP, 0),
+                                                  row(6, 3, early + 2, EventKind.TIP, 0)]),
+            "no cascade": event_table([row(0, 4, late), row(7, 4, late)]),
+        }, graph)
+        assert len(by_city["no cascade"]) == 0
+        by_city.update(build_cascades(*random_cities(seed)))
+        write_cascades(by_city, tmp_path / "c.jsonl")
+        data = (tmp_path / "c.jsonl").read_bytes()
+        assert data == cascade_jsonl(by_city)
+        assert b'"city":"montr\\u00e9al"' in data and b'"stars":null' in data
+        assert b'"date":"0999-12-30"' in data and b'"the \\"quoted\\" \\\\ town"' in data
 
     def test_empty_store(self, tmp_path):
         save_cascades(as_stores({"ghost": []}), tmp_path / "c.npz")

@@ -4,16 +4,18 @@ import os
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cascademine.cli import main
 from cascademine.errors import DataError
-from cascademine.ingest import (CACHE_FORMAT, EVENT_DTYPE, DatasetPaths, EventKind,
+from cascademine.ingest import (CACHE_FORMAT, EVENT_DTYPE, DatasetPaths, EventKind, _read_lines,
                                 ingest_dataset, load_ingest, load_profiles, normalize_city,
                                 save_ingest, save_profiles, yearly_activity_counts)
 from conftest import event_table, mk_event
+from oracles import read_json_lines
 
 
 def write_lines(path, objs):
@@ -142,6 +144,13 @@ class TestIngest:
         assert c["lines"] == c["retained"] + c["malformed"] + c["unknown_business"]
         assert c["unknown_business"] == 1
         assert c["malformed"] == 2
+
+    def test_no_zero_drop_counters(self, tmp_path):
+        reviews = [{"user_id": "a", "business_id": "b1", "date": "2012-01-05", "text": "x"}]
+        result = ingest_dataset(make_dataset(tmp_path, BIZ, USERS, reviews, []))
+        assert result.drop_counts == {"business": {"lines": 1, "retained": 1},
+                                      "user": {"lines": 2, "retained": 2},
+                                      "review": {"lines": 1, "retained": 1}, "tip": {}}
 
     def test_empty_city_business_dropped(self, tmp_path):
         businesses = BIZ + [{"business_id": "b2", "city": "   ", "stars": 3.0,
@@ -425,3 +434,44 @@ class TestYearlyCounts:
         assert sum(r + t for _, r, t in table) == 1000
         for year, r, t in table:
             assert r + t == per_year[year]
+
+
+# Input lines on which the decoder's scanner and json.loads might part ways.
+DECODER_LINES = [
+    '{"user_id": "a", "n": 1}',
+    '\ufeff{"user_id": "bom"}',  # json.loads refuses a leading BOM
+    "{} x", "{}{}", '{"user_id": "a"} {}', '{"user_id": "a"}]',
+    '[{"user_id": "a"}]', '"user_id"', "7", "-0.5e3", "null", "true",
+    '{"user_id": "nan", "a": NaN, "b": Infinity, "c": -Infinity}',
+    '{"user_id": "first", "user_id": "last"}', '{"user_id": 7, "user_id": "last"}',
+    '{"user_id": "first", "user_id": 7}',
+    '{"user_id": "a", "n": 01}', '{"user_id": "a",}', "{'user_id': 'a'}", "{",
+    '\u00a0{"user_id": "nbsp"}\u2028',  # stripped as Unicode whitespace
+    '{"user_id": "ctl\u0001"}', '{"user_id": "esc\\u00e9\\ud83d"}',
+    "[" * 100_000, '{"user_id": "big", "n": ' + "1" * 5000 + "}",
+    "   ", "\t",
+]
+
+
+class TestLineReader:
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "mixed"])
+    @pytest.mark.parametrize("id_fields", [(), ("user_id",)])
+    def test_accepts_exactly_what_json_loads_accepts(self, tmp_path, ends, id_fields):
+        path = tmp_path / "lines.json"
+        cycle = ["\n", "\r\n", "\r"] if ends == "mixed" else [ends]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for i, line in enumerate(DECODER_LINES):
+                fh.write(line + cycle[i % len(cycle)])
+        counts = Counter()
+        objs = list(_read_lines(path, counts, *id_fields))
+        expected, expected_counts = read_json_lines(path, *id_fields)
+        assert counts == expected_counts and set(counts) <= {"lines", "malformed"}
+        assert counts["lines"] == len(DECODER_LINES) - 2  # the two blank lines
+        assert repr(objs) == repr(expected)  # repr: NaN equals itself
+        assert "last" in repr(objs) and "nbsp" in repr(objs)
+
+    def test_no_line_no_counter(self, tmp_path):
+        (tmp_path / "empty.json").write_text(" \n\r\n\n", encoding="utf-8")
+        counts = Counter()
+        assert list(_read_lines(tmp_path / "empty.json", counts, "user_id")) == []
+        assert not counts.keys()  # Counter() == {} holds even with zero-valued keys

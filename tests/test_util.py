@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from cascademine import util
 from cascademine.errors import DataError
 from cascademine.util import WorkerTraceback, fork_map
 
@@ -95,6 +96,37 @@ def test_worker_that_dies_raises(monkeypatch, die, code):
 
     with pytest.raises(RuntimeError, match=f"exited with {code} before sending its results"):
         fork_map(fn, range(2))
+    assert_no_children()
+
+
+def test_worker_that_dies_mid_reply_raises(monkeypatch):
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    class HalfReply:
+        """The worker's reply pipe, opened by its fd: writes half the reply, then dies."""
+
+        def __init__(self, fd, mode):
+            self.fd = fd
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, data):
+            os.write(self.fd, data[:len(data) // 2])
+            os._exit(1)
+
+    def fn(i):
+        if os.getpid() != parent:
+            util.open = HalfReply  # in the worker's copy of the module alone
+        return list(range(1000))
+
+    with pytest.raises(RuntimeError, match="exited with 1 before sending its results"):
+        fork_map(fn, range(2))
+    assert not hasattr(util, "open")
     assert_no_children()
 
 
