@@ -4,6 +4,10 @@ Each stage reads the caches of its prerequisites and writes versioned outputs
 of its own; rerunning a stage with unchanged inputs and seed reproduces its
 files byte for byte. Exit codes: 0 success, 1 config error, 2 missing
 prerequisite stage, 3 data error.
+
+The argument parser is built once per process, with the config flags defined
+once on a parent parser that every stage subcommand shares, so ``main()`` may
+run stage after stage in one process and each call pays only for its stage.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import cascademine.cascades as casc
@@ -179,13 +183,14 @@ def stage_export_dot(cfg: RunConfig) -> None:
             raise DataError(f"cities {stems[stem]!r} and {city!r} both map to DOT "
                             f"names {stem}_rank<k>.dot")
         stems[stem] = city
-    n = 0
-    for stem, city in stems.items():
-        for rank, cascade in enumerate(top[city], start=1):
-            (out_dir / f"{stem}_rank{rank}.dot").write_text(stats_mod.export_dot(cascade),
-                                                            encoding="ascii")
-            n += 1
-    print(f"[export-dot] wrote {n} DOT files to {out_dir}")
+    files = {f"{stem}_rank{rank}.dot": cascade for stem, city in stems.items()
+             for rank, cascade in enumerate(top[city], start=1)}
+    for old in out_dir.glob("*.dot"):  # an earlier run's ranks that this run does not rewrite
+        if old.name not in files:
+            old.unlink()
+    for name, cascade in files.items():
+        (out_dir / name).write_text(stats_mod.export_dot(cascade), encoding="ascii")
+    print(f"[export-dot] wrote {len(files)} DOT files to {out_dir}")
 
 
 def stage_features(cfg: RunConfig) -> None:
@@ -349,7 +354,22 @@ _CONFIG_FLAGS = [
 _DEFAULTS = RunConfig()
 
 
+@cache
 def _build_parser() -> _Parser:
+    # Built once per process, and the config flags once per build: argparse
+    # checks each add_argument with a new HelpFormatter, which queries the
+    # terminal size, while parents= copies the shared actions unchecked.
+    shared = _Parser(add_help=False)
+    shared.add_argument("--config", help="key=value config file; flags override it")
+    for flag, dest, helptext in _CONFIG_FLAGS:
+        # an absent flag sets nothing, so that the config file can fill it in
+        # and no value outlives its call; the help shows RunConfig's default
+        default = getattr(_DEFAULTS, dest)
+        if default is not None:
+            helptext = f"{helptext} (default: {default})"
+        shared.add_argument(flag, dest=dest, type=partial(parse_value, dest),
+                            default=argparse.SUPPRESS, help=helptext)
+
     parser = _Parser(prog="cascademine",
                      description="Mine influence cascades from review/tip logs and "
                                  "predict their growth.")
@@ -357,16 +377,7 @@ def _build_parser() -> _Parser:
 
     stage_names = [name for name, _ in ALL_STAGES] + ["export-dot", "all"]
     for name in stage_names:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument("--config", help="key=value config file; flags override it")
-        for flag, dest, helptext in _CONFIG_FLAGS:
-            # an absent flag sets nothing, so that the config file can fill it
-            # in; the help shows RunConfig's default instead
-            default = getattr(_DEFAULTS, dest)
-            if default is not None:
-                helptext = f"{helptext} (default: {default})"
-            p.add_argument(flag, dest=dest, type=partial(parse_value, dest),
-                           default=argparse.SUPPRESS, help=helptext)
+        sub.add_parser(name, help=f"run the {name} stage", parents=[shared])
 
     p = sub.add_parser("synth", help="generate a synthetic dataset in Yelp format")
     p.add_argument("--out-dir", required=True, help="output directory for the files")

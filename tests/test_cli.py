@@ -174,11 +174,14 @@ class TestConfigFile:
             assert "config error" in capsys.readouterr().err
 
     def test_defaults_documented_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["ingest", "--help"])
-        message = capsys.readouterr().out
-        for fragment in ("default: 5", "default: 90.0", "default: cache"):
-            assert fragment in message
+        for stage in [name for name, _ in cli.ALL_STAGES] + ["export-dot", "all"]:
+            with pytest.raises(SystemExit):
+                main([stage, "--help"])
+            message = " ".join(capsys.readouterr().out.split())
+            for flag, dest, helptext in cli._CONFIG_FLAGS:
+                default = getattr(RunConfig(), dest)
+                suffix = "" if default is None else f" (default: {default})"
+                assert f"{flag} {dest.upper()} {helptext}{suffix}" in message, (stage, flag)
         with pytest.raises(SystemExit):
             main(["train", "--help"])
         message = " ".join(capsys.readouterr().out.split())
@@ -189,6 +192,34 @@ class TestConfigFile:
         with pytest.raises(SystemExit):
             main(["synth", "--help"])
         assert "default: 50" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.STAGE_BY_NAME, "census", lambda cfg: None)
+        cli._build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["census", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["census", "--k", "x"]) == 1
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_no_value_carries_over(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli.STAGE_BY_NAME, "census", seen.append)
+        args = ["census", "--cache-dir", str(tmp_path)]
+        assert main([*args, "--window-days", "5", "--k", "3"]) == 0
+        assert main(args) == 0
+        assert (seen[0].window_days, seen[0].k) == (5, 3)
+        assert (seen[1].window_days, seen[1].k) == (RunConfig().window_days, RunConfig().k)
+
+    def test_valid_call_after_failed_one(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setitem(cli.STAGE_BY_NAME, "census", seen.append)
+        assert main(["census", "--cache-dir", str(tmp_path), "--k", "x"]) == 1
+        assert "k: expected integer" in capsys.readouterr().err
+        assert main(["census", "--cache-dir", str(tmp_path)]) == 0
+        assert len(seen) == 1 and seen[0].k == RunConfig().k
 
 
 class TestExitCodes:
@@ -552,6 +583,18 @@ class TestPipeline:
         names = sorted(p.name for p in (cache / "dot").iterdir())
         assert names == ["city00_rank1.dot", "city00_rank2.dot"]
         assert (cache / "dot" / "city00_rank1.dot").read_text().startswith("digraph")
+
+    def test_export_dot_rerun_removes_stale_files(self, two_city_dataset, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = pipeline_args(two_city_dataset, cache)
+        for stage in ("ingest", "build-cascades", "export-dot"):
+            assert main([stage, *args, "--top-k", "3"]) == 0
+        capsys.readouterr()
+        (cache / "dot" / "notes.txt").write_text("kept\n")
+        assert main(["export-dot", *args, "--top-k", "1"]) == 0
+        assert "wrote 2 DOT files" in capsys.readouterr().out
+        names = sorted(p.name for p in (cache / "dot").iterdir())
+        assert names == ["city00_rank1.dot", "city01_rank1.dot", "notes.txt"]
 
     def test_dot_files_stay_inside_dot_dir(self, two_city_dataset, tmp_path):
         data = rename_cities(two_city_dataset, tmp_path / "data",
