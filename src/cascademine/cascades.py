@@ -17,9 +17,8 @@ nodes, ordered by (src user, dst user). A city's cascades are one
 them, business and component index, in cascade_id order. Indexing or
 iterating it makes a :class:`Cascade` view on access. Every analysis function
 takes CityCascades and computes from their arrays (sizes are offset
-differences), so no stage builds an object per cascade: ``purity``,
-``export-dot`` and ``features`` make views only of the cascades they check,
-draw or extract.
+differences), so no stage builds an object per cascade: ``purity`` and
+``export-dot`` make views only of the cascades they check or draw.
 ``build-cascades`` writes the store ``cascades.npz`` (:func:`save_cascades`):
 every city's arrays one after another, with per-city offsets and names.
 :func:`read_cascades` loads and checks it once and gives each city its slices
@@ -93,7 +92,7 @@ class SummaryRow:
 class CityCascades:
     """One city's cascades in cascade_id order, as the store holds them and every
     analysis function takes them. Indexing or iterating makes a :class:`Cascade`
-    view on access; ``features`` views only the cascades it extracts."""
+    view on access."""
 
     city: str
     nodes: np.ndarray  # NODE_DTYPE: cascade j's are rows node_offsets[j]..node_offsets[j + 1]

@@ -11,8 +11,8 @@ rating of the city's rated businesses, everything else with zero, and every
 imputed value increments a per-feature counter.
 
 Labels travel as arrays: ``LabelingResult.labeled`` holds one (cascade index,
-label) array pair per city, over its :class:`CityCascades`, and only
-:func:`build_examples` makes views, of the cascades it extracts. The balanced
+label) array pair per city, over its :class:`CityCascades`, and each city's
+features are one array pass over its examples' prefix rows. The balanced
 examples are one :data:`EXAMPLE_DTYPE` table, which ``features.pkl`` holds with
 the city names its ``city`` column indexes; each city's rows are its ``X`` and ``y``.
 """
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date
-from math import isnan, log1p
+from math import log1p
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from cascademine.cascades import Cascade, CityCascades
+from cascademine.cascades import CityCascades
 from cascademine.errors import DataError
 from cascademine.ingest import EventKind, Profiles
 from cascademine.util import ascending_names, load_cache, nearest_rank, save_cache, substream_seed
@@ -136,141 +135,140 @@ def balance(labeled_by_city: Mapping[str, tuple[np.ndarray, np.ndarray]],
     return out
 
 
-class FeatureExtractor:
-    """Computes feature vectors against the read-only profile tables.
+def _log1p(values: np.ndarray) -> np.ndarray:
+    """``math.log1p`` of each value, as a float64 array of the same shape."""
+    return np.array(list(map(log1p, values.ravel().tolist())), np.float64).reshape(values.shape)
 
-    Table values are read as Python numbers (``tolist``), so the arithmetic
-    is that of the parsed input values. ``imputed`` counts every value that
-    had to be filled in, keyed by the feature it fed, so gaps in the
-    user/business tables reconcile exactly with what the matrix contains.
-    """
+
+def _rows(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``ids`` of ``table``, zero where an id falls outside it, and the
+    mask of the ids inside it."""
+    inside = (ids >= 0) & (ids < len(table))
+    rows = np.zeros(ids.shape, table.dtype)
+    rows[inside] = table[ids[inside]]
+    return rows, inside
+
+
+class FeatureExtractor:
+    """Computes a city's feature vectors against the read-only profile tables,
+    each feature one array operation over the (examples, k) prefix rows. Counts
+    go through ``math.log1p`` value by value, since numpy's ``log1p`` can differ
+    from it in the last bit; row means reduce each row's values in node order.
+    ``imputed`` counts every value that had to be filled in, keyed by the
+    feature it fed, so gaps in the user/business tables reconcile exactly with
+    what the matrix contains; it holds no zero count."""
 
     def __init__(self, profiles: Profiles, k: int = 5):
         if k < 2:
             raise ValueError("k must be at least 2")
         self.profiles = profiles
-        self.graph = profiles.graph
         self.k = k
         self.imputed: Counter = Counter()
-        self._city_stars: dict[str, float] = {}
 
     def _city_mean_stars(self, city: str) -> float:
-        cached = self._city_stars.get(city)
-        if cached is not None:
-            return cached
+        """The mean stars of ``city``'s rated businesses, else of all rated
+        businesses, else :data:`FALLBACK_STARS`."""
         businesses, cities = self.profiles.businesses, self.profiles.cities
-        rated = [(s, c) for s, c in zip(businesses["stars"].tolist(),
-                                        businesses["city"].tolist()) if not isnan(s)]
-        stars = [s for s, c in rated if cities[c] == city] or [s for s, _ in rated]
-        value = float(np.mean(stars)) if stars else FALLBACK_STARS
-        self._city_stars[city] = value
-        return value
+        rated = ~np.isnan(businesses["stars"])
+        here = rated & (businesses["city"] == (cities.index(city) if city in cities else -1))
+        stars = businesses["stars"][here if here.any() else rated]
+        return float(np.mean(stars)) if len(stars) else FALLBACK_STARS
 
-    def _stars_or_city_mean(self, value, city: str, feature: str) -> float:
-        if value is None or isnan(value):
-            self.imputed[feature] += 1
-            return self._city_mean_stars(city)
-        return float(value)
+    def extract(self, cascades: CityCascades, index) -> np.ndarray:
+        """The ``(len(index), N_FEATURES)`` float64 feature block of cascades
+        ``index`` of one city, each row from its cascade's first k nodes."""
+        index, k = np.asarray(index, dtype=np.int64), self.k
+        short = index[cascades.sizes[index] < k]
+        if len(short):
+            cascade = cascades[int(short[0])]
+            raise ValueError(f"cascade {cascade.cascade_id} has {cascade.size} nodes, needs >= {k}")
+        city_mean = self._city_mean_stars(cascades.city)
+        # nodes are stored in (day, user) order, so each prefix is its first k rows
+        nodes = cascades.nodes[cascades.node_offsets[index][:, None] + np.arange(k)]
+        users, days = nodes["user"].astype(np.int64), nodes["day"].astype(np.int64)
+        biz, known = _rows(self.profiles.businesses, cascades.business[index])
+        rated = known & ~np.isnan(biz["stars"])
+        user, _ = _rows(self.profiles.users, users)  # an unlisted user's row is zero
+        listed = user["listed"]
+        has_avg = listed & ~np.isnan(user["average_stars"])
+        has_since = listed & (user["yelping_since"] != 0)
+        avg_stars = np.where(has_avg, user["average_stars"], city_mean)
+        review_counts, fans = (_log1p(np.where(listed, user[name], 0))
+                               for name in ("review_count", "fans"))
+        elite = np.where(listed, user["elite_years"], 0).astype(np.float64)
+        indptr, n_users = self.profiles.graph.indptr, self.profiles.graph.n_nodes
+        lo, hi = (indptr[np.clip(users + d, 0, n_users)] for d in (0, 1))  # 0 outside
+        degrees = _log1p(hi - lo)
+        # friend of root: one search of each (root, non-root) key row * n + col
+        # among the root rows' keys, which ascend as rows and each row's columns do
+        root, in_graph = users[:, :1], (users >= 0) & (users < n_users)
+        rows = np.unique(root[in_graph[:, :1]])
+        start, stop = (indptr[rows + d].astype(np.int64) for d in (0, 1))
+        count = stop - start
+        at = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        keys = np.append(np.repeat(rows, count) * n_users + self.profiles.graph.indices[at],
+                         n_users * n_users)  # above every query, so each search ends on a key
+        query = np.where(in_graph[:, :1] & in_graph[:, 1:], root * n_users + users[:, 1:], -1)
+        friends = keys[np.searchsorted(keys, query)] == query  # -1 matches no key
+        has_stars = nodes["stars"] != 0
+        stars = np.where(has_stars, nodes["stars"], city_mean)
+        text_lens, votes = _log1p(nodes["text_len"]), nodes["votes"].astype(np.float64)
+        tips, gaps = nodes["kind"] == EventKind.TIP, np.diff(days, axis=1).astype(np.float64)
 
-    def _user(self, u: int):
-        """(review_count, average_stars, yelping_since ordinal, fans, elite_years)
-        with None for an absent value, or None for a user the user file did not list."""
-        table = self.profiles.users
-        if not 0 <= u < len(table):
-            return None
-        listed, review_count, avg, since, fans, elite = table[u].tolist()
-        if not listed:
-            return None
-        return review_count, None if isnan(avg) else avg, since or None, fans, elite
+        # each mask marks the values filled in for the features it names
+        for filled, features in (
+                (~known, FEATURE_NAMES[0:4]), (known & ~rated, ["biz_stars"]),
+                (~listed[:, 0], FEATURE_NAMES[5:10]),
+                ((listed & ~has_avg)[:, 0], ["root_avg_stars"]),
+                ((listed & ~has_since)[:, 0], ["root_account_age_days"]),
+                (~listed[:, 1:], ["nonroot_review_count_log1p_mean", "nonroot_avg_stars_mean",
+                                  "nonroot_fans_log1p_mean", "nonroot_elite_years_mean"]),
+                ((listed & ~has_avg)[:, 1:], ["nonroot_avg_stars_mean"]),
+                (~has_stars[:, 0], ["root_stars"]), (~has_stars[:, 1:], ["nonroot_stars_mean"])):
+            if n_filled := int(np.count_nonzero(filled)):
+                for feature in features:
+                    self.imputed[feature] += n_filled
 
-    def extract(self, cascade: Cascade) -> np.ndarray:
-        if cascade.size < self.k:
-            raise ValueError(
-                f"cascade {cascade.cascade_id} has {cascade.size} nodes, needs >= {self.k}"
-            )
-        city = cascade.city
-        # nodes are stored in (day, user) order, so the prefix is the first k
-        # rows; the arithmetic below is on Python ints, not int32 scalars
-        users, days, kinds, stars, text_lens, votes = zip(*cascade.nodes[: self.k].tolist())
-        stars = [s or None for s in stars]  # 0 marks a node without stars
-        root, rest = users[0], users[1:]
-
-        v = np.empty(N_FEATURES, dtype=np.float64)
-
-        # business block
-        businesses = self.profiles.businesses
-        if not 0 <= cascade.business_id < len(businesses):
-            self.imputed.update(FEATURE_NAMES[0:4])
-            v[0:4] = (self._city_mean_stars(city), 0.0, 0.0, 0.0)
-        else:
-            _, biz_stars, review_count, category_count, is_open = (
-                businesses[cascade.business_id].tolist())
-            v[0:4] = (self._stars_or_city_mean(biz_stars, city, "biz_stars"),
-                      log1p(review_count), float(category_count), float(is_open))
-
-        # root node block
-        root_user = self._user(root)
-        v[4] = log1p(self.graph.degree(root))
-        if root_user is None:
-            self.imputed.update(FEATURE_NAMES[5:10])
-            v[5:10] = (0.0, self._city_mean_stars(city), 0.0, 0.0, 0.0)
-        else:
-            review_count, avg, since, fans, elite = root_user
-            if since is None:
-                self.imputed["root_account_age_days"] += 1
-            v[5:10] = (log1p(review_count),
-                       self._stars_or_city_mean(avg, city, "root_avg_stars"),
-                       0.0 if since is None else float(max(days[0] - since, 0)),
-                       log1p(fans), float(elite))
-
-        # non-root node block (k >= 2 guarantees rest is nonempty)
-        rows = []
-        for u in rest:
-            rec = self._user(u)
-            if rec is None:
-                self.imputed.update(("nonroot_review_count_log1p_mean", "nonroot_avg_stars_mean",
-                                     "nonroot_fans_log1p_mean", "nonroot_elite_years_mean"))
-                rows.append((0.0, self._city_mean_stars(city), 0.0, 0.0))
-            else:
-                review_count, avg, _, fans, elite = rec
-                rows.append((log1p(review_count), self._stars_or_city_mean(
-                    avg, city, "nonroot_avg_stars_mean"), log1p(fans), float(elite)))
-        review_counts, avg_stars, fans, elite = zip(*rows)
-        degrees = [log1p(self.graph.degree(u)) for u in rest]
-        v[10:18] = (np.mean(degrees), np.max(degrees), np.mean(review_counts),
-                    np.max(review_counts), np.mean(avg_stars), np.mean(fans), np.mean(elite),
-                    sum(self.graph.are_friends(root, u) for u in rest) / len(rest))
-
-        # root event block
-        v[18:23] = (self._stars_or_city_mean(stars[0], city, "root_stars"), log1p(text_lens[0]),
-                    float(votes[0]), float(kinds[0] == EventKind.TIP),
-                    float(date.fromordinal(days[0]).weekday()))
-
-        # non-root event block
-        gaps = [float(b - a) for a, b in zip(days, days[1:])]
-        v[23:30] = (np.mean([self._stars_or_city_mean(s, city, "nonroot_stars_mean")
-                             for s in stars[1:]]),
-                    np.mean([log1p(n) for n in text_lens[1:]]),
-                    np.mean([float(n) for n in votes[1:]]),
-                    sum(kind == EventKind.TIP for kind in kinds[1:]) / len(rest),
-                    np.mean(gaps), np.max(gaps), float(days[-1] - days[0]))
-
-        return v
+        rest = np.s_[:, 1:]  # the non-root nodes (k >= 2 guarantees one)
+        return np.stack([
+            # business block
+            np.where(rated, biz["stars"], city_mean), _log1p(biz["review_count"]),
+            biz["category_count"], biz["is_open"],
+            # root node block
+            degrees[:, 0], review_counts[:, 0], avg_stars[:, 0],
+            np.where(has_since[:, 0], np.maximum(days[:, 0] - user["yelping_since"][:, 0], 0), 0),
+            fans[:, 0], elite[:, 0],
+            # non-root node block
+            degrees[rest].mean(axis=1), degrees[rest].max(axis=1),
+            review_counts[rest].mean(axis=1), review_counts[rest].max(axis=1),
+            avg_stars[rest].mean(axis=1), fans[rest].mean(axis=1), elite[rest].mean(axis=1),
+            friends.sum(axis=1) / (k - 1),
+            # root event block; day 1 (0001-01-01) is a Monday
+            stars[:, 0], text_lens[:, 0], votes[:, 0], tips[:, 0], (days[:, 0] + 6) % 7,
+            # non-root event block
+            stars[rest].mean(axis=1), text_lens[rest].mean(axis=1), votes[rest].mean(axis=1),
+            tips[rest].sum(axis=1) / (k - 1), gaps.mean(axis=1), gaps.max(axis=1),
+            days[:, -1] - days[:, 0],
+        ], axis=1, dtype=np.float64)
 
 
 def build_examples(cascades_by_city: Mapping[str, CityCascades],
                    balanced_by_city: Mapping[str, tuple[np.ndarray, np.ndarray]],
                    extractor: FeatureExtractor) -> np.ndarray:
     """The :data:`EXAMPLE_DTYPE` table of the balanced sets, in city and then
-    cascade_id order; ``city`` indexes ``sorted(balanced_by_city)``."""
-    rows = []
+    cascade_id order; ``city`` indexes ``sorted(balanced_by_city)``. Each
+    city's features come from one :meth:`FeatureExtractor.extract` call."""
+    parts = [np.empty(0, EXAMPLE_DTYPE)]
     for c, city in enumerate(sorted(balanced_by_city)):
-        cascades = cascades_by_city[city]
-        index, label = balanced_by_city[city]
-        for j, y in sorted(zip(index.tolist(), label.tolist())):
-            cascade = cascades[j]
-            rows.append((c, *cascade.cascade_id[1:], y, extractor.extract(cascade)))
-    return np.array(rows, EXAMPLE_DTYPE)
+        cascades, (index, label) = cascades_by_city[city], balanced_by_city[city]
+        order = np.lexsort((label, index))
+        index, label = index[order], label[order]
+        part = np.empty(len(index), EXAMPLE_DTYPE)
+        part["city"], part["label"] = c, label
+        part["business"], part["component"] = cascades.business[index], cascades.component[index]
+        part["features"] = extractor.extract(cascades, index)
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 FEATURES_CACHE_FORMAT = "cascademine.features"

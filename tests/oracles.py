@@ -9,9 +9,10 @@ of the decoder's scanner, signature buckets from degrees counted edge by edge
 in each cascade instead of the census's pass over a city's arrays, exact inverse-CDF
 sampling against tabulated zeta mass, labeling and balancing row by row
 instead of over index arrays, a from-first-principles feature
-recomputation, the Mann-Whitney pair count for AUC, and a GBDT grower that
-argsorts every feature again at every node instead of filtering presorted
-orders. The library's test-only helpers live here too: the graph's edge
+recomputation, the feature extractor one example at a time (bit-exact)
+instead of one array pass per city, the Mann-Whitney pair count for AUC,
+and a GBDT grower that argsorts every feature again at every node instead
+of filtering presorted orders. The library's test-only helpers live here too: the graph's edge
 list, a one-shot feature extractor, the continuous power-law exponent and
 staged GBDT scores.
 """
@@ -28,9 +29,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import zeta
 
-from cascademine.features import LABEL_LONG, LABEL_SHORT, FeatureExtractor
+from cascademine.features import (EXAMPLE_DTYPE, FALLBACK_STARS, FEATURE_NAMES, LABEL_LONG,
+                                  LABEL_SHORT, N_FEATURES, FeatureExtractor)
+from cascademine.ingest import EventKind
 from cascademine.learner import MAX_LEAF_VALUE, GbdtModel, Tree, sigmoid
 from cascademine.util import substream_seed
+from conftest import as_store
 
 BASE_DAY = dt.date(2012, 1, 1)
 
@@ -410,7 +414,133 @@ def _lg(x: float) -> float:
 
 def extract_features(cascade, k: int, profiles) -> np.ndarray:
     """One-shot FeatureExtractor for a single cascade."""
-    return FeatureExtractor(profiles, k).extract(cascade)
+    return FeatureExtractor(profiles, k).extract(as_store([cascade], cascade.city), [0])[0]
+
+
+class PerExampleExtractor:
+    """The feature extractor as it was before it took a city's examples in one
+    array pass: one :class:`Cascade` view per example, its prefix rows and table
+    rows read as Python numbers (``tolist``), a ``degree`` and an
+    ``are_friends`` search per node. Bit-exact: the array pass must give the
+    same vectors and the same ``imputed`` counts."""
+
+    def __init__(self, profiles, k: int):
+        self.profiles = profiles
+        self.graph = profiles.graph
+        self.k = k
+        self.imputed: Counter = Counter()
+        self._city_stars: dict[str, float] = {}
+
+    def _city_mean_stars(self, city: str) -> float:
+        cached = self._city_stars.get(city)
+        if cached is not None:
+            return cached
+        businesses, cities = self.profiles.businesses, self.profiles.cities
+        rated = [(s, c) for s, c in zip(businesses["stars"].tolist(),
+                                        businesses["city"].tolist()) if not math.isnan(s)]
+        stars = [s for s, c in rated if cities[c] == city] or [s for s, _ in rated]
+        value = float(np.mean(stars)) if stars else FALLBACK_STARS
+        self._city_stars[city] = value
+        return value
+
+    def _stars_or_city_mean(self, value, city: str, feature: str) -> float:
+        if value is None or math.isnan(value):
+            self.imputed[feature] += 1
+            return self._city_mean_stars(city)
+        return float(value)
+
+    def _user(self, u: int):
+        """(review_count, average_stars, yelping_since ordinal, fans, elite_years)
+        with None for an absent value, or None for a user the user file did not list."""
+        table = self.profiles.users
+        if not 0 <= u < len(table):
+            return None
+        listed, review_count, avg, since, fans, elite = table[u].tolist()
+        if not listed:
+            return None
+        return review_count, None if math.isnan(avg) else avg, since or None, fans, elite
+
+    def extract(self, cascade) -> np.ndarray:
+        city = cascade.city
+        users, days, kinds, stars, text_lens, votes = zip(*cascade.nodes[: self.k].tolist())
+        stars = [s or None for s in stars]  # 0 marks a node without stars
+        root, rest = users[0], users[1:]
+
+        v = np.empty(N_FEATURES, dtype=np.float64)
+
+        # business block
+        businesses = self.profiles.businesses
+        if not 0 <= cascade.business_id < len(businesses):
+            self.imputed.update(FEATURE_NAMES[0:4])
+            v[0:4] = (self._city_mean_stars(city), 0.0, 0.0, 0.0)
+        else:
+            _, biz_stars, review_count, category_count, is_open = (
+                businesses[cascade.business_id].tolist())
+            v[0:4] = (self._stars_or_city_mean(biz_stars, city, "biz_stars"),
+                      math.log1p(review_count), float(category_count), float(is_open))
+
+        # root node block
+        root_user = self._user(root)
+        v[4] = math.log1p(self.graph.degree(root))
+        if root_user is None:
+            self.imputed.update(FEATURE_NAMES[5:10])
+            v[5:10] = (0.0, self._city_mean_stars(city), 0.0, 0.0, 0.0)
+        else:
+            review_count, avg, since, fans, elite = root_user
+            if since is None:
+                self.imputed["root_account_age_days"] += 1
+            v[5:10] = (math.log1p(review_count),
+                       self._stars_or_city_mean(avg, city, "root_avg_stars"),
+                       0.0 if since is None else float(max(days[0] - since, 0)),
+                       math.log1p(fans), float(elite))
+
+        # non-root node block (k >= 2 guarantees rest is nonempty)
+        rows = []
+        for u in rest:
+            rec = self._user(u)
+            if rec is None:
+                self.imputed.update(("nonroot_review_count_log1p_mean", "nonroot_avg_stars_mean",
+                                     "nonroot_fans_log1p_mean", "nonroot_elite_years_mean"))
+                rows.append((0.0, self._city_mean_stars(city), 0.0, 0.0))
+            else:
+                review_count, avg, _, fans, elite = rec
+                rows.append((math.log1p(review_count), self._stars_or_city_mean(
+                    avg, city, "nonroot_avg_stars_mean"), math.log1p(fans), float(elite)))
+        review_counts, avg_stars, fans, elite = zip(*rows)
+        degrees = [math.log1p(self.graph.degree(u)) for u in rest]
+        v[10:18] = (np.mean(degrees), np.max(degrees), np.mean(review_counts),
+                    np.max(review_counts), np.mean(avg_stars), np.mean(fans), np.mean(elite),
+                    sum(self.graph.are_friends(root, u) for u in rest) / len(rest))
+
+        # root event block
+        v[18:23] = (self._stars_or_city_mean(stars[0], city, "root_stars"),
+                    math.log1p(text_lens[0]), float(votes[0]), float(kinds[0] == EventKind.TIP),
+                    float(dt.date.fromordinal(days[0]).weekday()))
+
+        # non-root event block
+        gaps = [float(b - a) for a, b in zip(days, days[1:])]
+        v[23:30] = (np.mean([self._stars_or_city_mean(s, city, "nonroot_stars_mean")
+                             for s in stars[1:]]),
+                    np.mean([math.log1p(n) for n in text_lens[1:]]),
+                    np.mean([float(n) for n in votes[1:]]),
+                    sum(kind == EventKind.TIP for kind in kinds[1:]) / len(rest),
+                    np.mean(gaps), np.max(gaps), float(days[-1] - days[0]))
+        return v
+
+
+def per_example_examples(cascades_by_city, balanced_by_city, k: int,
+                         profiles) -> tuple[np.ndarray, Counter]:
+    """``build_examples``' table, one :class:`PerExampleExtractor` vector and
+    one row tuple per example, and that extractor's ``imputed`` counts."""
+    extractor = PerExampleExtractor(profiles, k)
+    rows = []
+    for c, city in enumerate(sorted(balanced_by_city)):
+        cascades = cascades_by_city[city]
+        index, label = balanced_by_city[city]
+        for j, y in sorted(zip(index.tolist(), label.tolist())):
+            cascade = cascades[j]
+            rows.append((c, *cascade.cascade_id[1:], y, extractor.extract(cascade)))
+    return np.array(rows, EXAMPLE_DTYPE), extractor.imputed
 
 
 def reference_features(cascade, k: int, profiles) -> dict[str, float]:

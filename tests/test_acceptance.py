@@ -218,10 +218,10 @@ def test_criterion_06_feature_no_leakage_and_oracle():
     leaks = 0
     worst = 0.0
     for cascade in eligible:
-        base = extractor.extract(cascade)
-        for mutant in mutate_beyond_prefix(cascade, k, rng):
-            if extractor.extract(mutant).tobytes() != base.tobytes():
-                leaks += 1
+        # one store of the cascade and its mutants, which share its cascade id
+        mutants = list(mutate_beyond_prefix(cascade, k, rng))
+        base, *rows = extractor.extract(as_store([cascade, *mutants]), range(1 + len(mutants)))
+        leaks += sum(row.tobytes() != base.tobytes() for row in rows)
         ref = reference_features(cascade, k, tables)
         worst = max(worst, max(abs(v - ref[name])
                                for name, v in zip(FEATURE_NAMES, base)))

@@ -16,7 +16,8 @@ from cascademine.features import (EXAMPLE_DTYPE, FEATURE_NAMES, N_FEATURES, Feat
 from cascademine.ingest import BUSINESS_DTYPE, USER_DTYPE, EventKind, Profiles
 from conftest import (as_store, as_stores, day, edge_array, graph_from_edges, mk_cascade,
                       random_graph, small_stores, stored)
-from oracles import extract_features, reference_balance, reference_features
+from oracles import (extract_features, per_example_examples, reference_balance,
+                     reference_features)
 
 
 def user(review_count=5, avg=3.8, since=-400, fans=2, elite=1):
@@ -162,9 +163,9 @@ class TestBalance:
 class CountingExtractor(FeatureExtractor):
     calls = 0
 
-    def extract(self, cascade):
+    def extract(self, cascades, index):
         self.calls += 1
-        return super().extract(cascade)
+        return super().extract(cascades, index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,7 +195,12 @@ def test_labels_and_balance_match_per_row_path(by_city, shuffle_seed):
             cities = sorted(balanced)
             assert [((cities[c], b, j), y) for c, b, j, y, _ in examples.tolist()] == [
                 row for city in sorted(want) for row in sorted(want[city])]
-            assert extractor.calls == len(examples)
+            assert extractor.calls == len(balanced)  # one per included city
+
+
+def extract_one(extractor, cascade):
+    """``extractor``'s feature vector of ``cascade`` alone."""
+    return extractor.extract(as_store([cascade], cascade.city), [0])[0]
 
 
 def small_world():
@@ -240,19 +246,26 @@ class TestExtract:
         # user 3 has no avg_stars/since; user 4 unknown; business 9 unknown
         cascade = mk_cascade([(3, 0), (4, 2)], [(3, 4)], business=9)
         extractor = FeatureExtractor(tables, k=2)
-        vec = extractor.extract(cascade)
+        vec = extract_one(extractor, cascade)
         assert np.all(np.isfinite(vec))
         assert extractor.imputed["root_avg_stars"] == 1
         assert extractor.imputed["root_account_age_days"] == 1
         assert extractor.imputed["biz_stars"] == 1
         assert extractor.imputed["nonroot_avg_stars_mean"] == 1
 
+    def test_nothing_imputed_adds_no_key(self):
+        extractor = FeatureExtractor(small_world(), k=2)
+        store = as_store([mk_cascade([(0, 0), (1, 1)], [(0, 1)])])
+        assert extractor.extract(store, []).shape == (0, N_FEATURES)
+        assert np.all(np.isfinite(extractor.extract(store, [0])))
+        assert list(extractor.imputed) == []
+
     def test_unrated_business_imputed_with_rated_city_mean(self):
         businesses = [business(stars=np.nan), business(stars=2.0), business(stars=5.0),
                       business(stars=np.nan), business(city="elsewhere", stars=1.0)]
         tables = profiles({0: user(), 1: user()}, businesses, graph_from_edges([(0, 1)], 2))
         extractor = FeatureExtractor(tables, k=2)
-        vec = extractor.extract(mk_cascade([(0, 0), (1, 1, EventKind.TIP)], [(0, 1)]))
+        vec = extract_one(extractor, mk_cascade([(0, 0), (1, 1, EventKind.TIP)], [(0, 1)]))
         named = dict(zip(FEATURE_NAMES, vec))
         assert named["biz_stars"] == 3.5  # testville's rated businesses only
         assert named["nonroot_stars_mean"] == 3.5
@@ -262,22 +275,20 @@ class TestExtract:
     def test_deterministic_bitwise(self, rng):
         tables, cascades = random_world(rng, 40)
         extractor = FeatureExtractor(tables, k=3)
-        for cascade in cascades:
-            if cascade.size < 3:
-                continue
-            v1 = extractor.extract(cascade)
-            v2 = extractor.extract(cascade)
-            assert v1.tobytes() == v2.tobytes()
+        store = as_store(cascades)
+        index = np.flatnonzero(store.sizes >= 3)
+        v1 = extractor.extract(store, index)
+        v2 = extractor.extract(store, index)
+        assert v1.tobytes() == v2.tobytes()
 
     def test_matches_reference_implementation(self, rng):
         tables, cascades = random_world(rng, 120)
         extractor = FeatureExtractor(tables, k=4)
+        store = as_store(cascades)
+        index = np.flatnonzero(store.sizes >= 4)
         checked = 0
-        for cascade in cascades:
-            if cascade.size < 4:
-                continue
-            vec = extractor.extract(cascade)
-            ref = reference_features(cascade, 4, tables)
+        for j, vec in zip(index.tolist(), extractor.extract(store, index)):
+            ref = reference_features(store[j], 4, tables)
             for name, value in zip(FEATURE_NAMES, vec):
                 assert abs(value - ref[name]) < 1e-9, name
             checked += 1
@@ -291,9 +302,9 @@ class TestExtract:
         for cascade in cascades:
             if cascade.size < k + 1:
                 continue
-            base = extractor.extract(cascade)
+            base = extract_one(extractor, cascade)
             for mutant in mutate_beyond_prefix(cascade, k, rng):
-                assert extractor.extract(mutant).tobytes() == base.tobytes()
+                assert extract_one(extractor, mutant).tobytes() == base.tobytes()
             checked += 1
         assert checked >= 10
 
@@ -368,6 +379,70 @@ def mutate_beyond_prefix(cascade, k, rng):
         yield Cascade(cascade.cascade_id, relabeled, cascade.edges)
 
 
+def oracle_world(rng, all_unrated: bool):
+    """Tables and stores for the per-example oracle: unlisted users, users
+    without stars or a join date, user and business ids outside their tables,
+    unrated businesses, nodes without stars, cascades of 2 to 15 nodes, a city
+    whose every business is unrated ("ghost"), and a city named nowhere in the
+    tables ("elsewhere"). ``all_unrated`` leaves no business rated at all."""
+    n_users = 70
+    users = {}
+    for u in range(n_users):
+        if rng.random() < 0.2:
+            continue  # listed nowhere: an unlisted row
+        users[u] = user(review_count=int(rng.integers(0, 10 ** 6)),
+                        avg=None if rng.random() < 0.2 else float(rng.uniform(1, 5)),
+                        since=None if rng.random() < 0.15 else int(rng.integers(-3000, 500)),
+                        fans=int(rng.integers(0, 5000)), elite=int(rng.integers(0, 12)))
+    businesses = [business(stars=float(rng.integers(2, 11)) / 2.0,
+                           review_count=int(rng.integers(0, 10 ** 5)),
+                           categories=int(rng.integers(0, 9)), is_open=bool(rng.random() < 0.7))
+                  for _ in range(6)]
+    businesses[1] = business(stars=np.nan)
+    businesses += [business(city="ghost", stars=np.nan) for _ in range(2)]
+    if all_unrated:
+        businesses = [business(city, np.nan, *rest) for city, _, *rest in businesses]
+    graph = random_graph(rng, n_users, 0.15)
+    by_city = {}
+    for city in ("testville", "ghost", "elsewhere", "empty"):
+        cascades = []
+        for i in range(25):
+            specs = []
+            # ids from 70 up are outside both tables
+            for u in rng.choice(n_users + 10, size=int(rng.integers(2, 16)), replace=False):
+                kind = EventKind.TIP if rng.random() < 0.3 else EventKind.REVIEW
+                stars = None if rng.random() < 0.2 else int(rng.integers(1, 6))
+                specs.append((int(u), int(rng.integers(0, 400)), kind, stars,
+                              int(rng.integers(0, 2000)), int(rng.integers(0, 40))))
+            ordered = sorted(specs, key=lambda spec: (spec[1], spec[0]))
+            cascades.append(mk_cascade(specs, [(a[0], b[0]) for a, b in zip(ordered, ordered[1:])],
+                                       city=city, business=int(rng.integers(0, 11)), index=i))
+        by_city[city] = as_store(cascades, city)
+    return profiles(users, businesses, graph), by_city
+
+
+class TestPerExampleOracle:
+    @pytest.mark.parametrize("k", [2, 3, 5, 9, 12])
+    @pytest.mark.parametrize("all_unrated", [False, True])
+    def test_examples_bit_identical(self, k, all_unrated):
+        """At k >= 9 each non-root mean sums 8 or more values, so numpy's
+        pairwise summation runs."""
+        rng = np.random.default_rng(k)
+        tables, stores = oracle_world(rng, all_unrated)
+        balanced = {}
+        for city, store in stores.items():
+            index = np.flatnonzero(store.sizes >= k)[: 0 if city == "empty" else None]
+            balanced[city] = (rng.permutation(index), rng.integers(0, 2, len(index)))
+        assert sum(len(index) for index, _ in balanced.values()) >= 10
+        extractor = FeatureExtractor(tables, k)
+        examples = build_examples(stores, balanced, extractor)
+        want, imputed = per_example_examples(stores, balanced, k, tables)
+        assert examples.tobytes() == want.tobytes()
+        assert dict(extractor.imputed) == dict(imputed)
+        assert 0 not in extractor.imputed.values()
+        assert {"biz_stars", "root_stars", "nonroot_stars_mean"} <= set(imputed)
+
+
 class TestIO:
     def test_examples_round_trip(self, tmp_path, rng):
         tables, cascades = random_world(rng, 30)
@@ -379,7 +454,7 @@ class TestIO:
         assert examples.dtype == EXAMPLE_DTYPE and len(examples) == len(store)
         for j, (row, cascade) in enumerate(zip(examples.tolist(), store)):
             assert row[:4] == (0, *cascade.cascade_id[1:], j % 2)
-            assert np.array_equal(row[4], extractor.extract(cascade))
+        assert np.array_equal(examples["features"], extractor.extract(store, index))
         path = tmp_path / "features.pkl"
         save_examples(examples, ["testville"], path)
         cities, loaded = load_examples(path)
