@@ -263,18 +263,47 @@ def stage_train(cfg: RunConfig) -> None:
     print(f"[train] fitted models for {len(models)} cities")
 
 
+def _caught(fn, *args):
+    """``fn(*args)``, or the ValueError it raised, kept to be raised in its turn."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _raised(value):
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 def stage_evaluate(cfg: RunConfig) -> None:
     by_city = _examples_by_city(cfg)
     learners = {"gbdt": _gbdt_fit(cfg), "logreg": _logreg_fit(cfg)}
+
+    def plan(city, X, y):  # learner -> (fold_scores, report) of learn.cv_plan
+        return {name: learn.cv_plan(X, y, fit, cfg.folds,
+                                    substream_seed(cfg.seed, "cv", name, city))
+                for name, fit in learners.items()}
+
+    def fold_scores(fit):
+        city, name, f = fit
+        return _caught(plans[city][name][0], f)
+
+    plans = {city: _caught(plan, city, X, y) for city, (X, y) in by_city.items()}
+    # Every fold of every city in one pool, the slower GBDT fits first. A
+    # ValueError comes back as a result and is raised below in city order,
+    # whichever process met it.
+    fits = [(city, name, f) for name in learners for city, p in plans.items()
+            if isinstance(p, dict) for f in range(cfg.folds)]
+    scores = dict(zip(fits, fork_map(fold_scores, fits)))
     report = {"schema_version": SCHEMA_VERSION, "cities": {}, "skipped": []}
     acc_rows = []
     roc_rows = []
     for city, (X, y) in by_city.items():
         try:
-            reps = {name: learn.cross_validate(
-                        X, y, fit, folds=cfg.folds,
-                        seed=substream_seed(cfg.seed, "cv", name, city), mapper=fork_map)
-                    for name, fit in learners.items()}
+            reps = {name: cv_report([_raised(scores[city, name, f]) for f in range(cfg.folds)])
+                    for name, (_, cv_report) in _raised(plans[city]).items()}
         except learn.TooFewExamples as exc:
             print(f"[evaluate] skipped {city}: {exc} ({len(y)} examples)")
             report["skipped"].append([city, str(exc)])

@@ -23,11 +23,13 @@ its friend list or a retained event names it, and an id that only a
 superseded line names gets none.
 
 The business file is parsed first. The user, review and tip files are then
-parsed in parallel, one forked worker per CPU of the affinity mask
-(:func:`cascademine.util.fork_map`), each interning user ids into local ids of
-its own, in order of first sight. The caller numbers the raw ids once, in
-sorted order, and maps each file's local ids straight to those numbers, so the
-caches are byte-identical at any CPU count.
+parsed in parallel (:func:`cascademine.util.fork_map`): the stage's process and
+a forked worker per further CPU of the affinity mask each take the next file
+from a shared queue whenever they are free, so a process done with a small
+file takes another. Each file's parse interns user ids into local ids of its
+own, in order of first sight. The caller numbers the raw ids once, in sorted
+order, and maps each file's local ids straight to those numbers, so the caches
+are byte-identical at any CPU count and whichever process parses which file.
 
 A count, a rating or a date that is missing, malformed, negative, out of
 range (a rating outside 1..5) or not finite (``NaN``, ``Infinity``) is read as
@@ -97,7 +99,7 @@ EVENT_DTYPE = np.dtype([("business_id", np.int32), ("user_id", np.int32), ("day"
 _MAX_COUNT = int(np.iinfo(np.int64).max)
 _MAX_VOTES = int(np.iinfo(np.int32).max)
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_PARALLEL_FILES = ("user", "review", "tip")  # parsed in parallel, shared out in this order
+_PARALLEL_FILES = ("user", "review", "tip")  # parsed in parallel, queued in this order
 
 
 class EventKind(IntEnum):
@@ -363,10 +365,11 @@ def ingest_dataset(paths: DatasetPaths) -> IngestResult:
     # the input content and not of file ordering.
     business_ids = sorted(raw_businesses)
     business_index = {raw: i for i, raw in enumerate(business_ids)}
-    parts = fork_map(lambda name: _parse_file(name, path_map[name], business_index),
-                     _PARALLEL_FILES)
-    counts.update((name, part[0]) for name, part in zip(_PARALLEL_FILES, parts))
-    _, user_raw, (columns, stars, friends) = parts.pop(0)  # leaves the event files
+    parts = dict(zip(_PARALLEL_FILES, fork_map(
+        lambda name: _parse_file(name, path_map[name], business_index), _PARALLEL_FILES)))
+    counts.update((name, part[0]) for name, part in parts.items())
+    _, user_raw, (columns, stars, friends) = parts.pop("user")
+    parts = [parts[name] for name in ("review", "tip")]  # the event files, in file order
 
     # Each user's last line: the first occurrence of its id in reverse.
     lines = np.frombuffer(columns, np.int64).reshape(-1, 6)

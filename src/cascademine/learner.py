@@ -11,16 +11,20 @@ Two learners, both written against plain numpy arrays:
   is the exact greedy "column block" one of XGBoost (Chen & Guestrin, KDD
   2016): every feature column is sorted once per training set, a node filters
   its parent's per-feature orders with its own row mask (a stable filter, so
-  tied values stay in ascending row order), and all candidate splits of all
-  features are scored as one (features, rows - 1) array. Within a feature the
-  lowest threshold among equal gains wins; a later feature replaces an
-  earlier one only if it gains more than 1e-15 more.
+  tied values stay in ascending row order; the root needs none), and gains
+  are computed only at the candidate splits, where the sorted value changes
+  and both sides keep ``min_leaf`` rows (the root's found once per fit). The
+  residual cumsum still runs over each whole sorted row, so the gains are bit
+  for bit those of scoring every position. Within a feature the lowest
+  threshold among equal gains wins; a later feature replaces an earlier one
+  only if it gains more than 1e-15 more.
 
 Evaluation is stratified k-fold cross-validation with the ROC pooled over
 out-of-fold scores and AUC by the trapezoid rule; it fits one model per fold
-and nothing else. The folds run one after another unless the caller passes a
-parallel map such as :func:`cascademine.util.fork_map`, as the ``evaluate``
-stage does; the scores, and so the report, are the same either way. Feature
+and nothing else. :func:`cross_validate` runs the folds through a map of the
+caller's (the builtin one by default); the ``evaluate`` stage takes the fold
+fits of every city and learner from :func:`cv_plan` and runs them in one
+pool. The scores, and so the report, are the same either way. Feature
 importance is read from a model fitted on all rows (the `train` stage's) and
 follows the depth of the decision nodes that use a feature: each split
 contributes 2**(-depth), so a root split counts 1, its children 1/2, and so
@@ -30,7 +34,7 @@ on; split gain totals are kept alongside as a secondary ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +57,13 @@ def _check_binary(y: np.ndarray) -> None:
         raise ValueError("labels must be 0/1")
     if len(classes) < 2:
         raise ValueError("need both classes present")
+
+
+def _check_finite(X: np.ndarray) -> None:
+    # a -inf/+inf pair would put a split threshold at NaN, any of them a score
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+    if bad.size:
+        raise ValueError(f"feature column {bad[0]} has non-finite values")
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +131,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l1: float = 0.0, l2: float = 0.0,
     _check_binary(y)
     if l1 < 0 or l2 < 0:
         raise ValueError("penalties must be nonnegative")
+    _check_finite(X)
 
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -189,7 +201,21 @@ class Tree:
         return out
 
 
-def _best_split(xs: np.ndarray, rs: np.ndarray, total: float, min_leaf: int):
+def _candidates(xs: np.ndarray, min_leaf: int):
+    """Where sorted values ``xs`` (features, n >= 2 * min_leaf) can split: where
+    x changes, with ``min_leaf`` rows or more on each side. Returns each one's
+    left size and flat index in ``xs`` of its last left row, in (feature,
+    position) order, and ``starts``: feature f's are ``starts[f]:starts[f + 1]``."""
+    d, n = xs.shape
+    m = n - 2 * min_leaf + 1  # positions min_leaf - 1 .. n - min_leaf - 1
+    f, j = np.divmod(np.flatnonzero(xs[:, min_leaf - 1:n - min_leaf]
+                                    != xs[:, min_leaf:n - min_leaf + 1]), m)
+    sizes = j + min_leaf
+    return sizes, f * n + (sizes - 1), np.searchsorted(f, np.arange(d + 1))
+
+
+def _best_split(xs: np.ndarray, rs: np.ndarray, total: float, min_leaf: int,
+                candidates=None):  # candidates: _candidates(xs, min_leaf), if known
     """Greedy squared-error split of one node: maximize S_L^2/n_L + S_R^2/n_R - S^2/n.
 
     Row f of ``xs`` and ``rs`` holds feature f's values and the residuals of
@@ -202,10 +228,12 @@ def _best_split(xs: np.ndarray, rs: np.ndarray, total: float, min_leaf: int):
     d, n = xs.shape
     if n < 2 * min_leaf:
         return None
+    sizes, last, starts = candidates or _candidates(xs, min_leaf)
+    if not sizes.size:
+        return None
     parent = total * total / n
-    # split after each left size with both sides >= min_leaf, only where x changes
-    sizes = np.arange(min_leaf, n - min_leaf + 1)
-    s_left = np.cumsum(rs, axis=1)[:, min_leaf - 1:n - min_leaf]
+    # gains at the candidates alone, from the sequential cumsum of each whole row
+    s_left = np.cumsum(rs, axis=1).ravel()[last]
     # s_left**2 / sizes + (total - s_left)**2 / (n - sizes) - parent, in place
     gain = s_left * s_left
     gain /= sizes
@@ -214,27 +242,28 @@ def _best_split(xs: np.ndarray, rs: np.ndarray, total: float, min_leaf: int):
     right /= n - sizes
     gain += right
     gain -= parent
-    gain[xs[:, min_leaf - 1:n - min_leaf] == xs[:, min_leaf:n - min_leaf + 1]] = -np.inf
-    pos = np.argmax(gain, axis=1)
-    best_gain = gain.max(axis=1)
+    some = starts[1:] > starts[:-1]
+    best_gain = np.full(d, -np.inf)
+    best_gain[some] = np.maximum.reduceat(gain, starts[:-1][some])
     best = None
     for f in np.flatnonzero(best_gain > 1e-12).tolist():
         if best is None or best_gain[f] > best_gain[best] + 1e-15:
             best = f
     if best is None:
         return None
-    i = pos[best] + min_leaf - 1
-    return float(best_gain[best]), best, float(0.5 * (xs[best, i] + xs[best, i + 1]))
+    i = last[starts[best] + np.argmax(gain[starts[best]:starts[best + 1]])]
+    x = xs.ravel()
+    return float(best_gain[best]), best, float(0.5 * (x[i] + x[i + 1]))
 
 
-def _fit_tree(XT: np.ndarray, orders: np.ndarray, xs: np.ndarray, r: np.ndarray,
+def _fit_tree(XT: np.ndarray, orders: np.ndarray, xs: np.ndarray, root, r: np.ndarray,
               hess: np.ndarray, max_depth: int, min_leaf: int) -> tuple[Tree, np.ndarray]:
     """Grow one tree on all rows, given each feature's presorted row ``orders``
-    and sorted values ``xs``.
+    and sorted values ``xs``, and their ``_candidates`` (None: too few rows).
 
-    A node filters its parent's orders and values with its own row mask, which
-    keeps them sorted with ties in ascending row order. Returns the tree and
-    every training row's leaf value.
+    A node below the root filters its parent's orders and values with its own
+    row mask, which keeps them sorted with ties in ascending row order.
+    Returns the tree and every training row's leaf value.
     """
     tree = Tree()
     fitted = np.empty(len(r), dtype=np.float64)
@@ -246,10 +275,11 @@ def _fit_tree(XT: np.ndarray, orders: np.ndarray, xs: np.ndarray, r: np.ndarray,
         total = r_node.sum()
         split = None
         if depth < max_depth:
-            keep = np.flatnonzero(rows[orders])
-            orders = orders.ravel()[keep].reshape(d, len(r_node))
-            xs = xs.ravel()[keep].reshape(d, len(r_node))
-            split = _best_split(xs, r[orders], total, min_leaf)
+            if depth:  # the root's rows are all rows: nothing to filter
+                keep = np.flatnonzero(rows[orders])
+                orders = orders.ravel()[keep].reshape(d, len(r_node))
+                xs = xs.ravel()[keep].reshape(d, len(r_node))
+            split = _best_split(xs, r[orders], total, min_leaf, None if depth else root)
         if split is None:
             den = max(hess[rows].sum(), 1e-12)
             value = float(np.clip(total / den, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
@@ -299,10 +329,7 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int 
         raise ValueError("learning_rate must be in (0, 1]")
     if n_trees < 0 or max_depth < 1 or min_leaf < 1:
         raise ValueError("bad tree hyperparameters")
-    # a -inf/+inf neighbour pair would put a split threshold at NaN
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
-    if bad.size:
-        raise ValueError(f"feature column {bad[0]} has non-finite values")
+    _check_finite(X)
 
     p0 = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     base = float(np.log(p0 / (1.0 - p0)))
@@ -310,10 +337,12 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int 
     XT = np.ascontiguousarray(X.T)
     orders = np.argsort(XT, axis=1, kind="stable")
     xs = np.take_along_axis(XT, orders, axis=1)
+    root = _candidates(xs, min_leaf) if len(y) >= 2 * min_leaf else None
     trees: list[Tree] = []
     for _ in range(n_trees):
         p = sigmoid(raw)
-        tree, fitted = _fit_tree(XT, orders, xs, y - p, p * (1.0 - p), max_depth, min_leaf)
+        tree, fitted = _fit_tree(XT, orders, xs, root, y - p, p * (1.0 - p), max_depth,
+                                 min_leaf)
         trees.append(tree)
         raw += learning_rate * fitted
     return GbdtModel(trees, learning_rate, base)
@@ -409,18 +438,11 @@ class TooFewExamples(ValueError):
     """A class has fewer examples than there are folds."""
 
 
-def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 5,
-                   seed: int = 0, mapper: Callable = map) -> CrossValReport:
-    """Stratified k-fold CV; the ROC pools out-of-fold scores from all folds.
-
-    ``fit`` is called exactly ``folds`` times, each on the training folds
-    only, so any inner standardization never sees test rows. No model is fit
-    on all rows here: the `train` stage's full-data fit is the one importance
-    comes from. The folds run through ``mapper(fold_scores, range(folds))``,
-    which must yield each fold's out-of-fold scores in fold order: the builtin
-    ``map`` runs them here, in turn; :func:`cascademine.util.fork_map` runs
-    them in forked workers with the same results.
-    """
+def cv_plan(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 5,
+            seed: int = 0) -> tuple[Callable, Callable]:
+    """:func:`cross_validate` in two halves, after its checks, which raise here:
+    ``fold_scores(f)`` fits fold f and returns its out-of-fold scores, and
+    ``report(scores)`` builds the report from every fold's scores in order."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_binary(y)
@@ -434,17 +456,30 @@ def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 
         test = assignment == f
         return fit(X[~test], y[~test]).predict_proba(X[test])
 
-    pooled_scores = np.empty(len(y), dtype=np.float64)
-    fold_acc = []
-    for f, proba in enumerate(mapper(fold_scores, range(folds))):
-        test = assignment == f
-        pooled_scores[test] = proba
-        fold_acc.append(float(np.mean((proba >= 0.5).astype(np.int64) == y[test])))
+    def report(scores: Iterable[np.ndarray]) -> CrossValReport:
+        pooled_scores = np.empty(len(y), dtype=np.float64)
+        fold_acc = []
+        for f, proba in enumerate(scores):
+            test = assignment == f
+            pooled_scores[test] = proba
+            fold_acc.append(float(np.mean((proba >= 0.5).astype(np.int64) == y[test])))
+        points = roc_curve(pooled_scores, y)
+        return CrossValReport(fold_acc, float(np.mean(fold_acc)), points, auc_trapezoid(points))
 
-    points = roc_curve(pooled_scores, y)
-    return CrossValReport(
-        fold_accuracies=fold_acc,
-        mean_accuracy=float(np.mean(fold_acc)),
-        roc=points,
-        auc=auc_trapezoid(points),
-    )
+    return fold_scores, report
+
+
+def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 5,
+                   seed: int = 0, mapper: Callable = map) -> CrossValReport:
+    """Stratified k-fold CV; the ROC pools out-of-fold scores from all folds.
+
+    ``fit`` is called exactly ``folds`` times, each on the training folds
+    only, so any inner standardization never sees test rows. No model is fit
+    on all rows here: the `train` stage's full-data fit is the one importance
+    comes from. The folds run through ``mapper(fold_scores, range(folds))``,
+    which must yield each fold's out-of-fold scores in fold order: the builtin
+    ``map`` runs them here, in turn; :func:`cascademine.util.fork_map` runs
+    them in forked workers with the same results.
+    """
+    fold_scores, report = cv_plan(X, y, fit, folds, seed)
+    return report(mapper(fold_scores, range(folds)))

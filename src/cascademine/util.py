@@ -58,6 +58,7 @@ def substream_seed(global_seed: int, *names: str) -> int:
 
 
 _in_worker = False  # set in a fork_map worker, where a nested fork_map runs inline
+_MAX_RUNS = 512  # queue tokens: 2 KiB of them fit in any pipe, so all go in before a fork
 
 
 class WorkerTraceback(Exception):
@@ -65,15 +66,26 @@ class WorkerTraceback(Exception):
     chained as the cause of that exception when it is raised again."""
 
 
-def _serve(fn: Callable, share: list, fd: int) -> None:
-    """A fork_map worker: run ``share``, pickle the outcome to ``fd`` and leave
+def _take(fn: Callable, items: list, step: int, queue: int) -> dict:
+    """{k: results of items[k * step:(k + 1) * step]} for each number k read from
+    the ``queue`` pipe until it is empty. Every number was written before any
+    read, and no read of a pipe is split between readers, so each is read once."""
+    done = {}
+    while token := os.read(queue, 4):
+        k = int.from_bytes(token, "little")
+        done[k] = [fn(item) for item in items[k * step:(k + 1) * step]]
+    return done
+
+
+def _serve(fn: Callable, items: list, step: int, queue: int, fd: int) -> None:
+    """A fork_map worker: ``_take``, pickle the outcome to ``fd`` and leave
     through ``os._exit``, so no handler or buffer of the parent's runs here."""
     global _in_worker
     code = 1
     try:
         _in_worker = True
         try:
-            reply = (True, [fn(item) for item in share], "")
+            reply = (True, _take(fn, items, step, queue), "")
         except BaseException as exc:  # any failure, interrupts too, goes to the parent
             import traceback  # worker only: the import is not paid on every run
 
@@ -94,44 +106,50 @@ def _serve(fn: Callable, share: list, fd: int) -> None:
 
 
 def fork_map(fn: Callable, items: Iterable) -> list:
-    """``[fn(item) for item in items]``, with the items shared out over the CPUs
-    of this process's affinity mask.
+    """``[fn(item) for item in items]``, with the items dealt out from a shared
+    queue to the CPUs of this process's affinity mask.
 
     Each worker is a plain ``os.fork`` of this process, so ``fn`` may be a
     closure and sees the caller's state as it was at the call; what ``fn``
-    changes there is lost. Results, and an exception with its type and
-    message, come back pickled over a pipe. The items go out in contiguous
-    shares, one per CPU but never more than there are items, and this process
-    runs the last share itself. A worker that dies without a result raises
-    RuntimeError; every worker is reaped before this returns or raises. With
-    one CPU, no ``fork`` or ``sched_getaffinity``, or inside a worker, it runs
-    inline. A fork copies only the calling thread, so call this where no
-    other thread holds a lock that ``fn`` needs; numpy's OpenBLAS thread
-    pool handles fork itself.
+    changes there is lost. Before it forks, this process writes the item
+    numbers into one pipe, the queue (past 512 items a number stands for a run
+    of them); each process, this one too, reads the next whenever it is free,
+    so one that finishes early takes more. One process per CPU is used, never
+    more than there are numbers. Results, and an exception with its type and
+    message, come back pickled over a pipe, and are returned in item order. A
+    worker that dies without a result raises RuntimeError; on any failure the
+    other workers are killed, and every worker is reaped before this returns
+    or raises. With one CPU, no ``fork`` or ``sched_getaffinity``, or inside a
+    worker, it runs inline. A fork copies only the calling thread, so call
+    this where no other thread holds a lock that ``fn`` needs; numpy's
+    OpenBLAS thread pool handles fork itself.
     """
     items = list(items)
+    step = -(-len(items) // _MAX_RUNS) or 1
+    runs = -(-len(items) // step)
     affinity = getattr(os, "sched_getaffinity", None)
     n = 1 if _in_worker or affinity is None or not hasattr(os, "fork") else \
-        min(len(affinity(0)), len(items))
+        min(len(affinity(0)), runs)
     if n <= 1:
         return [fn(item) for item in items]
-    shares = [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
+    queue, feed = os.pipe()
+    with open(feed, "wb") as fh:  # closed before the forks: the drained queue reads b""
+        fh.write(b"".join(k.to_bytes(4, "little") for k in range(runs)))
     pending = {}  # worker pid -> read end of its pipe, until it is reaped
     try:
-        for share in shares[:-1]:
+        for _ in range(n - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, share, w)
+                    _serve(fn, items, step, queue, w)
             except BaseException:
                 os.close(r)
                 raise
             finally:
                 os.close(w)
             pending[pid] = r
-        own = [fn(item) for item in shares[-1]]
-        results = []
+        done = _take(fn, items, step, queue)
         for pid in list(pending):
             # unpickled straight from the pipe, with no copy of the reply's bytes;
             # they are bytes that this program's worker wrote
@@ -148,9 +166,10 @@ def fork_map(fn: Callable, items: Iterable) -> list:
             ok, value, tb = reply
             if not ok:
                 raise value from WorkerTraceback(tb)
-            results += value
-        return results + own
+            done.update(value)
+        return [result for k in range(runs) for result in done[k]]
     finally:  # an error here or in a worker: stop and reap the rest
+        os.close(queue)
         if pending:
             import signal  # on failure only: start-up does not pay for the import
         for pid, r in pending.items():

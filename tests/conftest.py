@@ -1,10 +1,12 @@
-"""Shared builders for events, graphs, hand-made cascades and their stores."""
+"""Shared builders for events, graphs, hand-made cascades and their stores,
+and a poll for the tests that order fork_map's processes."""
 
 from __future__ import annotations
 
 import datetime as dt
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,15 @@ from cascademine.ingest import EVENT_DTYPE, EventKind
 from cascademine.social import SocialGraph, build_graph
 
 BASE_DAY = dt.date(2012, 1, 1)
+
+
+def wait_for(done, seconds: float = 30.0) -> None:
+    """Poll ``done()`` until it is true, or raise TimeoutError after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not done():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"still waiting after {seconds} s")
+        time.sleep(0.001)
 
 
 def day(offset: int) -> dt.date:

@@ -751,6 +751,47 @@ class TestSmallCities:
         importance = (tmp_path / "importance.csv").read_text().splitlines()[1:]
         assert {line.split(",")[0] for line in importance} == {"bigcity", "smallcity"}
 
+    def test_evaluate_identical_at_one_two_and_three_cpus(self, tmp_path, capsys, monkeypatch):
+        # every (city, learner, fold) fit goes through one pool, dealt from a
+        # queue: which process fits what must not show in any output
+        examples = random_examples(np.random.default_rng(4), 40, 6, 30)  # 3 per class in b
+        save_examples(examples, ["acity", "bcity", "ccity"], tmp_path / "features.pkl")
+        outputs = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
+            assert main(["evaluate", "--cache-dir", str(tmp_path), "--n-trees", "5"]) == 0
+            outputs.append([capsys.readouterr().out.encode()] + [
+                (tmp_path / name).read_bytes() for name in ("eval.json", "accuracy.csv",
+                                                            "roc.csv")])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert [line.split(":")[0] for line in outputs[0][0].decode().splitlines()] == [
+            "[evaluate] acity", "[evaluate] skipped bcity", "[evaluate] ccity"]
+        report = json.loads(outputs[0][1])
+        assert sorted(report["cities"]) == ["acity", "ccity"]
+        assert [city for city, _ in report["skipped"]] == ["bcity"]
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_non_finite_features_in_two_cities_name_the_first(self, tmp_path, capsys,
+                                                              monkeypatch):
+        examples = random_examples(np.random.default_rng(5), 20, 20, 20)
+        examples["features"][23, 4] = np.inf  # bcity
+        examples["features"][45, 2] = np.nan  # ccity
+        save_examples(examples, ["acity", "bcity", "ccity"], tmp_path / "features.pkl")
+        outs = []
+        for n in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
+            assert main(["evaluate", "--cache-dir", str(tmp_path), "--n-trees", "3"]) == 3
+            out, err = capsys.readouterr()
+            assert "bcity: feature column 4 has non-finite values" in err
+            assert "ccity" not in err
+            outs.append(out)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        # the cities before the failing one are reported as they were
+        assert outs[0] == outs[1] and outs[0].startswith("[evaluate] acity: gbdt acc=")
+        assert not (tmp_path / "eval.json").exists()
+
 
 def test_runtime_import_loads_no_scipy():
     # scipy is a test-only dependency: no stage may import it at start-up

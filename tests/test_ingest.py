@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 import json
 import os
 import pickle
@@ -9,12 +10,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cascademine import ingest
 from cascademine.cli import main
 from cascademine.errors import DataError
 from cascademine.ingest import (CACHE_FORMAT, EVENT_DTYPE, DatasetPaths, EventKind, _read_lines,
                                 ingest_dataset, load_ingest, load_profiles, normalize_city,
                                 save_ingest, save_profiles, yearly_activity_counts)
-from conftest import event_table, mk_event
+from conftest import event_table, mk_event, wait_for
 from oracles import read_json_lines
 
 
@@ -392,6 +394,56 @@ class TestIngest:
             pickle.dump({"format": CACHE_FORMAT, "version": 1, "result": None}, fh)
         with pytest.raises(DataError, match="version 1 .*rerun 'ingest'"):
             load_ingest(cache)
+
+
+    @pytest.mark.parametrize("own", [1, 2])
+    def test_caches_independent_of_which_process_parses_which_file(self, tmp_path, monkeypatch,
+                                                                  own):
+        # At 2 CPUs this process parses `own` of the user, review and tip
+        # files and its worker the others, with the files queued in every
+        # order. Ids of several characters: CPython shares one object per
+        # one-character string, so those cannot show a copy's identity.
+        users = [{"user_id": f"user-{u}", "friends": [f"user-{f}" for f in friends],
+                  "review_count": 2, "average_stars": 3.5}
+                 for u, friends in (("k", "mz"), ("m", "k"), ("k", "q"))] + ["{not json"]
+        reviews = [{"user_id": f"user-{u}", "business_id": b, "date": "2012-01-01",
+                    "text": u} for u, b in (("z", "b1"), ("k", "b1"), ("q", "b9"))]
+        tips = [{"user_id": "user-m", "business_id": "b1", "date": "2012-01-02"}, "[1]"]
+        paths = make_dataset(tmp_path, BIZ, users, reviews, tips)
+        parse, parent, log = ingest._parse_file, os.getpid(), tmp_path / "log"
+
+        def logged(who: str) -> int:
+            return log.read_text().split().count(who) if log.exists() else 0
+
+        def in_turn(name, path, business_index):
+            if os.getpid() == parent:
+                with open(log, "a") as fh:
+                    fh.write("caller\n")
+                wait_for(lambda: logged("worker") >= 3 - own)
+                return parse(name, path, business_index)
+            wait_for(lambda: logged("caller") >= 1)
+            part = parse(name, path, business_index)
+            with open(log, "a") as fh:
+                fh.write("worker\n")
+            wait_for(lambda: logged("caller") >= own)
+            return part
+
+        def caches(out) -> list[bytes]:
+            out.mkdir()
+            result = ingest_dataset(paths)
+            save_ingest(result, out / "ingest.pkl")
+            save_profiles(result.profiles, out / "profiles.npz")
+            return [(out / name).read_bytes() for name in ("ingest.pkl", "profiles.npz")]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline = caches(tmp_path / "inline")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ingest, "_parse_file", in_turn)
+        for i, order in enumerate(itertools.permutations(("user", "review", "tip"))):
+            monkeypatch.setattr(ingest, "_PARALLEL_FILES", order)
+            log.unlink(missing_ok=True)
+            assert caches(tmp_path / str(i)) == inline, order
+            assert logged("caller") == own and logged("worker") == 3 - own
 
 
 class TestNormalizeCity:

@@ -81,6 +81,14 @@ class TestLogReg:
         with pytest.raises(ValueError):
             train_logreg(X, np.ones(10))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_feature_rejected(self, bad):
+        X, y = separable_1d()
+        X = np.hstack([X, X])
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="feature column 1 has non-finite values"):
+            train_logreg(X, y)
+
     def test_standardization_from_training_data(self):
         X, y = separable_1d()
         model = train_logreg(X, y, epochs=100)
@@ -203,6 +211,33 @@ class TestGbdtMatchesReference:
         X = tie_heavy_columns(rng, 9, 3)
         y = np.array([0, 1] * 4 + [1])
         self.assert_same_model(X, y, n_trees=3, max_depth=3, min_leaf=5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_benchmark_shape(self, seed):
+        # a full_paper city at the default hyperparameters: about 240 rows of
+        # 30 features, each with 2 to 240 distinct values
+        rng = np.random.default_rng(seed)
+        n = 240
+        levels = np.concatenate([[2, n], rng.integers(2, n + 1, size=28)])
+        X = np.column_stack([rng.normal(size=k)[np.arange(n) % k][rng.permutation(n)]
+                             for k in levels])
+        y = (X[:, 3] + X[:, 7] + rng.normal(size=n) > 0).astype(np.int64)
+        self.assert_same_model(X, y, n_trees=100, max_depth=3, min_leaf=5)
+
+    def test_root_without_candidate_split(self, rng):
+        # every column changes only where one side would hold fewer than min_leaf rows
+        X = np.zeros((20, 3))
+        X[0, 0] = X[[4, 9], 1] = 1.0
+        X[:, 2] = 7.0
+        y = np.array([0, 1] * 10)
+        self.assert_same_model(X, y, n_trees=4, max_depth=3, min_leaf=5)
+        assert all(tree.feature == [-1] for tree in train_gbdt(X, y, n_trees=4, min_leaf=5).trees)
+
+    def test_min_leaf_above_half_the_rows(self, rng):
+        X = tie_heavy_columns(rng, 30, 4)
+        y = np.array([0, 1] * 15)
+        self.assert_same_model(X, y, n_trees=5, max_depth=3, min_leaf=16)
+        assert all(tree.feature == [-1] for tree in train_gbdt(X, y, n_trees=5, min_leaf=16).trees)
 
     @pytest.mark.parametrize("max_depth", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("min_leaf", [1, 2, 5, 8])
