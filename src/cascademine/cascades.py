@@ -116,10 +116,7 @@ class CityCascades:
                        self.nodes[n0:n1], self.edges[e0:e1])
 
     def __iter__(self) -> Iterator[Cascade]:
-        node_at, edge_at = self.node_offsets.tolist(), self.edge_offsets.tolist()
-        for j, (b, c) in enumerate(zip(self.business.tolist(), self.component.tolist())):
-            yield Cascade((self.city, b, c), self.nodes[node_at[j]:node_at[j + 1]],
-                          self.edges[edge_at[j]:edge_at[j + 1]])
+        return map(self.__getitem__, range(len(self)))
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

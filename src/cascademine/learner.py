@@ -21,14 +21,14 @@ Two learners, both written against plain numpy arrays:
 
 Evaluation is stratified k-fold cross-validation with the ROC pooled over
 out-of-fold scores and AUC by the trapezoid rule; it fits one model per fold
-and nothing else. :func:`cross_validate` runs the folds through a map of the
-caller's (the builtin one by default); the ``evaluate`` stage takes the fold
-fits of every city and learner from :func:`cv_plan` and runs them in one
-pool. The scores, and so the report, are the same either way. Feature
-importance is read from a model fitted on all rows (the `train` stage's) and
-follows the depth of the decision nodes that use a feature: each split
-contributes 2**(-depth), so a root split counts 1, its children 1/2, and so
-on; split gain totals are kept alongside as a secondary ranking.
+and nothing else. :func:`cross_validate` runs the folds in turn; the
+``evaluate`` stage takes the fold fits of every city and learner from
+:func:`cv_plan` and runs them in one pool. The scores, and so the report,
+are the same either way. Feature importance is read from a model fitted on
+all rows (the `train` stage's) and follows the depth of the decision nodes
+that use a feature: each split contributes 2**(-depth), so a root split
+counts 1, its children 1/2, and so on; split gain totals are kept alongside
+as a secondary ranking.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ def _check_finite(X: np.ndarray) -> None:
 class LogRegModel:
     weights: np.ndarray
     bias: float
-    l1: float
-    l2: float
     feature_mean: np.ndarray
     feature_std: np.ndarray
     n_iter: int = 0
@@ -157,7 +155,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l1: float = 0.0, l2: float = 0.0,
         if abs(prev - obj) < LOGREG_TOL:
             break
         prev = obj
-    return LogRegModel(w, b, l1, l2, mean, std, n_iter)
+    return LogRegModel(w, b, mean, std, n_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +468,13 @@ def cv_plan(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 5,
 
 
 def cross_validate(X: np.ndarray, y: np.ndarray, fit: FitFunction, folds: int = 5,
-                   seed: int = 0, mapper: Callable = map) -> CrossValReport:
+                   seed: int = 0) -> CrossValReport:
     """Stratified k-fold CV; the ROC pools out-of-fold scores from all folds.
 
     ``fit`` is called exactly ``folds`` times, each on the training folds
     only, so any inner standardization never sees test rows. No model is fit
     on all rows here: the `train` stage's full-data fit is the one importance
-    comes from. The folds run through ``mapper(fold_scores, range(folds))``,
-    which must yield each fold's out-of-fold scores in fold order: the builtin
-    ``map`` runs them here, in turn; :func:`cascademine.util.fork_map` runs
-    them in forked workers with the same results.
+    comes from. The folds run here, in turn.
     """
     fold_scores, report = cv_plan(X, y, fit, folds, seed)
-    return report(mapper(fold_scores, range(folds)))
+    return report(map(fold_scores, range(folds)))

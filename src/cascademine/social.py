@@ -1,10 +1,9 @@
 """Undirected friendship graph over dense integer user ids.
 
 Adjacency is stored in compressed sparse row form: the neighbours of user
-``u`` are ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, so a
-neighbour list is one slice and membership is a binary search. The graph is
-immutable once built and is stored once, as the ``indptr`` and ``indices``
-arrays of the profile store ``profiles.npz``.
+``u`` are ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending. The graph is
+immutable once built and is stored once, in the profile store ``profiles.npz``;
+the stages read its two arrays directly, a city's users at a time.
 """
 
 from __future__ import annotations
@@ -27,26 +26,8 @@ class SocialGraph:
     def n_edges(self) -> int:
         return len(self.indices) // 2
 
-    def degree(self, u: int) -> int:
-        if 0 <= u < len(self.indptr) - 1:
-            return int(self.indptr[u + 1] - self.indptr[u])
-        return 0
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def neighbors(self, u: int) -> np.ndarray:
-        if 0 <= u < len(self.indptr) - 1:
-            return self.indices[self.indptr[u]:self.indptr[u + 1]]
-        return self.indices[:0]
-
-    def are_friends(self, u: int, v: int) -> bool:
-        """True iff the undirected edge (u, v) exists. Unknown ids are never friends."""
-        if u == v or not (0 <= v < len(self.indptr) - 1):
-            return False
-        nbrs = self.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < len(nbrs) and nbrs[i] == v
 
 
 def build_graph(src, dst, n_nodes: int) -> SocialGraph:

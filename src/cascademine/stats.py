@@ -26,6 +26,7 @@ import numpy as np
 from cascademine.cascades import Cascade, CityCascades
 
 ALPHA_GRID = np.arange(1.05, 4.0 + 1e-9, 0.005)
+MIN_TAIL = 10  # fewest observations at or above an xmin candidate or a CCDF point
 
 # (2k)! / B_2k for k = 1..12: the Euler-Maclaurin tail coefficients of Cephes' zeta.c.
 _ZETA_TAIL = (
@@ -124,12 +125,11 @@ def _ks_distance(v: np.ndarray, c: np.ndarray, z: np.ndarray) -> float:
     return float(d)
 
 
-def fit_power_law(sizes: Sequence[int], min_tail: int = 10,
-                  grid: np.ndarray = ALPHA_GRID) -> PowerLawFit:
+def fit_power_law(sizes: Sequence[int], grid: np.ndarray = ALPHA_GRID) -> PowerLawFit:
     """Fit a discrete power law to a multiset of positive integers.
 
     Candidate xmin values are the distinct observed sizes >= 2 that keep at
-    least ``min_tail`` observations and at least two distinct values in the
+    least :data:`MIN_TAIL` observations and at least two distinct values in the
     tail; raises ValueError if no candidate qualifies or the data are
     degenerate (a single repeated value).
     """
@@ -143,11 +143,11 @@ def fit_power_law(sizes: Sequence[int], min_tail: int = 10,
     candidates = [
         (int(v), int(t))
         for v, t, d in zip(values, tail_counts, distinct_ge)
-        if v >= 2 and t >= min_tail and d >= 2
+        if v >= 2 and t >= MIN_TAIL and d >= 2
     ]
     if not candidates:
         raise ValueError(
-            f"no usable xmin: need >= {min_tail} tail observations spanning "
+            f"no usable xmin: need >= {MIN_TAIL} tail observations spanning "
             "at least two distinct sizes >= 2"
         )
 
@@ -176,18 +176,18 @@ def fit_power_law(sizes: Sequence[int], min_tail: int = 10,
     return PowerLawFit(alpha=alpha, xmin=xmin, ks_statistic=d, n_tail=n_tail)
 
 
-def ccdf_tail_slope(sizes: Sequence[int], min_tail_count: int = 10) -> float:
+def ccdf_tail_slope(sizes: Sequence[int]) -> float:
     """Least-squares slope of log CCDF vs log size over well-populated sizes.
 
     A diagnostic on the CCDF scale: a power law with exponent alpha has CCDF
-    slope -(alpha - 1). Points with fewer than ``min_tail_count`` observations
+    slope -(alpha - 1). Points with fewer than :data:`MIN_TAIL` observations
     at or above them are dropped to keep extreme-tail noise out of the fit.
     """
     arr = np.asarray(sizes, dtype=np.int64)
     values, counts = np.unique(arr, return_counts=True)
     n = counts.sum()
     tail = counts[::-1].cumsum()[::-1]
-    keep = tail >= min_tail_count
+    keep = tail >= MIN_TAIL
     if keep.sum() < 2:
         raise ValueError("not enough distinct sizes for a slope")
     x = np.log(values[keep].astype(np.float64))

@@ -12,7 +12,8 @@ instead of over index arrays, a from-first-principles feature
 recomputation, the feature extractor one example at a time (bit-exact)
 instead of one array pass per city, the Mann-Whitney pair count for AUC,
 and a GBDT grower that argsorts every feature again at every node instead
-of filtering presorted orders. The library's test-only helpers live here too: the graph's edge
+of filtering presorted orders. The library's test-only helpers live here
+too: the graph's per-user lookups (degree, neighbours, friendship) and edge
 list, a one-shot feature extractor, the continuous power-law exponent and
 staged GBDT scores.
 """
@@ -90,9 +91,30 @@ def brute_force_business(first_date: dict[int, int], friend_pairs: set, window_d
     return edges, components
 
 
+def neighbors(graph, u: int) -> np.ndarray:
+    """User ``u``'s friends in a SocialGraph, ascending; none for an unknown id."""
+    if 0 <= u < graph.n_nodes:
+        return graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
+    return graph.indices[:0]
+
+
+def degree(graph, u: int) -> int:
+    """User ``u``'s friend count; 0 for an unknown id."""
+    return len(neighbors(graph, u))
+
+
+def are_friends(graph, u: int, v: int) -> bool:
+    """True iff the undirected edge (u, v) exists. Unknown ids are never friends."""
+    if u == v or not 0 <= v < graph.n_nodes:
+        return False
+    nbrs = neighbors(graph, u)
+    i = int(np.searchsorted(nbrs, v))
+    return i < len(nbrs) and nbrs[i] == v
+
+
 def graph_edges(graph) -> list[tuple[int, int]]:
     """All undirected edges of a SocialGraph as (u, v) with u < v, ascending."""
-    return [(u, int(v)) for u in range(graph.n_nodes) for v in graph.neighbors(u) if u < v]
+    return [(u, int(v)) for u in range(graph.n_nodes) for v in neighbors(graph, u) if u < v]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +503,7 @@ class PerExampleExtractor:
 
         # root node block
         root_user = self._user(root)
-        v[4] = math.log1p(self.graph.degree(root))
+        v[4] = math.log1p(degree(self.graph, root))
         if root_user is None:
             self.imputed.update(FEATURE_NAMES[5:10])
             v[5:10] = (0.0, self._city_mean_stars(city), 0.0, 0.0, 0.0)
@@ -507,10 +529,10 @@ class PerExampleExtractor:
                 rows.append((math.log1p(review_count), self._stars_or_city_mean(
                     avg, city, "nonroot_avg_stars_mean"), math.log1p(fans), float(elite)))
         review_counts, avg_stars, fans, elite = zip(*rows)
-        degrees = [math.log1p(self.graph.degree(u)) for u in rest]
+        degrees = [math.log1p(degree(self.graph, u)) for u in rest]
         v[10:18] = (np.mean(degrees), np.max(degrees), np.mean(review_counts),
                     np.max(review_counts), np.mean(avg_stars), np.mean(fans), np.mean(elite),
-                    sum(self.graph.are_friends(root, u) for u in rest) / len(rest))
+                    sum(are_friends(self.graph, root, u) for u in rest) / len(rest))
 
         # root event block
         v[18:23] = (self._stars_or_city_mean(stars[0], city, "root_stars"),
@@ -574,7 +596,7 @@ def reference_features(cascade, k: int, profiles) -> dict[str, float]:
     out["biz_category_count"] = float(biz["category_count"]) if biz else 0.0
     out["biz_is_open"] = float(bool(biz and biz["is_open"]))
 
-    nbrs_of = lambda u: set(int(x) for x in graph.neighbors(u))
+    nbrs_of = lambda u: set(int(x) for x in neighbors(graph, u))
     ru = record(users, root.user_id)
     out["root_degree_log1p"] = _lg(len(nbrs_of(root.user_id)))
     out["root_review_count_log1p"] = _lg(ru["review_count"]) if ru else 0.0

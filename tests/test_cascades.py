@@ -12,7 +12,7 @@ from cascademine.util import nearest_rank
 from conftest import (as_stores, day, event_table, graph_from_edges, mk_event, random_events,
                       random_graph)
 from oracles import (as_plain, brute_force_business, cascade_edges, cascade_events,
-                     cascade_jsonl, event_node, graph_edges, percentile_by_counting,
+                     cascade_jsonl, degree, event_node, graph_edges, percentile_by_counting,
                      read_cascades_jsonl)
 
 
@@ -154,7 +154,7 @@ class TestBuildCascades:
                 d = first_dates.setdefault(e.business_id, {})
                 d[e.user_id] = min(e.day, d.get(e.user_id, e.day))
             for business, first_date in first_dates.items():
-                assert max(graph.degree(u) for u in first_date) > 5 * len(first_date)
+                assert max(degree(graph, u) for u in first_date) > 5 * len(first_date)
                 got = [c for c in cascades if c.business_id == business]
                 got_edges = {e for c in got for e in cascade_edges(c)}
                 got_comps = {frozenset(n.user_id for n in cascade_events(c)) for c in got}

@@ -720,6 +720,27 @@ class TestPipeline:
         assert "ingest.pkl" in hashes[0]  # drop counters from workers: same pickle bytes
         assert hashes[0] == hashes[1]
 
+    def test_traced_all_reaches_every_layer(self, fixture_dataset, tmp_path, monkeypatch):
+        # pipebench's tracer wraps the library's functions from outside and reads
+        # what they return (tree nodes, logreg iterations, the graph's degrees);
+        # on one CPU every fit runs in this process, where the tracer counts it.
+        # With this ridge penalty the logreg fits converge before their epochs
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "pipebench"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        import tracing
+
+        tracer = tracing.Tracer()
+        args = pipeline_args(fixture_dataset, tmp_path / "cache", "--l2", "0.1",
+                             "--logreg-epochs", "400")
+        with tracing.patched(tracer):
+            codes = {stage: main([stage, *args]) for stage, _ in cli.ALL_STAGES}
+        assert codes == dict.fromkeys(codes, 0)
+        counted = {name: value for name, value in tracer.counters.items()
+                   if name.startswith(("learner.", "social.")) or name == "stats.fits"}
+        assert {"learner.gbdt.nodes", "learner.logreg.iters", "social.friend_edges",
+                "social.max_degree", "stats.fits"} <= set(counted)
+        assert all(value > 0 for value in counted.values()), counted
+
 
 class TestSmallCities:
     def test_city_without_shorts_excluded_with_reason(self, fixture_dataset, tmp_path,

@@ -2,8 +2,7 @@
 
 A dependency-free stand-in for a linter's unused-import check, built on
 ``ast``: a name a module imports must be read somewhere in that module.
-Package ``__init__.py`` files (re-exports) and import lines marked
-``# noqa`` are exempt.
+Import lines marked ``# noqa`` are exempt.
 """
 
 import ast
@@ -13,7 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(path for folder in ("src", "scripts", "tests")
-               for path in (ROOT / folder).rglob("*.py") if path.name != "__init__.py")
+               for path in (ROOT / folder).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

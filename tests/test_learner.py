@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from cascademine.learner import (GbdtModel, Tree, auc_trapezoid, cross_validate,
+from cascademine.learner import (GbdtModel, Tree, auc_trapezoid, cross_validate, cv_plan,
                                  elastic_net_objective, feature_importance, log_loss,
                                  logistic_smooth_grad, logistic_smooth_objective,
                                  roc_curve, sigmoid, split_gain_importance,
@@ -413,10 +413,12 @@ class TestCrossValidation:
         assert all(n < len(y) for n in calls)  # no fit on all rows
 
     def test_forked_folds_report_equals_serial(self, rng, monkeypatch):
+        # the path the evaluate stage runs: cv_plan's fold fits through fork_map
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         X = rng.normal(size=(120, 4))
         y = (X[:, 0] + rng.normal(size=120) > 0).astype(np.int64)
         for fit in (lambda A, b: train_gbdt(A, b, n_trees=10), train_logreg):
             serial = cross_validate(X, y, fit, folds=5, seed=2)
-            forked = cross_validate(X, y, fit, folds=5, seed=2, mapper=fork_map)
+            fold_scores, report = cv_plan(X, y, fit, folds=5, seed=2)
+            forked = report(fork_map(fold_scores, range(5)))
             assert pickle.dumps(forked) == pickle.dumps(serial)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cascademine.social import build_graph
 from conftest import graph_from_edges, random_graph
-from oracles import graph_edges
+from oracles import are_friends, degree, graph_edges, neighbors
 
 
 def from_listings(listings, n_nodes):
@@ -18,13 +18,13 @@ def from_listings(listings, n_nodes):
 class TestBuildGraph:
     def test_symmetric_closure_one_sided(self):
         graph = from_listings([(0, [1]), (1, [])], n_nodes=2)
-        assert graph.are_friends(0, 1)
-        assert graph.are_friends(1, 0)
+        assert are_friends(graph, 0, 1)
+        assert are_friends(graph, 1, 0)
         assert graph.n_edges == 1
 
     def test_self_loop_dropped(self):
         graph = from_listings([(0, [0])], n_nodes=1)
-        assert not graph.are_friends(0, 0)
+        assert not are_friends(graph, 0, 0)
         assert graph.n_edges == 0
 
     def test_unknown_friend_id_becomes_node(self):
@@ -32,14 +32,14 @@ class TestBuildGraph:
         # ids 1-4 appear in no listing and are isolated nodes
         graph = from_listings([(0, [5])], n_nodes=6)
         assert graph.n_nodes == 6
-        assert graph.are_friends(0, 5)
-        assert graph.degree(5) == 1
-        assert [graph.degree(u) for u in range(1, 5)] == [0, 0, 0, 0]
+        assert are_friends(graph, 0, 5)
+        assert degree(graph, 5) == 1
+        assert [degree(graph, u) for u in range(1, 5)] == [0, 0, 0, 0]
 
     def test_duplicate_listings_single_edge(self):
         graph = from_listings([(0, [1, 1]), (1, [0])], n_nodes=2)
         assert graph.n_edges == 1
-        assert graph.degree(0) == 1
+        assert degree(graph, 0) == 1
 
     def test_id_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -71,17 +71,17 @@ class TestAreFriends:
         for u in range(n):
             for v in range(n):
                 expected = u != v and ((min(u, v), max(u, v)) in edges)
-                assert graph.are_friends(u, v) == expected
+                assert are_friends(graph, u, v) == expected
 
     def test_unknown_ids_false(self):
         graph = graph_from_edges([(0, 1)], 2)
-        assert not graph.are_friends(0, 99)
-        assert not graph.are_friends(-1, 0)
+        assert not are_friends(graph, 0, 99)
+        assert not are_friends(graph, -1, 0)
 
     def test_neighbors_sorted(self, rng):
         graph = random_graph(rng, 50, 0.2)
         for u in range(50):
-            nbrs = graph.neighbors(u)
+            nbrs = neighbors(graph, u)
             assert np.all(nbrs[:-1] < nbrs[1:])
 
 
@@ -92,8 +92,8 @@ def test_symmetry_and_handshake_property(listings):
     graph = from_listings(listings, n_nodes=20)
     assert int(graph.degrees().sum()) == 2 * graph.n_edges
     for u in range(20):
-        for v in graph.neighbors(u):
-            assert graph.are_friends(int(v), u)
+        for v in neighbors(graph, u):
+            assert are_friends(graph, int(v), u)
             assert int(v) != u
 
 
@@ -102,4 +102,4 @@ def test_edges_each_undirected_edge_once_ascending(rng):
     edges = graph_edges(graph)
     assert len(edges) == graph.n_edges
     assert edges == sorted(edges)
-    assert all(u < v and graph.are_friends(u, v) for u, v in edges)
+    assert all(u < v and are_friends(graph, u, v) for u, v in edges)
