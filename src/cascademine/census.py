@@ -7,8 +7,8 @@ converse fails for some shapes from four nodes up; ``bucket_purity`` measures
 that collision rate with an exact backtracking isomorphism check, which is
 affordable because frequent cascade topologies are tiny.
 
-Signatures come from degree counts over a city's whole edge array: one
-``np.bincount`` each for in- and out-degrees, each sorted within every
+Signatures have one path, the census's pass over a city's whole edge array:
+one ``np.bincount`` each for in- and out-degrees, each sorted within every
 cascade by one ``np.sort``, then cascades group by their degree bytes (the
 edge count is the in-degrees' sum). Only the distinct signatures become
 :class:`TopologySignature` objects, and only the cascades an isomorphism
@@ -61,20 +61,6 @@ class PurityRow:
     bucket_size: int
     checked: int  # members (beyond the representative) exactly tested
     purity: float | None  # None when the representative exceeds the node cap
-
-
-def digraph_signature(n: int, edges: Sequence[Sequence[int]]) -> TopologySignature:
-    """Signature of a directed graph on nodes 0..n-1."""
-    indeg = [0] * n
-    outdeg = [0] * n
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    return TopologySignature(n, len(edges), tuple(sorted(indeg)), tuple(sorted(outdeg)))
-
-
-def signature(cascade: Cascade) -> TopologySignature:
-    return digraph_signature(cascade.size, cascade.edges.tolist())
 
 
 def _adjacency(n: int, edges: Sequence[Sequence[int]]) -> tuple[list[set], list[set]]:

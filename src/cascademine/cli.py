@@ -408,24 +408,26 @@ def _build_parser() -> _Parser:
     for name in stage_names:
         sub.add_parser(name, help=f"run the {name} stage", parents=[shared])
 
+    synth = SynthConfig()  # the flags' defaults
     p = sub.add_parser("synth", help="generate a synthetic dataset in Yelp format")
     p.add_argument("--out-dir", required=True, help="output directory for the files")
-    p.add_argument("--users", type=int, default=50,
+    p.add_argument("--users", type=int, default=synth.n_users,
                    help="number of users (default: %(default)s)")
-    p.add_argument("--businesses", type=int, default=10,
+    p.add_argument("--businesses", type=int, default=synth.n_businesses,
                    help="number of businesses (default: %(default)s)")
-    p.add_argument("--events", type=int, default=200,
+    p.add_argument("--events", type=int, default=synth.n_events,
                    help="review and tip events (default: %(default)s)")
-    p.add_argument("--friend-prob", type=float, default=0.1,
+    p.add_argument("--friend-prob", type=float, default=synth.friend_prob,
                    help="friendship probability per user pair (default: %(default)s)")
-    p.add_argument("--influence-prob", type=float, default=0.3,
+    p.add_argument("--influence-prob", type=float, default=synth.influence_prob,
                    help="probability that an active user's friend joins "
                         "(default: %(default)s)")
-    p.add_argument("--cities", type=int, default=2,
+    p.add_argument("--cities", type=int, default=synth.n_cities,
                    help="number of cities (default: %(default)s)")
-    p.add_argument("--topology", choices=("random", "chain"), default="random",
+    p.add_argument("--topology", choices=("random", "chain"), default=synth.topology,
                    help="friendship graph shape (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=synth.seed,
+                   help="random seed (default: %(default)s)")
     return parser
 
 

@@ -9,8 +9,6 @@ class MissingStageError(Exception):
     """A required upstream stage cache is absent (exit code 2)."""
 
     def __init__(self, stage: str, path):
-        self.stage = stage
-        self.path = path
         super().__init__(f"missing output of stage '{stage}': {path} (run '{stage}' first)")
 
 

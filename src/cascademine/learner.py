@@ -78,15 +78,9 @@ class LogRegModel:
     feature_std: np.ndarray
     n_iter: int = 0
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        Xs = (np.asarray(X, dtype=np.float64) - self.feature_mean) / self.feature_std
-        return Xs @ self.weights + self.bias
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_function(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
+        Xs = (np.asarray(X, dtype=np.float64) - self.feature_mean) / self.feature_std
+        return sigmoid(Xs @ self.weights + self.bias)
 
 
 def logistic_smooth_objective(w: np.ndarray, b: float, Xs: np.ndarray, y: np.ndarray,
@@ -259,41 +253,47 @@ def _fit_tree(XT: np.ndarray, orders: np.ndarray, xs: np.ndarray, root, r: np.nd
     """Grow one tree on all rows, given each feature's presorted row ``orders``
     and sorted values ``xs``, and their ``_candidates`` (None: too few rows).
 
-    A node below the root filters its parent's orders and values with its own
-    row mask, which keeps them sorted with ties in ascending row order.
-    Returns the tree and every training row's leaf value.
+    Nodes grow from a work list that takes the left child first, so they are
+    numbered in preorder and no tree depth reaches Python's recursion limit.
+    A child below the depth limit filters its parent's orders and values with
+    its own row mask, which keeps them sorted with ties in ascending row order;
+    a pending child holds only its own rows' arrays. Returns the tree and
+    every training row's leaf value.
     """
     tree = Tree()
     fitted = np.empty(len(r), dtype=np.float64)
     d = len(orders)
-
-    def grow(rows: np.ndarray, orders: np.ndarray, xs: np.ndarray, depth: int) -> int:
+    # (row mask, its orders and sorted values, depth, the parent link to set)
+    work = [(np.ones(len(r), dtype=bool), orders, xs, 0, None)]
+    while work:
+        rows, orders, xs, depth, link = work.pop()
         node = tree.add_node(depth)
-        r_node = r[rows]
-        total = r_node.sum()
+        if link is not None:
+            side, parent = link
+            side[parent] = node
+        total = r[rows].sum()
         split = None
         if depth < max_depth:
-            if depth:  # the root's rows are all rows: nothing to filter
-                keep = np.flatnonzero(rows[orders])
-                orders = orders.ravel()[keep].reshape(d, len(r_node))
-                xs = xs.ravel()[keep].reshape(d, len(r_node))
             split = _best_split(xs, r[orders], total, min_leaf, None if depth else root)
         if split is None:
             den = max(hess[rows].sum(), 1e-12)
             value = float(np.clip(total / den, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
             tree.value[node] = value
             fitted[rows] = value
-            return node
+            continue
         gain, f, threshold = split
         go_left = XT[f] <= threshold
         tree.feature[node] = f
         tree.threshold[node] = threshold
         tree.gain[node] = gain
-        tree.left[node] = grow(rows & go_left, orders, xs, depth + 1)
-        tree.right[node] = grow(rows & ~go_left, orders, xs, depth + 1)
-        return node
-
-    grow(np.ones(len(r), dtype=bool), orders, xs, 0)
+        for side, child in ((tree.right, rows & ~go_left), (tree.left, rows & go_left)):
+            child_orders = child_xs = None
+            if depth + 1 < max_depth:
+                keep = np.flatnonzero(child[orders])
+                n_child = len(keep) // d
+                child_orders = orders.ravel()[keep].reshape(d, n_child)
+                child_xs = xs.ravel()[keep].reshape(d, n_child)
+            work.append((child, child_orders, child_xs, depth + 1, (side, node)))
     return tree, fitted
 
 
@@ -312,9 +312,6 @@ class GbdtModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
 def train_gbdt(X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int = 3,

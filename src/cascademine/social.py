@@ -30,17 +30,15 @@ class SocialGraph:
         return np.diff(self.indptr)
 
 
-def build_graph(src, dst, n_nodes: int) -> SocialGraph:
+def build_graph(src: np.ndarray, dst: np.ndarray, n_nodes: int) -> SocialGraph:
     """Build the friendship graph from friend listings (``src[i]`` lists ``dst[i]``).
 
-    The closure is symmetric: a one-sided listing still yields the edge.
+    ``src`` and ``dst`` are integer id arrays of any width (ingest passes
+    int32); only the keys below are int64, so no widened copy is made. The
+    closure is symmetric: a one-sided listing still yields the edge.
     Self-loops and duplicate listings are dropped. Every id in ``[0, n_nodes)``
     is a node, listed or not; an id outside that range raises ValueError.
     """
-    # Integer id arrays keep their width (ingest passes int32): only the keys
-    # below are int64, so no widened copy of the listings is made.
-    src, dst = (ids if isinstance(ids, np.ndarray) else np.asarray(ids, dtype=np.int64)
-                for ids in (src, dst))
     lo = min(src.min(initial=0), dst.min(initial=0))
     hi = max(src.max(initial=-1), dst.max(initial=-1))
     if lo < 0 or hi >= n_nodes:

@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 from cascademine.cascades import (NODE_DTYPE, Cascade, CityCascades, read_cascades,
                                   save_cascades)
+from cascademine.census import CensusRow, census
 from cascademine.ingest import EVENT_DTYPE, EventKind
 from cascademine.social import SocialGraph, build_graph
 
@@ -55,8 +56,8 @@ def event_table(events) -> np.recarray:
 
 def graph_from_edges(edges, n_nodes: int) -> SocialGraph:
     """Build a SocialGraph from undirected (u, v) pairs via one-sided listings."""
-    edges = list(edges)
-    return build_graph([u for u, _ in edges], [v for _, v in edges], n_nodes=n_nodes)
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return build_graph(pairs[:, 0], pairs[:, 1], n_nodes=n_nodes)
 
 
 def mk_cascade(node_specs, edges, city: str = "testville", business: int = 0,
@@ -94,6 +95,14 @@ def as_store(cascades, city: str = "testville") -> CityCascades:
 def as_stores(by_city: dict) -> dict[str, CityCascades]:
     """Each city's list of cascades as its store, named by the city's key."""
     return {city: as_store(cascades, city) for city, cascades in by_city.items()}
+
+
+def digraph_census(n: int, *edge_lists) -> list[CensusRow]:
+    """The census of one store that holds a cascade per edge list, each a
+    digraph on nodes 0..n-1: users 0..n-1 on one day, so user u is node u."""
+    cascades = [mk_cascade([(u, 0) for u in range(n)], edges, index=i)
+                for i, edges in enumerate(edge_lists)]
+    return census(as_stores({"testville": cascades}), max_rank=len(cascades))["testville"]
 
 
 def edge_array(edges) -> np.ndarray:

@@ -159,20 +159,25 @@ def as_plain(cascades_by_city) -> dict:
             for city, cascades in cascades_by_city.items()}
 
 
+def signature_key(n: int, edges) -> str:
+    """The serialized census signature 'n|m|in,...|out,...' of a digraph on
+    nodes 0..n-1, its in- and out-degrees counted edge by edge."""
+    indeg, outdeg = [0] * n, [0] * n
+    for u, v in edges:
+        outdeg[u] += 1
+        indeg[v] += 1
+    return "|".join([str(n), str(len(edges)),
+                     ",".join(map(str, sorted(indeg))), ",".join(map(str, sorted(outdeg)))])
+
+
 def reference_buckets(cascades) -> list[tuple[str, list]]:
     """(serialized signature, members) buckets by the per-cascade path: each
-    cascade's in- and out-degrees counted edge by edge, the signature
-    serialized as 'n|m|in,...|out,...', cascades in cascade_id order, buckets
+    cascade's :func:`signature_key`, cascades in cascade_id order, buckets
     ranked by descending member count, then serialized signature."""
     buckets: dict[str, list] = {}
     for cascade in sorted(cascades, key=lambda c: c.cascade_id):
-        indeg, outdeg = [0] * cascade.size, [0] * cascade.size
-        for u, v in cascade.edges.tolist():
-            outdeg[u] += 1
-            indeg[v] += 1
-        key = "|".join([str(cascade.size), str(len(cascade.edges)),
-                        ",".join(map(str, sorted(indeg))), ",".join(map(str, sorted(outdeg)))])
-        buckets.setdefault(key, []).append(cascade)
+        buckets.setdefault(signature_key(cascade.size, cascade.edges.tolist()),
+                           []).append(cascade)
     return sorted(buckets.items(), key=lambda item: (-len(item[1]), item[0]))
 
 

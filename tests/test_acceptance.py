@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cascademine.cascades import build_cascades
-from cascademine.census import bucket_purity, census, digraph_isomorphic, digraph_signature
+from cascademine.census import bucket_purity, census, digraph_isomorphic
 from cascademine.cli import main
 from cascademine.features import FEATURE_NAMES, FeatureExtractor, label_cascades
 from cascademine.ingest import DatasetPaths, ingest_dataset
@@ -24,11 +24,11 @@ from cascademine.learner import (auc_trapezoid, cross_validate, feature_importan
                                  train_logreg)
 from cascademine.stats import fit_power_law
 from cascademine.util import nearest_rank
-from conftest import as_store, mk_cascade, random_events, random_graph
+from conftest import as_store, digraph_census, mk_cascade, random_events, random_graph
 from oracles import (DiscretePowerLawSampler, all_digraphs, brute_force_business,
                      cascade_edges, cascade_events, graph_edges, mann_whitney_auc,
                      percentile_by_counting, realizable_cascade_graphs, reference_features,
-                     staged_raw_scores, weakly_connected)
+                     signature_key, staged_raw_scores, weakly_connected)
 from test_features import mutate_beyond_prefix, random_world
 
 
@@ -79,10 +79,11 @@ def test_criterion_02_signature_relabeling_invariance():
         edges = [p for p in pairs if rng.random() < 0.35]
         perm = list(rng.permutation(n))
         relabeled = [(perm[u], perm[v]) for u, v in edges]
-        if digraph_signature(n, edges) != digraph_signature(n, relabeled):
+        # the two cascades of one store; edgeless draws and isolated nodes included
+        if [row.count for row in digraph_census(n, edges, relabeled)] != [2]:
             bad += 1
-    report(2, "signature invariant under 1000 random relabelings", bad == 0,
-           f"violations={bad}")
+    report(2, "relabeled cascades land in one census bucket, 1000 random relabelings",
+           bad == 0, f"violations={bad}")
 
 
 def test_criterion_03_signature_vs_exact_isomorphism():
@@ -127,7 +128,7 @@ def test_criterion_03_signature_vs_exact_isomorphism():
     for edges in all_digraphs(4):
         if not edges or not weakly_connected(4, edges):
             continue
-        key = digraph_signature(4, edges).serialize()
+        key = signature_key(4, edges)
         group = by_sig.setdefault(key, [])
         for other in group:
             if not digraph_isomorphic(4, other, 4, edges):
@@ -273,7 +274,7 @@ def test_criterion_07_learner_correctness():
     Xx = bits + rng.normal(0, 0.08, size=(200, 2))
     yx = (bits[:, 0] ^ bits[:, 1]).astype(np.int64)
     xor_model = train_gbdt(Xx, yx, n_trees=50, max_depth=2, learning_rate=0.1)
-    xor_acc = float(np.mean(xor_model.predict(Xx) == yx))
+    xor_acc = float(np.mean((xor_model.predict_proba(Xx) >= 0.5) == yx))
 
     # trapezoid AUC equals Mann-Whitney
     auc_ok = True

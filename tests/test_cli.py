@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from cascademine.config import RunConfig, build_config, load_config_file
 from cascademine.errors import ConfigError
 from cascademine.features import (EXAMPLE_DTYPE, FEATURE_NAMES, FEATURES_CACHE_FORMAT,
                                   FEATURES_CACHE_VERSION, N_FEATURES, save_examples)
+from cascademine.synth import SynthConfig
 from cascademine.util import load_cache, save_arrays, save_cache
 
 
@@ -191,7 +193,16 @@ class TestConfigFile:
                 "(default: unlimited) --census-max-rank") in message
         with pytest.raises(SystemExit):
             main(["synth", "--help"])
-        assert "default: 50" in capsys.readouterr().out
+        message = " ".join(capsys.readouterr().out.split())
+        # "--users USERS number of users (default: 50)"; the usage line's
+        # "[--users USERS]" does not match
+        shown = dict(re.findall(r"--([a-z-]+) (?:[A-Z_]+|\{[a-z,]+\}) [^()\[\]-]+ "
+                                r"\(default: ([^)]*)\)", message))
+        fields = {"users": "n_users", "businesses": "n_businesses", "events": "n_events",
+                  "friend-prob": "friend_prob", "influence-prob": "influence_prob",
+                  "cities": "n_cities", "topology": "topology", "seed": "seed"}
+        assert shown == {flag: str(getattr(SynthConfig(), field))
+                         for flag, field in fields.items()}
 
 
 class TestParserReuse:
@@ -626,6 +637,21 @@ class TestPipeline:
                             "train")["models"]
         assert {city: sorted(m) for city, m in models.items()} == {
             "acity": ["gbdt"], "bcity": ["gbdt"]}
+
+    def test_train_grows_a_tree_deeper_than_the_recursion_limit(self, tmp_path):
+        # alternating labels along one feature 0..n-1: each split peels off one row
+        n = 1500
+        examples = np.zeros(n, EXAMPLE_DTYPE)
+        examples["component"] = np.arange(n)
+        examples["label"] = examples["component"] % 2
+        examples["features"][:, 0] = np.arange(n)
+        save_examples(examples, ["acity"], tmp_path / "features.pkl")
+        assert main(["train", "--cache-dir", str(tmp_path), "--max-depth", "100000",
+                     "--min-leaf", "1", "--n-trees", "1"]) == 0
+        models = load_cache(tmp_path / "models.pkl", "cascademine.models", 1,
+                            "train")["models"]
+        (tree,) = models["acity"]["gbdt"].trees
+        assert max(tree.depth) == n - 1 > sys.getrecursionlimit()
 
     def test_real_world_city_names(self, two_city_dataset, tmp_path):
         data = rename_cities(two_city_dataset, tmp_path / "data",

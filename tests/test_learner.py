@@ -30,7 +30,7 @@ class TestLogReg:
     def test_separable_reaches_full_accuracy(self):
         X, y = separable_1d()
         model = train_logreg(X, y, l1=0.01, l2=0.01, epochs=2000)
-        assert np.mean(model.predict(X) == y) == 1.0
+        assert np.mean((model.predict_proba(X) >= 0.5) == y) == 1.0
 
     def test_huge_l1_zeroes_weights_and_bias_predicts_prior(self):
         rng = np.random.default_rng(0)
@@ -100,7 +100,7 @@ class TestGbdt:
     def test_xor_learnable(self, rng):
         X, y = xor_data(rng)
         model = train_gbdt(X, y, n_trees=50, max_depth=2, learning_rate=0.1)
-        assert np.mean(model.predict(X) == y) >= 0.95
+        assert np.mean((model.predict_proba(X) >= 0.5) == y) >= 0.95
 
     def test_zero_trees_predicts_base_rate(self):
         X = np.arange(20, dtype=float).reshape(-1, 1)
@@ -246,6 +246,17 @@ class TestGbdtMatchesReference:
         y = (X[:, 0] + rng.normal(0, 1.0, 120) > 0).astype(np.int64)
         y[:2] = [0, 1]
         self.assert_same_model(X, y, n_trees=6, max_depth=max_depth, min_leaf=min_leaf)
+
+    def test_one_row_peeled_per_level(self):
+        # alternating labels along one feature 0..n-1: each split peels off one
+        # row, so the tree is n - 1 levels deep (the reference grows it by recursion)
+        n = 400
+        X = np.zeros((n, 30))
+        X[:, 0] = np.arange(n)
+        y = np.arange(n) % 2
+        self.assert_same_model(X, y, n_trees=1, max_depth=100000, min_leaf=1)
+        (tree,) = train_gbdt(X, y, n_trees=1, max_depth=100000, min_leaf=1).trees
+        assert max(tree.depth) == n - 1
 
 
 class TestImportance:

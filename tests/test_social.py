@@ -10,8 +10,8 @@ from oracles import are_friends, degree, graph_edges, neighbors
 
 def from_listings(listings, n_nodes):
     """Graph from (user, [listed friends]) pairs, as a user file lists them."""
-    src = [u for u, friends in listings for _ in friends]
-    dst = [v for _, friends in listings for v in friends]
+    src = np.array([u for u, friends in listings for _ in friends], dtype=np.int64)
+    dst = np.array([v for _, friends in listings for v in friends], dtype=np.int64)
     return build_graph(src, dst, n_nodes=n_nodes)
 
 
